@@ -28,7 +28,6 @@ __all__ = [
     "unitary_channel",
     "apply_channel",
     "compose",
-    "tensor",
     "mixture",
     "uhlmann_fidelity",
     "entanglement_fidelity",
@@ -184,11 +183,6 @@ def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
         raise ValueError("channel dimensions do not compose")
     kraus = [a @ b for a in outer.kraus for b in inner.kraus]
     return KrausChannel(inner.dim_in, outer.dim_out, kraus)
-
-
-def tensor(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    kraus = [np.kron(x, y) for x in a.kraus for y in b.kraus]
-    return KrausChannel(a.dim_in * b.dim_in, a.dim_out * b.dim_out, kraus)
 
 
 def mixture(channels: Sequence[KrausChannel], weights: Sequence[float]) -> KrausChannel:

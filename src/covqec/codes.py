@@ -1,8 +1,8 @@
 """Small exact erasure-correcting codes and location-aware recovery.
 
-Erasure is modelled literally: each erased qudit is traced out and
-replaced by an orthogonal flag level, so the noise output lives on
-(C^{d+1})^{(x) n} and erasure locations are readable from the flags.
+Erasure locations are known, so erasure is modelled on the surviving
+qudits: the erased ones are traced out, and the noise output lives on
+(C^d)^{(x) survivors} (`erased_restriction_kraus`).
 
 Recovery for a known erasure pattern goes through the transpose (Petz)
 channel of the erased-restriction map taken at the maximally mixed code
@@ -14,23 +14,21 @@ state).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import KrausChannel
+from . import sdp
+from .channels import KrausChannel, compose, entanglement_error, identity_channel
 
 __all__ = [
     "CodeSpec",
-    "ErasurePattern",
     "five_qubit_code",
     "trivial_code",
-    "erase",
-    "erasure_recovery",
     "recovery_on_survivors",
     "recovery_parts",
     "erased_restriction_kraus",
+    "corrected_channel",
     "code_error",
 ]
 
@@ -56,25 +54,6 @@ class CodeSpec:
             raise ValueError("encoder has the wrong shape")
         if np.max(np.abs(v.conj().T @ v - np.eye(self.d))) > 1e-10:
             raise ValueError("encoder is not an isometry")
-
-
-@dataclass(frozen=True)
-class ErasurePattern:
-    erased: frozenset
-    n_p: int
-    n_r: int
-
-    def __post_init__(self) -> None:
-        if any(i < 0 or i >= self.n_p + self.n_r for i in self.erased):
-            raise ValueError("erased index out of range")
-
-    @property
-    def physical(self) -> frozenset:
-        return frozenset(i for i in self.erased if i < self.n_p)
-
-    @property
-    def reference(self) -> frozenset:
-        return frozenset(i - self.n_p for i in self.erased if i >= self.n_p)
 
 
 def _pauli_string(s: str) -> np.ndarray:
@@ -108,42 +87,6 @@ def five_qubit_code() -> CodeSpec:
 def trivial_code(d: int) -> CodeSpec:
     """Identity encoder on a single qudit (distance 1)."""
     return CodeSpec(d, 1, np.eye(d, dtype=complex), name="trivial", distance=1)
-
-
-# ---------------------------------------------------------------------------
-# erasure channel
-# ---------------------------------------------------------------------------
-
-def erase(n: int, d: int, pattern) -> KrausChannel:
-    """Erasure of the qudits in `pattern`: (C^d)^n -> (C^{d+1})^n.
-
-    Unerased qudits are embedded (data levels 0..d-1); erased ones are
-    traced out and replaced by the flag level d.
-    """
-    erased = sorted(set(int(i) for i in pattern))
-    if erased and (erased[0] < 0 or erased[-1] >= n):
-        raise ValueError("pattern index out of range")
-    embed = np.zeros((d + 1, d), dtype=complex)
-    embed[:d, :] = np.eye(d)
-    flag = np.zeros(d + 1, dtype=complex)
-    flag[d] = 1.0
-    kraus = []
-    for basis in itertools.product(range(d), repeat=len(erased)):
-        factors = []
-        k = 0
-        for site in range(n):
-            if site in erased:
-                bra = np.zeros(d, dtype=complex)
-                bra[basis[k]] = 1.0
-                factors.append(np.outer(flag, bra))
-                k += 1
-            else:
-                factors.append(embed)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        kraus.append(op)
-    return KrausChannel(d**n, (d + 1) ** n, kraus)
 
 
 # ---------------------------------------------------------------------------
@@ -209,45 +152,14 @@ def recovery_on_survivors(code: CodeSpec, pattern) -> list[np.ndarray]:
     return kraus
 
 
-def erasure_recovery(code: CodeSpec, pattern) -> KrausChannel:
-    """Location-aware recovery on the full post-erasure space.
-
-    Composes a strip stage per qudit (erased slots traced out; survivor
-    flag amplitude recycled to level 0) with the survivor-space transpose
-    recovery, giving a trace-preserving map (C^{d+1})^n_p -> C^d.
-    """
-    d, n = code.d, code.n_p
-    erased = sorted(set(int(i) for i in pattern))
-    survivors = [i for i in range(n) if i not in erased]
-    dim_full = (d + 1) ** n
-    dim_s = d ** len(survivors)
-
-    # per-slot strip operators
-    keep_data = np.zeros((d, d + 1), dtype=complex)
-    keep_data[:, :d] = np.eye(d)
-    flag_to_zero = np.zeros((d, d + 1), dtype=complex)
-    flag_to_zero[0, d] = 1.0
-    trace_out = [np.zeros((1, d + 1), dtype=complex) for _ in range(d + 1)]
-    for lvl in range(d + 1):
-        trace_out[lvl][0, lvl] = 1.0
-
-    strip_kraus = []
-    slot_choices = []
-    for site in range(n):
-        if site in erased:
-            slot_choices.append(trace_out)
-        else:
-            slot_choices.append([keep_data, flag_to_zero])
-    for combo in itertools.product(*slot_choices):
-        op = combo[0]
-        for f in combo[1:]:
-            op = np.kron(op, f)
-        strip_kraus.append(op)
-    strip = KrausChannel(dim_full, dim_s, strip_kraus)
-    rec = KrausChannel(dim_s, d, recovery_on_survivors(code, erased))
-    kraus = [a @ b for a in rec.kraus for b in strip.kraus]
-    kraus = [k for k in kraus if np.max(np.abs(k)) > 1e-14]
-    return KrausChannel(dim_full, d, kraus)
+def corrected_channel(code: CodeSpec, pattern) -> KrausChannel:
+    """recover . erase . encode for a known pattern, as a map logical -> logical."""
+    erase = erased_restriction_kraus(code, pattern)
+    dim_s = erase[0].shape[0]
+    return compose(
+        KrausChannel(dim_s, code.d, recovery_on_survivors(code, pattern)),
+        KrausChannel(code.d, dim_s, erase),
+    )
 
 
 def code_error(code: CodeSpec, pattern, tol: float = 1e-8) -> float:
@@ -256,13 +168,7 @@ def code_error(code: CodeSpec, pattern, tol: float = 1e-8) -> float:
     Below solver precision the certified bracket eps_wc <= d eps_ent gives
     a tighter answer than the diamond-norm program, so it is used there.
     """
-    from . import sdp
-    from .channels import compose, entanglement_error, identity_channel, unitary_channel
-
-    noisy = compose(
-        erasure_recovery(code, pattern),
-        compose(erase(code.n_p, code.d, pattern), unitary_channel(code.encoder)),
-    )
+    noisy = corrected_channel(code, pattern)
     ident = identity_channel(code.d)
     upper = code.d * entanglement_error(noisy, ident)
     if upper < tol:

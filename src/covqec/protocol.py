@@ -6,15 +6,15 @@ rotation U reduces the logical channel to the twirl of the inner channel
     M_j = int dU' p_j(U'|I) U'_L^{-1} . D . U'_P . C_{j,P} . E ,
 
 where p_j is the covariant-measurement outcome density of the surviving
-reference copies and U'_P acts on the surviving physical qudits (erasure
-commutes unitaries past the flags).  The full logical channel is the
-pattern mixture of those twirls, a covariant channel whose parameter adds
-linearly over patterns, and eps_cov is its diamond distance from the
-identity.
+reference copies and U'_P acts on the surviving physical qudits (a
+transversal unitary on the erased qudits is traced out with them).  The
+full logical channel is the pattern mixture of those twirls, a covariant
+channel whose parameter adds linearly over patterns, and eps_cov is its
+diamond distance from the identity.
 
 The inner integral uses the exact SU(2) Euler product quadrature,
-vectorized over nodes; flag registers are stripped, so dense spaces never
-exceed the surviving physical register.
+vectorized over nodes; erasure and recovery act on the surviving qudits
+only, so dense spaces never exceed the surviving physical register.
 """
 
 from __future__ import annotations
@@ -37,7 +37,13 @@ from .channels import (
     su2_eigenphase,
     twirl_to_covariant,
 )
-from .codes import CodeSpec, erased_restriction_kraus, recovery_on_survivors
+from .codes import (
+    CodeSpec,
+    corrected_channel,
+    erased_restriction_kraus,
+    recovery_on_survivors,
+    recovery_parts,
+)
 
 __all__ = [
     "ProtocolConfig",
@@ -132,13 +138,6 @@ def _quad_order_for(spec: rf.RefFrameSpec, n_survivors: int) -> int:
     return max_gap + n_survivors + 3
 
 
-def _conditional_kraus(code: CodeSpec, erased: list[int]):
-    """Pattern-fixed pieces of  U'_L^dag . R . U'_surv . M_b  as matrices."""
-    m_ops = erased_restriction_kraus(code, erased)   # logical -> survivors
-    r_ops = recovery_on_survivors(code, erased)      # survivors -> logical
-    return m_ops, r_ops
-
-
 def _choi_accumulate(code, erased, us, weights):
     """Sum over nodes of w * Choi(U'^dag_L . R . U'_surv . M_b), unnormalized.
 
@@ -147,10 +146,8 @@ def _choi_accumulate(code, erased, us, weights):
     (I_d / d) (x) sum_b (W_b^dag (I - P) W_b) with W_b = U'_surv M_b, so the
     rank-one completion Kraus are never materialized.
     """
-    from .codes import recovery_parts
-
     d = code.d
-    m_ops, _ = _conditional_kraus(code, erased)
+    m_ops = erased_restriction_kraus(code, erased)
     data_kraus, support = recovery_parts(code, erased)
     n_surv = code.n_p - len(erased)
     comp = np.eye(support.shape[0]) - support
@@ -229,15 +226,7 @@ def haar_guess_channel(code: CodeSpec, pattern_p, quad_order: int = 6) -> ChoiMa
 def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
     """Perfect-reference limit of the inner channel: the outcome density
     concentrates on U' = I and M_j collapses to D . C . E exactly."""
-    erased = sorted(set(int(i) for i in pattern_p))
-    m_ops, r_ops = _conditional_kraus(code, erased)
-    d = code.d
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for r_op in r_ops:
-        for m_op in m_ops:
-            vec = (r_op @ m_op).reshape(-1)
-            choi += np.outer(vec, vec.conj())
-    return ChoiMatrix(d, d, choi / d)
+    return corrected_channel(code, pattern_p).choi()
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +419,10 @@ def monte_carlo_epsilon(
         u_hat = (v @ u) @ u_rel.conj().T
         erased = frozenset(phys)
         if erased not in kraus_cache:
-            kraus_cache[erased] = _conditional_kraus(code, sorted(erased))
+            kraus_cache[erased] = (
+                erased_restriction_kraus(code, erased),
+                recovery_on_survivors(code, erased),
+            )
         m_ops, r_ops = kraus_cache[erased]
         n_surv = code.n_p - len(erased)
         mid = np.array([[1.0 + 0j]])

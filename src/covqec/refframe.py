@@ -31,17 +31,13 @@ from .channels import haar_su2, su2_eigenphase
 
 __all__ = [
     "RefFrameSpec",
-    "RefFrameEnsemble",
     "WeakModelLayout",
     "ConfigurationError",
-    "TotalReferenceLossError",
     "g_weight",
     "weak_spec",
     "strong_combined_spec",
     "outcome_density",
-    "sample_outcome",
     "sample_relative_rotations",
-    "survivor_ensembles",
     "interior_set",
     "min_overlap",
     "appendix_e_sum",
@@ -54,10 +50,6 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Raised for physically inconsistent reference-frame parameters."""
-
-
-class TotalReferenceLossError(RuntimeError):
-    """Every reference copy was erased; no rotation information survives."""
 
 
 @dataclass(frozen=True)
@@ -87,20 +79,6 @@ class RefFrameSpec:
         if self.d != 2:
             raise ValueError("gaps() is a d=2 helper")
         return np.array([young.pad(l, 2)[0] - young.pad(l, 2)[1] for l in self.support()])
-
-
-@dataclass(frozen=True)
-class RefFrameEnsemble:
-    spec: RefFrameSpec
-    copies: int
-
-    def __post_init__(self) -> None:
-        if self.copies < 1:
-            raise ValueError("need at least one reference copy")
-
-    @property
-    def n_r(self) -> int:
-        return 2 * self.spec.m * self.copies
 
 
 @dataclass(frozen=True)
@@ -196,27 +174,6 @@ def strong_combined_spec(d: int, s_survivors: int) -> RefFrameSpec:
     return RefFrameSpec(d, s_survivors, weights)
 
 
-def survivor_ensembles(ensemble: RefFrameEnsemble, erased_copies: set[int]) -> RefFrameSpec:
-    """Spec of the joint measurement on the surviving copies.
-
-    Maximally entangled single-pair copies combine into the Schur-Weyl
-    spec of the survivor count.  Copies of any other state (the weak-model
-    frames) are measured singly: one intact copy suffices and the paper's
-    joint spec for non-product frames is not defined, so the per-copy spec
-    is returned unchanged.
-    """
-    if any(i < 0 or i >= ensemble.copies for i in erased_copies):
-        raise ValueError("erased copy index out of range")
-    k = ensemble.copies - len(set(erased_copies))
-    if k == 0:
-        raise TotalReferenceLossError("all reference copies erased")
-    spec = ensemble.spec
-    is_single_pair = spec.m == 1 and abs(spec.weights.get((1,), 0.0) - 1.0) < 1e-12
-    if is_single_pair:
-        return strong_combined_spec(spec.d, k)
-    return spec
-
-
 # ---------------------------------------------------------------------------
 # outcome distribution
 # ---------------------------------------------------------------------------
@@ -267,16 +224,6 @@ def sample_relative_rotations(
         out[got:got + take] = us[keep][:take]
         got += take
     return out
-
-
-def sample_outcome(spec: RefFrameSpec, true_rotation: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One covariant-measurement outcome U^ ~ p(U^|U) for d=2.
-
-    Samples the relative rotation U' from the conjugation-invariant
-    density p(U'|I) and returns U^ = U U'^dag.
-    """
-    u_rel = sample_relative_rotations(spec, 1, rng)[0]
-    return np.asarray(true_rotation, dtype=complex) @ u_rel.conj().T
 
 
 # ---------------------------------------------------------------------------

@@ -181,10 +181,7 @@ def _codes_checks():
     worst = 0.0
     for k in (1, 2):
         for pattern in itertools.combinations(range(5), k):
-            comp = ch.compose(
-                codes.erasure_recovery(code, set(pattern)),
-                ch.compose(codes.erase(5, 2, set(pattern)), ch.unitary_channel(code.encoder)),
-            )
+            comp = codes.corrected_channel(code, pattern)
             worst = max(worst, 1 - ch.entanglement_fidelity(comp, ch.identity_channel(2)))
     out.append(_check("codes", "five-qubit code corrects <= 2 erasures", worst < 1e-9, f"worst={worst:.2e}"))
     return out

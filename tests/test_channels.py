@@ -26,7 +26,7 @@ def random_channel(rng, d, n_kraus=3):
 
 
 # ---------------------------------------------------------------------------
-# apply / compose / tensor / mixture
+# apply / compose / mixture
 # ---------------------------------------------------------------------------
 
 def test_apply_identity():
@@ -70,13 +70,6 @@ def test_compose_with_identity():
     n = random_channel(RNG, 2)
     c = ch.compose(ch.identity_channel(2), n)
     assert np.allclose(c.choi().mat, n.choi().mat, atol=1e-12)
-
-
-def test_tensor_choi_trace():
-    a, b = random_channel(RNG, 2), random_channel(RNG, 2)
-    t = ch.tensor(a, b)
-    assert t.dim_in == 4 and t.dim_out == 4
-    assert np.trace(t.choi().mat) == pytest.approx(1.0)
 
 
 def test_mixture_rejects_bad_weights():

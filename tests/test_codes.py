@@ -7,10 +7,65 @@ from covqec import channels as ch
 from covqec import codes
 
 
-def composite_channel(code, pattern):
+# ---------------------------------------------------------------------------
+# flagged erasure oracle: erasure modelled literally on (C^{d+1})^n, with
+# erased qudits replaced by an orthogonal flag level
+# ---------------------------------------------------------------------------
+
+def erase(n, d, pattern):
+    """Erasure of the qudits in `pattern`: (C^d)^n -> (C^{d+1})^n.
+
+    Unerased qudits are embedded (data levels 0..d-1); erased ones are
+    traced out and replaced by the flag level d.
+    """
+    erased = sorted(set(int(i) for i in pattern))
+    embed = np.zeros((d + 1, d), dtype=complex)
+    embed[:d, :] = np.eye(d)
+    flag = np.zeros(d + 1, dtype=complex)
+    flag[d] = 1.0
+    kraus = []
+    for basis in itertools.product(range(d), repeat=len(erased)):
+        op = np.ones((1, 1), dtype=complex)
+        k = 0
+        for site in range(n):
+            if site in erased:
+                op = np.kron(op, np.outer(flag, np.eye(d)[basis[k]]))
+                k += 1
+            else:
+                op = np.kron(op, embed)
+        kraus.append(op)
+    return ch.KrausChannel(d**n, (d + 1) ** n, kraus)
+
+
+def erasure_recovery(code, pattern):
+    """Location-aware recovery on the flagged space, (C^{d+1})^n_p -> C^d.
+
+    A strip stage per qudit (erased slots traced out; survivor flag
+    amplitude recycled to level 0) followed by the survivor-space recovery.
+    """
+    d, n = code.d, code.n_p
+    erased = sorted(set(int(i) for i in pattern))
+    keep_data = np.zeros((d, d + 1), dtype=complex)
+    keep_data[:, :d] = np.eye(d)
+    flag_to_zero = np.zeros((d, d + 1), dtype=complex)
+    flag_to_zero[0, d] = 1.0
+    trace_out = [np.eye(d + 1, dtype=complex)[[lvl]] for lvl in range(d + 1)]
+    slot_choices = [trace_out if site in erased else [keep_data, flag_to_zero] for site in range(n)]
+    strip_kraus = []
+    for combo in itertools.product(*slot_choices):
+        op = combo[0]
+        for f in combo[1:]:
+            op = np.kron(op, f)
+        strip_kraus.append(op)
+    strip = ch.KrausChannel((d + 1) ** n, d ** (n - len(erased)), strip_kraus)
+    rec = ch.KrausChannel(strip.dim_out, d, codes.recovery_on_survivors(code, erased))
+    return ch.compose(rec, strip)
+
+
+def flagged_composite(code, pattern):
     return ch.compose(
-        codes.erasure_recovery(code, pattern),
-        ch.compose(codes.erase(code.n_p, code.d, pattern), ch.unitary_channel(code.encoder)),
+        erasure_recovery(code, pattern),
+        ch.compose(erase(code.n_p, code.d, pattern), ch.unitary_channel(code.encoder)),
     )
 
 
@@ -39,13 +94,13 @@ def test_five_qubit_stabilizers_fix_codewords():
 def test_trivial_code():
     code = codes.trivial_code(2)
     assert np.allclose(code.encoder, np.eye(2))
-    comp = composite_channel(code, set())
+    comp = codes.corrected_channel(code, set())
     assert ch.entanglement_fidelity(comp, ch.identity_channel(2)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trivial_code_single_erasure_destroys_everything():
     code = codes.trivial_code(2)
-    comp = composite_channel(code, {0})
+    comp = codes.corrected_channel(code, {0})
     # output is independent of the input; recovery dumps to I/2
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho1 = np.diag([0.0, 1.0]).astype(complex)
@@ -58,7 +113,7 @@ def test_trivial_code_single_erasure_destroys_everything():
 # ---------------------------------------------------------------------------
 
 def test_erase_no_pattern_is_embedding():
-    chan = codes.erase(2, 2, set())
+    chan = erase(2, 2, set())
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 0.5
     rho[0, 3] = 0.5
@@ -73,7 +128,7 @@ def test_erase_no_pattern_is_embedding():
 
 
 def test_erase_all_gives_flag_product():
-    chan = codes.erase(2, 2, {0, 1})
+    chan = erase(2, 2, {0, 1})
     rho = np.full((4, 4), 0.25, dtype=complex)
     out = ch.apply_channel(chan, rho)
     flag_idx = 2 * 3 + 2
@@ -81,7 +136,7 @@ def test_erase_all_gives_flag_product():
 
 
 def test_erase_one_qubit_of_bell_pair():
-    chan = codes.erase(2, 2, {0})
+    chan = erase(2, 2, {0})
     phi = ch.max_entangled_state(2)
     out = ch.apply_channel(chan, phi)
     # remaining (second) qubit maximally mixed, first slot flagged
@@ -91,7 +146,7 @@ def test_erase_one_qubit_of_bell_pair():
 
 
 def test_erased_marginal_carries_no_data():
-    chan = codes.erase(2, 2, {1})
+    chan = erase(2, 2, {1})
     for vec in (np.array([1, 0, 0, 0]), np.array([0.5, 0.5, 0.5, 0.5])):
         rho = np.outer(vec, vec.conj()).astype(complex)
         out = ch.apply_channel(chan, rho)
@@ -108,22 +163,33 @@ def test_erased_marginal_carries_no_data():
 @pytest.mark.parametrize("pattern", [set()] + [{i} for i in range(5)])
 def test_five_qubit_corrects_single_erasures(pattern):
     code = codes.five_qubit_code()
-    comp = composite_channel(code, pattern)
+    comp = codes.corrected_channel(code, pattern)
     assert ch.entanglement_fidelity(comp, ch.identity_channel(2)) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("pattern", [set(p) for p in itertools.combinations(range(5), 2)])
 def test_five_qubit_corrects_double_erasures(pattern):
     code = codes.five_qubit_code()
-    comp = composite_channel(code, pattern)
+    comp = codes.corrected_channel(code, pattern)
     assert ch.entanglement_fidelity(comp, ch.identity_channel(2)) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_recovery_trace_preserving_beyond_distance():
     code = codes.five_qubit_code()
-    rec = codes.erasure_recovery(code, {0, 1, 2})
-    acc = sum(k.conj().T @ k for k in rec.kraus)
-    assert np.allclose(acc, np.eye(3**5), atol=1e-9)
+    rec = codes.recovery_on_survivors(code, {0, 1, 2})
+    acc = sum(k.conj().T @ k for k in rec)
+    assert np.allclose(acc, np.eye(2**2), atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [p for k in (0, 1, 2) for p in itertools.combinations(range(5), k)] + [(0, 1, 2), (0, 2, 4)],
+)
+def test_corrected_channel_matches_flagged_oracle(pattern):
+    code = codes.five_qubit_code()
+    survivor = codes.corrected_channel(code, pattern).choi().mat
+    flagged = flagged_composite(code, pattern).choi().mat
+    assert np.max(np.abs(survivor - flagged)) < 1e-12
 
 
 def test_code_error_zero_on_correctable():
@@ -137,7 +203,7 @@ def test_code_error_three_erasures_vs_scan_oracle():
     # the diamond error; the SDP value must dominate it and stay in (0, 1]
     code = codes.five_qubit_code()
     pattern = {0, 1, 2}
-    comp = composite_channel(code, pattern)
+    comp = codes.corrected_channel(code, pattern)
     err = codes.code_error(code, pattern, tol=1e-9)
     scan = 0.0
     for t in np.linspace(0, np.pi, 41):
@@ -151,16 +217,8 @@ def test_code_error_three_erasures_vs_scan_oracle():
     assert err > 0.1
 
 
-def test_erasure_pattern_register_split():
-    pat = codes.ErasurePattern(frozenset({0, 3, 6}), n_p=5, n_r=4)
-    assert pat.physical == frozenset({0, 3})
-    assert pat.reference == frozenset({1})
-    with pytest.raises(ValueError):
-        codes.ErasurePattern(frozenset({9}), n_p=5, n_r=4)
-
-
 def test_erase_qutrit():
-    chan = codes.erase(2, 3, {1})
+    chan = erase(2, 3, {1})
     rho = np.zeros((9, 9), dtype=complex)
     rho[1, 1] = 1.0  # |0>|1>
     out = ch.apply_channel(chan, rho)

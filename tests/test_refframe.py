@@ -97,38 +97,6 @@ def test_strong_spec_three_copies():
 
 
 # ---------------------------------------------------------------------------
-# survivor combination
-# ---------------------------------------------------------------------------
-
-def test_survivors_strong_one_left():
-    ens = rf.RefFrameEnsemble(rf.strong_combined_spec(2, 1), copies=2)
-    spec = rf.survivor_ensembles(ens, {1})
-    assert spec.weights == {(1,): 1.0}
-
-
-def test_survivors_strong_all_intact():
-    ens = rf.RefFrameEnsemble(rf.strong_combined_spec(2, 1), copies=3)
-    spec = rf.survivor_ensembles(ens, set())
-    want = rf.strong_combined_spec(2, 3)
-    assert spec.weights.keys() == want.weights.keys()
-    for k in want.weights:
-        assert spec.weights[k] == pytest.approx(want.weights[k])
-
-
-def test_survivors_weak_keeps_per_copy_spec():
-    _, wspec = rf.weak_spec(2, 10, 5)
-    ens = rf.RefFrameEnsemble(wspec, copies=2)
-    spec = rf.survivor_ensembles(ens, {0})
-    assert spec is wspec
-
-
-def test_survivors_total_loss():
-    ens = rf.RefFrameEnsemble(rf.strong_combined_spec(2, 1), copies=2)
-    with pytest.raises(rf.TotalReferenceLossError):
-        rf.survivor_ensembles(ens, {0, 1})
-
-
-# ---------------------------------------------------------------------------
 # outcome density
 # ---------------------------------------------------------------------------
 
@@ -214,15 +182,6 @@ def test_sampler_mean_angle_concentrates_with_m():
         theta = ch.su2_eigenphase(us)
         mean_angles.append(float(np.minimum(theta, pi - theta).mean()))
     assert mean_angles[0] > mean_angles[1] > mean_angles[2]
-
-
-def test_sample_outcome_inverts_relative_rotation():
-    spec = rf.strong_combined_spec(2, 3)
-    rng = np.random.default_rng(5)
-    u_true = ch.haar_su2(rng, 1)[0]
-    u_hat = rf.sample_outcome(spec, u_true, rng)
-    assert u_hat.shape == (2, 2)
-    assert np.allclose(u_hat @ u_hat.conj().T, np.eye(2), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
