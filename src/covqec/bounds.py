@@ -76,6 +76,7 @@ class BoundReport:
 def lemma1_assemble(d: int, terms) -> BoundReport:
     """eps_cov <= 9 d sum_j p_j eps_j with
     eps_j = max(eps_code_j, 1 - F_wc_j) if F_wc_j >= 3/4 else 1."""
+    terms = list(terms)
     total_p = sum(p for p, _, _ in terms)
     if abs(total_p - 1.0) > 1e-12:
         raise ValueError(f"pattern probabilities sum to {total_p}")
@@ -91,7 +92,7 @@ def lemma1_assemble(d: int, terms) -> BoundReport:
         kind="upper",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"d": d, "n_terms": len(list(terms))},
+        inputs={"d": d, "n_terms": len(terms)},
     )
 
 

@@ -285,6 +285,9 @@ def cmd_sdp_check(args) -> int:
         f = sdp.sqrt_fwc(identity_channel(2).choi(), depolarizing_channel(p).choi())
         print(f"sqrt_fwc(identity, depolarizing {p}) = {f:.10f}  (closed form {np.sqrt(1-3*p/4):.10f})")
         worst_gap = max(worst_gap, abs(f - np.sqrt(1 - 3 * p / 4)))
+    if worst_gap > 1e-6:
+        print(f"FIDELITY GAP {worst_gap:.2e} exceeds 1e-6")
+        return 1
     from .verify import _random_channel
 
     for _ in range(args.pairs):

@@ -11,13 +11,16 @@ with <A, X> = Re Tr(A X).  Problems stay at qubit/qutrit scale; the total
 variable dimension is capped (default 256) and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
-fidelity program
+fidelity program, posed on the supports of the unnormalized Choi operators
+A, B (V_A, V_B isometries onto their eigenvectors of non-negligible
+eigenvalue),
 
-    sqrt(F_wc(A, B)) = min 1/2 (Tr[A Gamma] + Tr[B Lambda])
-        s.t. [[Gamma, -I (x) rho], [-I (x) rho, Lambda]] >= 0,
+    sqrt(F_wc(A, B)) = min 1/2 (Tr[V_A^dag A V_A Gamma] + Tr[V_B^dag B V_B Lambda])
+        s.t. [[Gamma, -V_A^dag (I (x) rho) V_B], [h.c., Lambda]] >= 0,
              rho a state,
 
-(A, B unnormalized Choi operators), and the diamond-distance program for
+which has the value of the same program on C^D (+) C^D but, unlike it,
+attains its optimum; and the diamond-distance program for
 Hermiticity-preserving differences
 
     1/2 ||A - B||_diamond = min ||Tr_out Y||_inf  s.t.  Y >= +-J(A - B).
@@ -161,7 +164,6 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
     cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in C))
     status = "max_iterations"
     iters = 0
-    best = None  # (merit, X, Z, y)
 
     for it in range(max_iter):
         iters = it + 1
@@ -174,9 +176,6 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         err_p = np.linalg.norm(rp) / bnorm
         err_d = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in Rd)) / cnorm
-        merit = max(err_p, err_d, mu * total / (1 + abs(pobj)))
-        if best is None or merit < best[0]:
-            best = (merit, [x.copy() for x in X], [z.copy() for z in Z], y.copy())
         if err_p < tol and err_d < tol and (mu * total < tol * (1 + abs(pobj)) or gap < tol):
             status = "optimal"
             break
@@ -223,23 +222,19 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             return dX, dZ, dy
 
         try:
-            # iterates on unattained problems run off to infinity before the
-            # best-iterate guard stops them; overflow there is expected
-            with np.errstate(over="ignore", invalid="ignore"):
-                # predictor
-                dX_a, dZ_a, _ = solve_dirs(0.0)
-                ap = min(1.0, 0.98 * _max_step(X, dX_a))
-                ad = min(1.0, 0.98 * _max_step(Z, dZ_a))
-                mu_aff = sum(
-                    np.real(np.trace((X[j] + ap * dX_a[j]) @ (Z[j] + ad * dZ_a[j])))
-                    for j in range(nb)
-                ) / total
-                sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.9))
+            # predictor
+            dX_a, dZ_a, _ = solve_dirs(0.0)
+            ap = min(1.0, 0.98 * _max_step(X, dX_a))
+            ad = min(1.0, 0.98 * _max_step(Z, dZ_a))
+            mu_aff = sum(
+                np.real(np.trace((X[j] + ap * dX_a[j]) @ (Z[j] + ad * dZ_a[j])))
+                for j in range(nb)
+            ) / total
+            sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.9))
 
-                # corrector
-                dX, dZ, dy = solve_dirs(sigma * mu)
-        except (np.linalg.LinAlgError, FloatingPointError):
-            status = "max_iterations"
+            # corrector
+            dX, dZ, dy = solve_dirs(sigma * mu)
+        except np.linalg.LinAlgError:
             break
         if not all(np.isfinite(d).all() for d in dX + dZ) or not np.isfinite(dy).all():
             break
@@ -249,8 +244,6 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
         Z = [_hermitize(Z[j] + ad * dZ[j]) for j in range(nb)]
         y = y + ad * dy
 
-    if status != "optimal" and best is not None:
-        _, X, Z, y = best
     pobj = sum(np.real(np.trace(C[j] @ X[j])) for j in range(nb))
     dobj = float(b @ y)
     value = sgn * 0.5 * (pobj + dobj) if status == "optimal" else sgn * pobj
@@ -326,13 +319,6 @@ def _pick_im(n: int, r: int, c: int) -> np.ndarray:
     return a
 
 
-def _add(dst: dict, key: str, mat: np.ndarray) -> None:
-    if key in dst:
-        dst[key] = dst[key] + mat
-    else:
-        dst[key] = mat
-
-
 # ---------------------------------------------------------------------------
 # worst-case fidelity program (square root)
 # ---------------------------------------------------------------------------
@@ -340,198 +326,64 @@ def _add(dst: dict, key: str, mat: np.ndarray) -> None:
 def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> float:
     """sqrt(F_wc(A, B)) between two channels given as (state-normalized) Chois.
 
-    Solves the worst-case-fidelity program with the interior-point method.
-    When the optimal worst-case input is rank deficient the program's
-    optimizer is approached but not attained (the Gamma/Lambda trace runs
-    away) and the interior point stalls near the optimum; in that case the
-    value is re-certified by an explicit two-sided sandwich: an upper bound
-    from polishing the worst-case input marginal and a lower bound from
-    repairing the dual iterate to exact feasibility.
+    Solves the worst-case-fidelity program restricted to the supports of
+    the unnormalized Choi operators.  With isometries V_A, V_B onto supp(A),
+    supp(B) the block variable is
+
+        S = [[Gamma, -V_A^dag (I (x) rho) V_B], [h.c., Lambda]] >= 0
+
+    of size rank(A) + rank(B), with objective
+    1/2 (Tr[V_A^dag A V_A Gamma] + Tr[V_B^dag B V_B Lambda]).  Gamma and
+    Lambda enter the objective only through A and B, so their components
+    off the supports cost nothing; on C^D (+) C^D the infimum is approached
+    only by sending exactly those components to infinity.  The reduced
+    program has the same value and is strictly feasible on both sides, so
+    its optimum is attained and the interior point exits optimal.
+
+    Raises RuntimeError if the solver does not reach its optimum.
     """
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
-    D = din * dout
-    au = choi_a.unnormalized()
-    bu = choi_b.unnormalized()
+    w_a, v_a = _support(choi_a.unnormalized())
+    w_b, v_b = _support(choi_b.unnormalized())
+    r_a, r_b = len(w_a), len(w_b)
+    n = r_a + r_b
 
     inst = SdpInstance()
-    inst.add_block("S", 2 * D)
+    inst.add_block("S", n)
     inst.add_block("rho", din)
 
-    obj_s = np.zeros((2 * D, 2 * D), dtype=complex)
-    obj_s[:D, :D] = 0.5 * au
-    obj_s[D:, D:] = 0.5 * bu
-    inst.set_objective({"S": obj_s}, "min")
+    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))}, "min")
 
     inst.add_equality({"rho": np.eye(din, dtype=complex)}, 1.0)
-    # S[p, D+q] + (I_dout (x) rho)[p, q] = 0
-    for p in range(D):
-        a_out, i = divmod(p, din)
-        for q in range(D):
-            b_out, j = divmod(q, din)
-            for pick in (_pick_re, _pick_im):
-                coeffs = {"S": pick(2 * D, p, D + q)}
-                if a_out == b_out:
-                    _add(coeffs, "rho", pick(din, i, j))
-                inst.add_equality(coeffs, 0.0)
+    # S[p, r_a+q] + Tr(rho N_pq) = 0 with N_pq = x_q^T conj(y_p), where y_p,
+    # x_q are columns p of V_A and q of V_B reshaped to (d_out, d_in); the
+    # instance keeps Hermitian parts, so the rho coefficients N_pq and -i N_pq
+    # pick Re and Im of Tr(rho N_pq)
+    y = v_a.T.reshape(r_a, dout, din)
+    x = v_b.T.reshape(r_b, dout, din)
+    for p in range(r_a):
+        for q in range(r_b):
+            n_pq = x[q].T @ y[p].conj()
+            inst.add_equality({"S": _pick_re(n, p, r_a + q), "rho": n_pq}, 0.0)
+            inst.add_equality({"S": _pick_im(n, p, r_a + q), "rho": -1j * n_pq}, 0.0)
 
     res = solve(inst, tol=tol)
-    if res.status == "optimal":
-        return float(np.clip(res.value, 0.0, 1.0))
-
-    # certificate path for stalled (unattained) instances
-    lower = _fwc_dual_lower(inst, res.dual, trace_row=0)
-    upper = _fwc_upper_polish(choi_a, choi_b, np.asarray(res.blocks["rho"]))
-    width = upper - lower
-    if width > max(200 * tol, 3e-5):
-        raise RuntimeError(
-            f"fidelity SDP stalled with certificate width {width:.2e}; result untrusted"
-        )
-    return float(np.clip(0.5 * (upper + lower), 0.0, 1.0))
+    if res.status != "optimal":
+        raise RuntimeError(f"fidelity SDP did not converge: status {res.status}")
+    return float(np.clip(res.value, 0.0, 1.0))
 
 
-def _fwc_dual_lower(inst: SdpInstance, y: np.ndarray, trace_row: int) -> float:
-    """Certified lower bound on sqrt(F_wc) by repairing the dual iterate.
+def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above 1e-10 x max(1, largest) and their eigenvectors.
 
-    Zeroes the trace-row multiplier, scales the rest until the S-block dual
-    slack C_S - s A*(y) is exactly psd, and re-maximizes the trace-row
-    multiplier; by weak duality the resulting objective is a true lower
-    bound on the program value.
+    Dropping eigenvalues of total mass t moves sqrt(F_wc) by up to sqrt(t),
+    so the cut must stay at round-off level.
     """
-    names = list(inst._names)
-    sizes = {n: inst._sizes[n] for n in names}
-    y_rest = np.array(y, dtype=float)
-    y_rest[trace_row] = 0.0
-    at = {n: np.zeros((sizes[n], sizes[n]), dtype=complex) for n in names}
-    for yk, (row, _) in zip(y_rest, inst._constraints):
-        if yk == 0.0:
-            continue
-        for n, a in row.items():
-            at[n] += yk * a
-    c_s = inst._obj["S"]
-    D = sizes["S"] // 2
-    # the off-diagonal dual block must live on supp(A) x supp(B) or the
-    # slack cannot be psd; project away the numerical noise outside it and
-    # rebuild the multiplier vector from the projected block so all blocks
-    # of the adjoint stay consistent
-    proj_a = _support_projector(c_s[:D, :D])
-    proj_b = _support_projector(c_s[D:, D:])
-    n_blk = proj_a @ at["S"][:D, D:] @ proj_b
-    # rows after the trace row pin S[p, D+q] in (re, im) pairs ordered by
-    # p then q, and at_S[p, D+q] = (y_re + i y_im) / 2
-    y_proj = np.zeros_like(y_rest)
-    ci = trace_row + 1
-    for p in range(D):
-        for q in range(D):
-            y_proj[ci] = 2.0 * np.real(n_blk[p, q])
-            y_proj[ci + 1] = 2.0 * np.imag(n_blk[p, q])
-            ci += 2
-    at_p = {n: np.zeros((sizes[n], sizes[n]), dtype=complex) for n in names}
-    for yk, (row, _) in zip(y_proj, inst._constraints):
-        if yk == 0.0:
-            continue
-        for n, a in row.items():
-            at_p[n] += yk * a
-
-    def s_slack_min(s):
-        return np.linalg.eigvalsh(_hermitize(c_s - s * at_p["S"])).min()
-
-    margin = -1e-13 * (1 + np.abs(c_s).max())
-    if s_slack_min(1.0) >= margin:
-        s_best = 1.0
-    else:
-        lo_s, hi_s = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo_s + hi_s)
-            if s_slack_min(mid) >= margin:
-                lo_s = mid
-            else:
-                hi_s = mid
-        s_best = lo_s
-    k_rho = _hermitize(s_best * at_p["rho"])
-    y0 = float(np.linalg.eigvalsh(-k_rho).min())
-    return max(0.0, y0)
-
-
-def _support_projector(mat: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     w, v = np.linalg.eigh(_hermitize(mat))
-    keep = w > tol * max(1.0, w.max())
-    return (v[:, keep]) @ v[:, keep].conj().T
-
-
-def _fwc_upper_polish(choi_a: ChoiMatrix, choi_b: ChoiMatrix, rho0: np.ndarray) -> float:
-    """Upper bound min_rho sqrt F((A(x)I)(psi_rho), (B(x)I)(psi_rho)).
-
-    Evaluates the purified fidelity exactly and polishes rho by projected
-    coordinate descent from the interior-point iterate plus a few canonical
-    restarts.
-    """
-    from .channels import uhlmann_fidelity
-
-    din = choi_a.dim_in
-
-    def purified_sqrt_f(rho):
-        w, v = np.linalg.eigh(_hermitize(rho))
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-        sq = (v * np.sqrt(w)) @ v.conj().T
-        psi = sq.reshape(-1)  # |psi> = (sqrt(rho) (x) I) |Omega>
-        rho_full = np.outer(psi, psi.conj())
-        out_a = _apply_extended(choi_a, rho_full, din)
-        out_b = _apply_extended(choi_b, rho_full, din)
-        return np.sqrt(max(0.0, uhlmann_fidelity(out_a, out_b)))
-
-    def polish(rho):
-        rho = _hermitize(rho) + 1e-12 * np.eye(din)
-        rho /= np.real(np.trace(rho))
-        best = purified_sqrt_f(rho)
-        step = 0.3
-        for _ in range(200):
-            improved = False
-            for r in range(din):
-                for c in range(r, din):
-                    for delta in _herm_directions(din, r, c):
-                        cand = rho + step * delta
-                        wmin = np.linalg.eigvalsh(cand).min()
-                        if wmin < 0:
-                            continue
-                        cand = cand / np.real(np.trace(cand))
-                        f = purified_sqrt_f(cand)
-                        if f < best - 1e-13:
-                            rho, best = cand, f
-                            improved = True
-            if not improved:
-                step *= 0.4
-                if step < 1e-9:
-                    break
-        return best
-
-    candidates = [rho0, np.eye(din, dtype=complex) / din]
-    return min(polish(r) for r in candidates)
-
-
-def _herm_directions(n, r, c):
-    if r == c:
-        d = np.zeros((n, n), dtype=complex)
-        d[r, r] = 1.0
-        yield d
-        yield -d
-    else:
-        for val in (1.0, -1.0, 1.0j, -1.0j):
-            d = np.zeros((n, n), dtype=complex)
-            d[r, c] = val
-            d[c, r] = np.conj(val)
-            yield d
-
-
-def _apply_extended(choi: ChoiMatrix, rho_full: np.ndarray, d_ref: int) -> np.ndarray:
-    """(N (x) I_ref)(rho_full) from the channel's Choi matrix."""
-    din, dout = choi.dim_in, choi.dim_out
-    jt = choi.unnormalized().reshape(dout, din, dout, din)
-    rt = rho_full.reshape(din, d_ref, din, d_ref)
-    out = np.einsum("aibk,irks->arbs", jt, rt)
-    return out.reshape(dout * d_ref, dout * d_ref)
+    keep = w > 1e-10 * max(1.0, w.max())
+    return w[keep], v[:, keep]
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,15 @@ def test_lemma1_two_terms():
     assert rep.value == pytest.approx(18 * (0.9 * 0.01 + 0.1 * 0.2))
 
 
+def test_lemma1_accepts_iterator():
+    terms = [(0.5, 0.01, 0.99), (0.5, 0.02, 0.98)]
+    from_list = bounds.lemma1_assemble(2, terms)
+    from_iter = bounds.lemma1_assemble(2, iter(terms))
+    assert from_list.value == pytest.approx(18 * (0.5 * 0.01 + 0.5 * 0.02))
+    assert from_iter.value == from_list.value
+    assert from_iter.inputs["n_terms"] == from_list.inputs["n_terms"] == 2
+
+
 def test_lemma1_rejects_unnormalized():
     with pytest.raises(ValueError):
         bounds.lemma1_assemble(2, [(0.5, 0.0, 1.0)])

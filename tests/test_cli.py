@@ -100,3 +100,11 @@ def test_sdp_check_command():
     res = run_cli(["sdp-check", "--pairs", "3"])
     assert res.returncode == 0
     assert "verified" in res.stdout
+
+
+def test_sdp_check_fails_on_fidelity_gap(monkeypatch, capsys):
+    from covqec import sdp
+
+    monkeypatch.setattr(sdp, "sqrt_fwc", lambda a, b: 0.5)
+    assert cli.main(["sdp-check", "--pairs", "0"]) == 1
+    assert "FIDELITY GAP" in capsys.readouterr().out

@@ -133,6 +133,49 @@ def test_sqrt_fwc_below_entanglement_fidelity():
         assert f <= np.sqrt(ch.entanglement_fidelity(a, b)) + 1e-6
 
 
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+
+def _sqrtm_psd_batch(m):
+    w, v = np.linalg.eigh(m)
+    return (v * np.sqrt(np.clip(w, 0.0, None))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+
+
+def _purified_sqrt_fidelity(a, b, bloch):
+    """sqrt F((A (x) I) psi_rho, (B (x) I) psi_rho), psi_rho = (sqrt(rho) (x) I)|Omega>,
+    for every Bloch vector in `bloch` (qubit channels given by Kraus operators)."""
+    rho = 0.5 * (np.eye(2) + np.einsum("ni,ijk->njk", bloch, PAULI))
+    psi = _sqrtm_psd_batch(rho).reshape(-1, 4)
+
+    def extended_output(chan):
+        cols = np.stack([psi @ np.kron(k, np.eye(2)).T for k in chan.kraus], axis=-1)
+        return cols @ cols.conj().swapaxes(-1, -2)
+
+    prod = _sqrtm_psd_batch(extended_output(a)) @ _sqrtm_psd_batch(extended_output(b))
+    return np.linalg.svd(prod, compute_uv=False).sum(axis=-1)
+
+
+def test_sqrt_fwc_matches_bloch_ball_scan():
+    # Cube grid of spacing h over [-1, 1]^3 with outside points projected onto
+    # the sphere; projection onto the ball is non-expansive, so every Bloch
+    # vector lies within h sqrt(3)/2 of the grid.  The purified root fidelity
+    # equals ||[Tr(rho K_k^dag L_l)]_kl||_1, a norm of a linear image of rho
+    # that is at most 1 on states, so it is 1-Lipschitz in the trace distance
+    # |r - r'|: the true minimum lies within that radius of the scan minimum.
+    k = 41
+    t = np.linspace(-1.0, 1.0, k)
+    grid = np.stack(np.meshgrid(t, t, t, indexing="ij"), axis=-1).reshape(-1, 3)
+    grid /= np.maximum(np.linalg.norm(grid, axis=1, keepdims=True), 1.0)
+    resolution = np.sqrt(3) / (k - 1)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        a, b = random_channel(rng, 2), random_channel(rng, 2)
+        scan = _purified_sqrt_fidelity(a, b, grid)
+        f = sdp.sqrt_fwc(a.choi(), b.choi())
+        assert f <= scan.min() + 1e-8
+        assert f >= scan.min() - resolution
+
+
 # ---------------------------------------------------------------------------
 # diamond_error
 # ---------------------------------------------------------------------------
