@@ -36,7 +36,6 @@ __all__ = [
     "covariant_choi",
     "cov_fidelity_and_errors",
     "lemma5_bound",
-    "twirl_to_covariant",
     "haar_quadrature_su2",
     "su2_from_euler",
     "su2_eigenphase",
@@ -282,21 +281,6 @@ def covariant_params(choi: ChoiMatrix, tol: float = 1e-8) -> CovariantParams:
     if residual > tol:
         raise CovarianceViolationError(residual, tol)
     return params
-
-
-def twirl_to_covariant(choi: ChoiMatrix) -> CovariantParams:
-    """Parameters of the twirled channel int dU U . N . U^dag.
-
-    The twirl projects the Choi state onto span{Phi+, rho_perp} and preserves
-    the Phi+ overlap, so a = 1 - F_ent(N, I).
-    """
-    if choi.dim_in != choi.dim_out:
-        raise ValueError("twirl needs a d -> d channel")
-    d = choi.dim_in
-    phi = max_entangled_state(d)
-    a = float(np.real(1.0 - np.trace(phi @ choi.mat)))
-    a = min(1.0, max(0.0, a))
-    return CovariantParams(d, a)
 
 
 def cov_fidelity_and_errors(pa: CovariantParams, pb: CovariantParams) -> tuple[float, float]:

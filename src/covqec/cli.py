@@ -227,31 +227,30 @@ def cmd_sweep(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import protocol as pr
-    from .codes import five_qubit_code, trivial_code
 
     if args.model == "weak":
         if args.ne is None or args.m is None:
             print("error: simulate weak needs --ne and --m", file=sys.stderr)
             return 2
-        code = five_qubit_code() if args.np_ == 5 else trivial_code(args.d)
-        cfg = pr.ProtocolConfig(
-            args.d, "weak", code, n_e=args.ne, m=args.m,
-            pattern_dist=args.pattern_dist, mc_samples=args.mc_samples, seed=args.seed,
-            quad_order=args.quad_order,
-        )
+        model_args = dict(n_e=args.ne, m=args.m, pattern_dist=args.pattern_dist)
     else:
         if args.pe is None or args.sr is None:
             print("error: simulate strong needs --pe and --sr", file=sys.stderr)
             return 2
+        model_args = dict(p_e=args.pe, s_r=args.sr)
+    try:
         cfg = pr.ProtocolConfig(
-            args.d, "strong", trivial_code(args.d), p_e=args.pe, s_r=args.sr,
-            mc_samples=args.mc_samples, seed=args.seed, quad_order=args.quad_order,
+            args.d, args.model, pr._code_for_np(args.np_), mc_samples=args.mc_samples,
+            seed=args.seed, quad_order=args.quad_order, **model_args,
         )
-    rep = pr.effective_channel(cfg)
+        rep = pr.effective_channel(cfg)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"n = {cfg.n}")
     print(f"mixture a = {rep.mixture.a:.10g}")
-    print(f"F_ent     = {rep.f_ent:.10g}")
-    print(f"eps_cov   = {rep.eps_cov:.10g}  ({rep.eps_cov_method})")
+    print(f"F_ent     = {1.0 - rep.mixture.a:.10g}")
+    print(f"eps_cov   = {rep.eps_cov:.10g}  (diamond-sdp)")
     if args.mc:
         est, err = pr.monte_carlo_epsilon(cfg)
         sig = abs(est - rep.mixture.a) / err if err > 0 else 0.0

@@ -8,11 +8,15 @@ rotation U reduces the logical channel to the twirl of the inner channel
 where p_j is the covariant-measurement outcome density of the surviving
 reference copies and U'_P acts on the surviving physical qudits (a
 transversal unitary on the erased qudits is traced out with them).  The
-full logical channel is the pattern mixture of those twirls, a covariant
+twirl of M_j is the covariant channel with a_j = 1 - F_ent(M_j, I), so a
+pattern is carried as its CovariantParams and nothing else.  The full
+logical channel is the pattern mixture of those twirls, a covariant
 channel whose parameter adds linearly over patterns, and eps_cov is its
 diamond distance from the identity.
 
-The inner integral uses the exact SU(2) Euler product quadrature,
+F_ent(M_j, I) is the p_j-weighted Haar integral of the Phi+ weight
+F(U') = sum_K |Tr K|^2 / d^2 of the per-node channel, so each node needs
+only traces.  The integral uses the exact SU(2) Euler product quadrature,
 vectorized over nodes; erasure and recovery act on the surviving qudits
 only, so dense spaces never exceed the surviving physical register.
 """
@@ -35,14 +39,15 @@ from .channels import (
     haar_su2,
     identity_channel,
     su2_eigenphase,
-    twirl_to_covariant,
 )
 from .codes import (
     CodeSpec,
     corrected_channel,
     erased_restriction_kraus,
+    five_qubit_code,
     recovery_on_survivors,
     recovery_parts,
+    trivial_code,
 )
 
 __all__ = [
@@ -112,7 +117,6 @@ class PatternTerm:
     label: str
     probability: float
     params: CovariantParams
-    inner_choi: ChoiMatrix | None
     multiplicity: int = 1
 
 
@@ -122,8 +126,6 @@ class EffectiveChannelReport:
     terms: list
     mixture: CovariantParams
     eps_cov: float
-    eps_cov_method: str
-    f_ent: float
     diagnostics: dict
 
 
@@ -132,53 +134,40 @@ class EffectiveChannelReport:
 # ---------------------------------------------------------------------------
 
 def _quad_order_for(spec: rf.RefFrameSpec, n_survivors: int) -> int:
-    # highest per-axis Euler frequency of p(U') x Choi entries:
+    # highest per-axis Euler frequency of p(U') x F(U'):
     # max support gap from the density plus n_survivors + 1 channel legs
     max_gap = int(spec.gaps().max())
     return max_gap + n_survivors + 3
 
 
-def _choi_accumulate(code, erased, us, weights):
-    """Sum over nodes of w * Choi(U'^dag_L . R . U'_surv . M_b), unnormalized.
+def _phi_weight(code, erased, us):
+    """Phi+ weight F(U') = F_ent(M_{U'}, I) of the inner channel at each node.
 
-    The off-support completion of the recovery (junk -> maximally mixed)
-    enters in closed form: its Choi contribution per node is
-    (I_d / d) (x) sum_b (W_b^dag (I - P) W_b) with W_b = U'_surv M_b, so the
-    rank-one completion Kraus are never materialized.
+    With W_b = U'_surv M_b, the Kraus operators of M_{U'} are
+    U'^dag R_r W_b plus the off-support completion (junk -> maximally
+    mixed), and F_ent = sum_K |Tr K|^2 / d^2.  The completion enters in
+    closed form, (d - <W, P W>) / d, because sum_b ||W_b||^2 = d; its
+    rank-one Kraus are never materialized.
     """
     d = code.d
     m_ops = erased_restriction_kraus(code, erased)
     data_kraus, support = recovery_parts(code, erased)
     n_surv = code.n_p - len(erased)
-    comp = np.eye(support.shape[0]) - support
-    m_stack = np.stack(m_ops, axis=0)               # (n_b, dim_s, d)
-    r_stack = np.stack(data_kraus, axis=0)          # (n_r, d, dim_s)
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    junk_in = np.zeros((d, d), dtype=complex)
+    dim_s = support.shape[0]
+    m_cat = np.stack(m_ops, axis=1).reshape(dim_s, -1)          # (dim_s, n_b*d)
+    r_cat = np.stack(data_kraus, axis=0).reshape(-1, dim_s)     # (n_r*d, dim_s)
+    out = np.empty(len(us))
     chunk = 2048
     for start in range(0, len(us), chunk):
         ub = us[start:start + chunk]
-        wb = weights[start:start + chunk]
         nb = ub.shape[0]
-        u_surv = _kron_power_batch(ub, n_surv)       # (n, dim_s, dim_s)
-        u_dag = np.conj(np.transpose(ub, (0, 2, 1)))
-        # W_b = U'_surv M_b for all b: (n, dim_s, n_b * d)
-        w_all = np.matmul(u_surv, m_stack.transpose(1, 0, 2).reshape(support.shape[0], -1))
-        # data part: K = U'^dag R_r W_b
-        g = np.matmul(r_stack.reshape(-1, support.shape[0])[None], u_surv)  # (n, n_r*d, dim_s)
-        k_all = np.matmul(g, m_stack.transpose(1, 0, 2).reshape(support.shape[0], -1))
-        k_all = k_all.reshape(nb, len(data_kraus), d, len(m_ops), d)
-        k_all = np.einsum("nxa,nraby->nrbxy", u_dag, k_all, optimize=True)
-        vecs = k_all.reshape(nb, len(data_kraus) * len(m_ops), d * d)
-        choi += np.einsum("n,nka,nkb->ab", wb, vecs, np.conj(vecs), optimize=True)
-        # junk part: accumulate sum_b W^dag (I-P) W, weighted
-        cw = np.matmul(comp[None], w_all)            # (n, dim_s, n_b*d)
-        gram = np.einsum("nsx,nsy->nxy", np.conj(w_all), cw, optimize=True)
-        gram = gram.reshape(nb, len(m_ops), d, len(m_ops), d)
-        junk_in += np.einsum("n,nbxby->xy", wb, gram, optimize=True)
-    # Choi entries of the completion: J[(a,i),(b,j)] = delta_ab/d * M^T[i,j]
-    choi += np.kron(np.eye(d) / d, junk_in.T)
-    return choi
+        w_all = np.matmul(_kron_power_batch(ub, n_surv), m_cat)  # (n, dim_s, n_b*d)
+        x = np.matmul(r_cat, w_all).reshape(nb, len(data_kraus), d, len(m_ops), d)
+        traces = np.einsum("nxy,nrxby->nrb", ub.conj(), x, optimize=True)
+        kept = np.real(np.einsum("nsc,nsc->n", w_all.conj(), np.matmul(support, w_all)))
+        data = np.sum(np.abs(traces) ** 2, axis=(1, 2))
+        out[start:start + nb] = (data + (d - kept) / d) / d**2
+    return out
 
 
 def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
@@ -195,8 +184,13 @@ def inner_channel(
     spec: rf.RefFrameSpec,
     pattern_p,
     quad_order: int | None = None,
-) -> tuple[ChoiMatrix, dict]:
-    """Choi of the inner channel M_j plus quadrature diagnostics."""
+) -> tuple[CovariantParams, dict]:
+    """Twirled inner channel of pattern j plus quadrature diagnostics.
+
+    The twirl of M_j is the covariant channel with a = 1 - F_ent(M_j, I),
+    and F_ent(M_j, I) = int dU' p(U') F(U') integrates the Phi+ weight of
+    the per-node channel (see _phi_weight).
+    """
     erased = sorted(set(int(i) for i in pattern_p))
     n_surv = code.n_p - len(erased)
     order = quad_order or _quad_order_for(spec, n_surv)
@@ -209,18 +203,17 @@ def inner_channel(
             f"density normalization drifted to {total}; raise quad_order above {order}"
         )
 
-    choi = _choi_accumulate(code, erased, us, quad.weights * dens)
-    choi /= code.d * total
+    f_ent = float(np.sum(quad.weights * dens * _phi_weight(code, erased, us))) / total
     diag = {"quad_order": order, "normalization": total, "n_survivors": n_surv}
-    return ChoiMatrix(code.d, code.d, choi), diag
+    return CovariantParams(code.d, min(1.0, max(0.0, 1.0 - f_ent))), diag
 
 
-def haar_guess_channel(code: CodeSpec, pattern_p, quad_order: int = 6) -> ChoiMatrix:
-    """Inner channel when no reference information survives: the decoder's
-    estimate is a Haar guess, i.e. the density is identically one."""
+def haar_guess_channel(code: CodeSpec, pattern_p, quad_order: int = 6) -> CovariantParams:
+    """Twirled inner channel when no reference information survives: the
+    decoder's estimate is a Haar guess, i.e. the density is identically one."""
     flat = rf.RefFrameSpec(2, 0, {(): 1.0})
-    choi, _ = inner_channel(code, flat, pattern_p, quad_order=quad_order)
-    return choi
+    params, _ = inner_channel(code, flat, pattern_p, quad_order=quad_order)
+    return params
 
 
 def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
@@ -283,8 +276,6 @@ def _finish_report(config, terms, diagnostics) -> EffectiveChannelReport:
         terms=terms,
         mixture=mixture,
         eps_cov=eps,
-        eps_cov_method="diamond-sdp",
-        f_ent=1.0 - mixture.a,
         diagnostics=diagnostics,
     )
 
@@ -295,13 +286,11 @@ def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
     diagnostics = {"inner": {}}
     inner_cache: dict = {}
     for label, prob, phys in _weak_terms(config):
-        key = phys
-        if key not in inner_cache:
-            choi, diag = inner_channel(config.code, spec, phys, config.quad_order)
-            inner_cache[key] = (choi, twirl_to_covariant(choi))
-            diagnostics["inner"][label] = diag
-        choi, params = inner_cache[key]
-        terms.append(PatternTerm(label, prob, params, choi))
+        if phys not in inner_cache:
+            inner_cache[phys], diagnostics["inner"][label] = inner_channel(
+                config.code, spec, phys, config.quad_order
+            )
+        terms.append(PatternTerm(label, prob, inner_cache[phys]))
     return _finish_report(config, terms, diagnostics)
 
 
@@ -331,28 +320,18 @@ def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
         for phys, p_phys in phys_patterns:
             label = f"survivors:{k};phys:{','.join(map(str, sorted(phys))) or '-'}"
             if k >= 1:
-                choi, diag = inner_channel(code, spec, phys, config.quad_order)
+                params, diag = inner_channel(code, spec, phys, config.quad_order)
             else:
-                choi = haar_guess_channel(code, phys)
+                params = haar_guess_channel(code, phys)
                 diag = {"haar_guess": True}
             diagnostics["inner"][label] = diag
-            terms.append(PatternTerm(label, p_k * p_phys, twirl_to_covariant(choi), choi))
+            terms.append(PatternTerm(label, p_k * p_phys, params))
     return _finish_report(config, terms, diagnostics)
 
 
 # ---------------------------------------------------------------------------
 # operational Monte Carlo
 # ---------------------------------------------------------------------------
-
-_IC_STATES = [
-    np.array([1.0, 0.0], dtype=complex),
-    np.array([0.0, 1.0], dtype=complex),
-    np.array([1.0, 1.0], dtype=complex) / np.sqrt(2),
-    np.array([1.0, -1.0], dtype=complex) / np.sqrt(2),
-    np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2),
-    np.array([1.0, -1.0j], dtype=complex) / np.sqrt(2),
-]
-
 
 def _sample_pattern(config: ProtocolConfig, rng) -> tuple[frozenset, int]:
     """Sample (physical pattern, surviving copy count) for one shot."""
@@ -386,20 +365,23 @@ def monte_carlo_epsilon(
     """Operational estimate of 1 - F_ent of the effective channel.
 
     Each shot draws the encoding rotation U, an erasure pattern and a
-    measurement outcome U^; the recovered logical channel is evaluated on
-    the six Pauli eigenstates and the average fidelity is converted to an
-    entanglement fidelity.  With `logical_gate` V the shot implements the
-    covariant version of V (V applied transversally, V_L as the target);
-    by covariance the estimate must match the V-free run.
+    measurement outcome U^; the recovered logical channel has the explicit
+    Kraus operators K = U^ R U'_surv M U^dag, and the shot scores
+    F_ent = sum_K |Tr(V^dag K)|^2 / d^2 against the target gate V.  With
+    `logical_gate` V the shot implements the covariant version of V (V
+    applied transversally, V_L as the target); by covariance the estimate
+    must match the V-free run.
     """
     rng = np.random.default_rng(config.seed)
     code = config.code
     d = config.d
     v = np.eye(d, dtype=complex) if logical_gate is None else np.asarray(logical_gate, complex)
     fidelities = np.empty(config.mc_samples)
-    per_copy_spec = None
+    spec_cache: dict = {}
     if config.model == "weak":
         _, per_copy_spec = rf.weak_spec(d, config.m, code.n_p, config.n_e)
+        # every weak-model survivor count measures the per-copy spec
+        spec_cache = {s: per_copy_spec for s in range(1, config.n_e + 2)}
 
     kraus_cache: dict = {}
     for shot in range(config.mc_samples):
@@ -414,31 +396,20 @@ def monte_carlo_epsilon(
             # is Haar as well
             u_rel = haar_su2(rng, 1)[0]
         else:
-            spec = per_copy_spec if config.model == "weak" else rf.strong_combined_spec(d, survivors)
-            u_rel = rf.sample_relative_rotations(spec, 1, rng, batch=256)[0]
+            if survivors not in spec_cache:
+                spec_cache[survivors] = rf.strong_combined_spec(d, survivors)
+            u_rel = rf.sample_relative_rotations(spec_cache[survivors], 1, rng, batch=256)[0]
         u_hat = (v @ u) @ u_rel.conj().T
-        erased = frozenset(phys)
-        if erased not in kraus_cache:
-            kraus_cache[erased] = (
-                erased_restriction_kraus(code, erased),
-                recovery_on_survivors(code, erased),
+        if phys not in kraus_cache:
+            kraus_cache[phys] = (
+                np.stack(recovery_on_survivors(code, phys)),
+                np.stack(erased_restriction_kraus(code, phys)),
             )
-        m_ops, r_ops = kraus_cache[erased]
-        n_surv = code.n_p - len(erased)
-        mid = np.array([[1.0 + 0j]])
-        for _ in range(n_surv):
-            mid = np.kron(mid, u_rel)
-        u_dag = u.conj().T
-        kraus = [u_hat @ r_op @ mid @ m_op @ u_dag for r_op in r_ops for m_op in m_ops]
-        # average fidelity against the target gate V over the IC states
-        acc = 0.0
-        for psi in _IC_STATES:
-            target = v @ psi
-            for k in kraus:
-                amp = k @ psi
-                acc += abs(target.conj() @ amp) ** 2
-        f_avg = acc / len(_IC_STATES)
-        fidelities[shot] = (3 * f_avg - 1) / 2  # qubit: F_ent from F_avg
+        r_ops, m_ops = kraus_cache[phys]
+        mid = _kron_power_batch(u_rel[None], code.n_p - len(phys))[0]
+        kraus = np.einsum("rxs,bsy->rbxy", u_hat @ r_ops @ mid, m_ops) @ u.conj().T
+        traces = np.einsum("xy,rbxy->rb", v.conj(), kraus)
+        fidelities[shot] = np.sum(np.abs(traces) ** 2) / d**2
 
     est = float(1.0 - fidelities.mean())
     stderr = float(fidelities.std(ddof=1) / np.sqrt(config.mc_samples))
@@ -534,6 +505,10 @@ def scaling_sweep(
 
     from . import bounds as bounds_mod
 
+    if simulate and code is None:
+        code = _code_for_np(n_p)
+    if code is not None and code.n_p != n_p:
+        raise ValueError(f"code {code.name} has n_p={code.n_p}, but the sweep has n_p={n_p}")
     rows = []
     for n in n_grid:
         t0 = time.monotonic()
@@ -565,7 +540,7 @@ def scaling_sweep(
             cfg = ProtocolConfig(
                 d=d,
                 model=model,
-                code=code if code is not None else _default_code(model, n_p),
+                code=code,
                 n_e=n_e if model == "weak" else None,
                 p_e=p_e if model == "strong" else None,
                 m=m if model == "weak" else None,
@@ -579,12 +554,13 @@ def scaling_sweep(
     return rows
 
 
-def _default_code(model: str, n_p: int) -> CodeSpec:
-    from .codes import five_qubit_code, trivial_code
-
-    if model == "weak" and n_p == 5:
+def _code_for_np(n_p: int) -> CodeSpec:
+    """The simulated code with n_p physical qudits: trivial (1) or five-qubit (5)."""
+    if n_p == 1:
+        return trivial_code(2)
+    if n_p == 5:
         return five_qubit_code()
-    return trivial_code(2)
+    raise ValueError(f"no code with n_p={n_p} to simulate; choose n_p = 1 (trivial) or 5 (five-qubit)")
 
 
 def loglog_slope(xs, ys) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "g_weight",
     "weak_spec",
     "strong_combined_spec",
-    "outcome_density",
     "sample_relative_rotations",
     "interior_set",
     "min_overlap",
@@ -177,14 +176,6 @@ def strong_combined_spec(d: int, s_survivors: int) -> RefFrameSpec:
 # ---------------------------------------------------------------------------
 # outcome distribution
 # ---------------------------------------------------------------------------
-
-def outcome_density(spec: RefFrameSpec, phases) -> float:
-    """p(U) = |sum_lam sqrt(q_lam) chi_lam(U)|^2 at the given eigenphases."""
-    amp = 0.0 + 0.0j
-    for lam, q in spec.weights.items():
-        amp += np.sqrt(q) * young.character(lam, phases)
-    return float(abs(amp) ** 2)
-
 
 def _density_su2(spec: RefFrameSpec, theta: np.ndarray) -> np.ndarray:
     """Vectorized SU(2) outcome density at rotation half-angles theta."""

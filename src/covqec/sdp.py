@@ -68,25 +68,23 @@ class SdpResult:
 class SdpInstance:
     """Equality-form SDP with named Hermitian PSD blocks.
 
-    Inequality rows get an automatic scalar slack block.  Objective sense
-    is 'min' or 'max' (max is solved as min of the negation).
+    Objective sense is 'min' or 'max' (max is solved as min of the
+    negation); an inequality row takes an explicit scalar slack block.
     """
 
-    def __init__(self, size_cap: int = DEFAULT_SIZE_CAP):
-        self.size_cap = size_cap
+    def __init__(self):
         self._names: list[str] = []
         self._sizes: dict[str, int] = {}
         self._obj: dict[str, np.ndarray] = {}
         self._sense = "min"
         self._constraints: list[tuple[dict[str, np.ndarray], float]] = []
-        self._n_slack = 0
 
     def add_block(self, name: str, size: int) -> None:
         if name in self._sizes:
             raise ValueError(f"duplicate block {name!r}")
-        if sum(self._sizes.values()) + size > self.size_cap:
+        if sum(self._sizes.values()) + size > DEFAULT_SIZE_CAP:
             raise SdpSizeError(
-                f"total variable dimension would exceed the cap of {self.size_cap}"
+                f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}"
             )
         self._names.append(name)
         self._sizes[name] = size
@@ -102,16 +100,6 @@ class SdpInstance:
             ({k: _hermitize(np.asarray(v, dtype=complex)) for k, v in coeffs.items()}, float(rhs))
         )
 
-    def add_inequality(self, coeffs: dict[str, np.ndarray], rhs: float, sense: str = "<=") -> None:
-        """sum <A, X> <= rhs (or >=) via a scalar slack block."""
-        slack = f"_slack{self._n_slack}"
-        self._n_slack += 1
-        self.add_block(slack, 1)
-        sgn = 1.0 if sense == "<=" else -1.0
-        row = {k: np.asarray(v, dtype=complex) for k, v in coeffs.items()}
-        row[slack] = np.array([[sgn]], dtype=complex)
-        self.add_equality(row, rhs)
-
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
@@ -125,8 +113,6 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
     names = list(instance._names)
     sizes = [instance._sizes[n] for n in names]
     total = sum(sizes)
-    if total > instance.size_cap:
-        raise SdpSizeError(f"total variable dimension {total} exceeds cap {instance.size_cap}")
     sgn = 1.0 if instance._sense == "min" else -1.0
     C = [sgn * instance._obj.get(n, np.zeros((s, s), dtype=complex)) for n, s in zip(names, sizes)]
     m = len(instance._constraints)

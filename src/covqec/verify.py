@@ -143,8 +143,8 @@ def _channels_checks():
         for u, w in zip(us, quad.weights):
             k = np.kron(u, u.conj())
             acc += w * (k @ j @ k.conj().T)
-        a_quad = float(np.real(1 - np.trace(ch.max_entangled_state(2) @ acc)))
-        worst = max(worst, abs(ch.twirl_to_covariant(n.choi()).a - a_quad))
+        a_quad = ch.covariant_params(ch.ChoiMatrix(2, 2, acc), tol=1e-6).a
+        worst = max(worst, abs(1 - ch.entanglement_fidelity(n, ch.identity_channel(2)) - a_quad))
     out.append(_check("channels", "twirl equals quadrature twirl", worst < 1e-6, f"worst={worst:.2e}"))
     return out
 
@@ -194,7 +194,7 @@ def _protocol_checks():
     out = []
     code = codes.five_qubit_code()
     _, spec = rf.weak_spec(2, 8, 5)
-    choi, diag = pr.inner_channel(code, spec, set())
+    _, diag = pr.inner_channel(code, spec, set())
     out.append(
         _check(
             "protocol",

@@ -204,8 +204,13 @@ def test_lemma5_values():
 # twirl
 # ---------------------------------------------------------------------------
 
+def _twirl_param(n):
+    """1 - F_ent(N, I): the parameter of the twirl int dU U . N . U^dag."""
+    return 1 - ch.entanglement_fidelity(n, ch.identity_channel(2))
+
+
 def test_twirl_identity():
-    assert ch.twirl_to_covariant(ch.identity_channel(2).choi()).a == pytest.approx(0.0, abs=1e-12)
+    assert _twirl_param(ch.identity_channel(2)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_twirl_matches_quadrature():
@@ -219,20 +224,16 @@ def test_twirl_matches_quadrature():
         for u, w in zip(us, quad.weights):
             k = np.kron(u, u.conj())
             acc += w * (k @ j @ k.conj().T)
-        a_quad = float(np.real(1 - np.trace(ch.max_entangled_state(2) @ acc)))
-        assert ch.twirl_to_covariant(n.choi()).a == pytest.approx(a_quad, abs=1e-6)
-        # the twirled Choi itself is covariant
+        # the twirled Choi is covariant, with parameter 1 - F_ent(N, I)
         p = ch.covariant_params(ch.ChoiMatrix(2, 2, acc), tol=1e-6)
-        assert p.a == pytest.approx(a_quad, abs=1e-7)
+        assert _twirl_param(n) == pytest.approx(p.a, abs=1e-6)
 
 
 def test_twirl_unitary_invariance():
     n = random_channel(RNG, 2)
     v = ch.haar_su2(RNG, 1)[0]
     conj = ch.compose(ch.unitary_channel(v), ch.compose(n, ch.unitary_channel(v.conj().T)))
-    assert ch.twirl_to_covariant(conj.choi()).a == pytest.approx(
-        ch.twirl_to_covariant(n.choi()).a, abs=1e-10
-    )
+    assert _twirl_param(conj) == pytest.approx(_twirl_param(n), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import subprocess
 import sys
+import types
+
+import pytest
 
 from covqec import cli
 
@@ -70,6 +73,37 @@ def test_simulate_strong():
     ])
     assert res.returncode == 0
     assert "eps_cov" in res.stdout
+
+
+@pytest.mark.parametrize("args,n", [
+    (["--model", "weak", "--ne", "1", "--m", "4"], 5 + 16),
+    (["--model", "weak", "--ne", "1", "--m", "4", "--np", "1"], 1 + 16),
+    (["--model", "strong", "--pe", "0.2", "--sr", "4"], 5 + 8),
+    (["--model", "strong", "--pe", "0.2", "--sr", "4", "--np", "1"], 1 + 8),
+])
+def test_simulate_uses_the_np_code(monkeypatch, capsys, args, n):
+    from covqec import channels as ch
+    from covqec import protocol as pr
+
+    seen = []
+
+    def fake(cfg):
+        seen.append(cfg)
+        return types.SimpleNamespace(eps_cov=0.5, mixture=ch.CovariantParams(2, 0.5))
+
+    monkeypatch.setattr(pr, "effective_channel", fake)
+    assert cli.main(["simulate", *args]) == 0
+    assert [cfg.n for cfg in seen] == [n]
+    assert f"n = {n}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--model", "weak", "--ne", "1", "--m", "4", "--np", "3"],
+    ["--model", "strong", "--pe", "0.2", "--sr", "4", "--np", "3"],
+])
+def test_simulate_unsimulable_np_exits_2(capsys, args):
+    assert cli.main(["simulate", *args]) == 2
+    assert "n_p=3" in capsys.readouterr().err
 
 
 def test_verify_only_rep():

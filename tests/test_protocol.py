@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from covqec import protocol as pr
 from covqec import refframe as rf
 
 
-def f_ent_of(choi):
-    return float(np.real(np.trace(ch.max_entangled_state(2) @ choi.mat)))
+IDENT = ch.identity_channel(2)
 
 
 # ---------------------------------------------------------------------------
@@ -19,17 +20,37 @@ def test_inner_trivial_code_is_identity():
     # for a single-qudit trivial code the physical and logical rotations
     # cancel exactly, whatever the reference does
     for spec in (rf.strong_combined_spec(2, 1), rf.weak_spec(2, 4, 1)[1]):
-        choi, diag = pr.inner_channel(codes.trivial_code(2), spec, set())
-        assert f_ent_of(choi) == pytest.approx(1.0, abs=1e-12)
+        params, diag = pr.inner_channel(codes.trivial_code(2), spec, set())
+        assert 1 - params.a == pytest.approx(1.0, abs=1e-12)
         assert abs(diag["normalization"] - 1.0) < 1e-10
 
 
 def test_inner_perfect_reference_limit():
     code = codes.five_qubit_code()
     perf = pr.inner_channel_perfect(code, set())
-    assert f_ent_of(perf) >= 1 - 1e-3
-    assert np.allclose(perf.mat, ch.identity_channel(2).choi().mat, atol=1e-10)
-    assert f_ent_of(pr.inner_channel_perfect(code, {1})) >= 1 - 1e-10
+    assert ch.entanglement_fidelity(perf, IDENT) >= 1 - 1e-3
+    assert np.allclose(perf.mat, IDENT.choi().mat, atol=1e-10)
+    assert ch.entanglement_fidelity(pr.inner_channel_perfect(code, {1}), IDENT) >= 1 - 1e-10
+
+
+@pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
+def test_phi_weight_matches_explicit_kraus(pattern):
+    # oracle: sum_K |Tr K|^2 / d^2 over the explicit Kraus U'^dag K_k U'_surv M_b,
+    # with the off-support completion materialized by recovery_on_survivors.
+    # The completion carries weight for () and (0,), where U'_surv moves the
+    # code space off the recovery's support; for (0, 1) and (0, 1, 2) the
+    # support is the whole survivor space, and (0, 1, 2) is beyond the distance
+    code = codes.five_qubit_code()
+    us = ch.haar_su2(np.random.default_rng(31), 16)
+    m_ops = codes.erased_restriction_kraus(code, pattern)
+    r_ops = codes.recovery_on_survivors(code, pattern)
+    got = pr._phi_weight(code, list(pattern), us)
+    for u, f in zip(us, got):
+        u_surv = pr._kron_power_batch(u[None], code.n_p - len(pattern))[0]
+        ref = sum(
+            abs(np.trace(u.conj().T @ k @ u_surv @ m)) ** 2 for k in r_ops for m in m_ops
+        ) / 4
+        assert f == pytest.approx(ref, abs=1e-12)
 
 
 def test_inner_feels_the_reference_error_and_improves_with_m():
@@ -37,8 +58,8 @@ def test_inner_feels_the_reference_error_and_improves_with_m():
     vals = []
     for m in (4, 10, 16):
         _, spec = rf.weak_spec(2, m, 5)
-        choi, _ = pr.inner_channel(code, spec, set())
-        vals.append(f_ent_of(choi))
+        params, _ = pr.inner_channel(code, spec, set())
+        vals.append(1 - params.a)
     assert vals[0] < vals[1] < vals[2] < 1.0
 
 
@@ -82,11 +103,11 @@ def test_inner_under_resolution_raises():
 
 
 def test_haar_guess_channel_is_heavily_depolarizing():
-    choi = pr.haar_guess_channel(codes.trivial_code(2), set())
+    params = pr.haar_guess_channel(codes.trivial_code(2), set())
     # trivial code: haar guess still cancels exactly
-    assert f_ent_of(choi) == pytest.approx(1.0, abs=1e-10)
-    choi5 = pr.haar_guess_channel(codes.five_qubit_code(), set(), quad_order=8)
-    assert f_ent_of(choi5) < 0.6
+    assert 1 - params.a == pytest.approx(1.0, abs=1e-10)
+    params5 = pr.haar_guess_channel(codes.five_qubit_code(), set(), quad_order=8)
+    assert 1 - params5.a < 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +121,6 @@ def test_effective_weak_no_error_distribution_decreasing_in_m():
         cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="none")
         rep = pr.effective_channel(cfg)
         eps.append(rep.eps_cov)
-        assert rep.f_ent == pytest.approx(1 - rep.mixture.a, abs=1e-12)
     assert eps[0] > eps[1] > eps[2]
 
 
@@ -200,8 +220,7 @@ def test_mc_forced_total_loss_matches_haar_guess():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="none",
                             mc_samples=3000, seed=17)
-    guess = pr.haar_guess_channel(code, set(), quad_order=8)
-    a_guess = 1 - f_ent_of(guess)
+    a_guess = pr.haar_guess_channel(code, set(), quad_order=8).a
     est, err = pr.monte_carlo_epsilon(cfg, force_total_loss=True)
     assert abs(est - a_guess) < 3 * err
 
@@ -247,6 +266,41 @@ def test_sweep_simulated_eps():
     assert rows[0].eps_cov >= rows[0].lower_bound
 
 
+def _capture_configs(monkeypatch):
+    seen = []
+
+    def fake(cfg):
+        seen.append(cfg)
+        return types.SimpleNamespace(eps_cov=0.5, mixture=ch.CovariantParams(2, 0.5))
+
+    monkeypatch.setattr(pr, "effective_channel", fake)
+    return seen
+
+
+@pytest.mark.parametrize("model,n_grid,n_p", [
+    ("weak", [5 + 4 * 8], 5),
+    ("weak", [1 + 4 * 8], 1),
+    ("strong", [13], 5),
+    ("strong", [9], 1),
+])
+def test_sweep_simulates_the_row_n(monkeypatch, model, n_grid, n_p):
+    seen = _capture_configs(monkeypatch)
+    rows = pr.scaling_sweep(model, n_grid, n_p=n_p, simulate=True)
+    assert [cfg.n for cfg in seen] == [r.n for r in rows] == n_grid
+    assert all(cfg.code.n_p == n_p for cfg in seen)
+
+
+def test_sweep_rejects_unsimulable_np(monkeypatch):
+    seen = _capture_configs(monkeypatch)
+    with pytest.raises(ValueError):
+        pr.scaling_sweep("weak", [3 + 4 * 4], n_p=3, simulate=True)
+    with pytest.raises(ValueError):
+        pr.scaling_sweep("strong", [13], n_p=3, simulate=True)
+    with pytest.raises(ValueError):
+        pr.scaling_sweep("strong", [13], n_p=5, simulate=True, code=codes.trivial_code(2))
+    assert seen == []
+
+
 def test_perfect_code_perfect_reference_floor():
     # with the exact code and a point-mass outcome density the twirled
     # channel is the identity up to the numerical floor
@@ -254,7 +308,7 @@ def test_perfect_code_perfect_reference_floor():
 
     code = codes.five_qubit_code()
     choi = pr.inner_channel_perfect(code, set())
-    params = ch.twirl_to_covariant(choi)
+    params = ch.CovariantParams(2, 1 - ch.entanglement_fidelity(choi, IDENT))
     eps = sdp.diamond_error(ch.covariant_choi(params), ch.identity_channel(2).choi())
     assert eps <= 1e-4
 

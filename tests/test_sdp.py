@@ -20,11 +20,12 @@ def random_channel(rng, d, n_kraus=3):
 # ---------------------------------------------------------------------------
 
 def test_solve_scalar_lower_bound():
-    # min x subject to x >= 1
+    # min x subject to x >= 1, posed as x - s = 1 with a slack block s >= 0
     inst = sdp.SdpInstance()
     inst.add_block("x", 1)
+    inst.add_block("s", 1)
     inst.set_objective({"x": np.eye(1)}, "min")
-    inst.add_inequality({"x": np.eye(1)}, 1.0, ">=")
+    inst.add_equality({"x": np.eye(1), "s": -np.eye(1)}, 1.0)
     res = sdp.solve(inst)
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-7)
@@ -61,16 +62,17 @@ def test_solve_two_block_toy_vs_grid():
 def test_solve_max_sense():
     inst = sdp.SdpInstance()
     inst.add_block("x", 1)
+    inst.add_block("s", 1)
     inst.set_objective({"x": np.eye(1)}, "max")
-    inst.add_inequality({"x": np.eye(1)}, 2.0, "<=")
+    inst.add_equality({"x": np.eye(1), "s": np.eye(1)}, 2.0)
     res = sdp.solve(inst)
     assert res.value == pytest.approx(2.0, abs=1e-7)
 
 
 def test_size_cap():
-    inst = sdp.SdpInstance(size_cap=8)
+    inst = sdp.SdpInstance()
     with pytest.raises(sdp.SdpSizeError):
-        inst.add_block("big", 9)
+        inst.add_block("big", sdp.DEFAULT_SIZE_CAP + 1)
 
 
 def test_duality_on_optimal_exit():
