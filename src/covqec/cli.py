@@ -41,7 +41,7 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def rows_to_csv(rows, slope: float | None = None) -> str:
+def rows_to_csv(rows, slope: float | None = None, eps_cov_slope: float | None = None) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
         lines.append(
@@ -62,6 +62,8 @@ def rows_to_csv(rows, slope: float | None = None) -> str:
                 )
             )
         )
+    if eps_cov_slope is not None:
+        lines.append(f"# eps_cov_slope={eps_cov_slope:.12g}")
     if slope is not None:
         lines.append(f"# slope={slope:.12g}")
     return "\n".join(lines) + "\n"
@@ -203,8 +205,10 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    slope = pr.loglog_slope([r.n for r in rows], [r.one_minus_fwc for r in rows])
-    csv_text = rows_to_csv(rows, slope=slope)
+    ns = [r.n for r in rows]
+    slope = pr.loglog_slope(ns, [r.one_minus_fwc for r in rows])
+    eps_slope = pr.loglog_slope(ns, [r.eps_cov for r in rows]) if args.simulate else None
+    csv_text = rows_to_csv(rows, slope=slope, eps_cov_slope=eps_slope)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(csv_text)
@@ -241,7 +245,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = pr.ProtocolConfig(
             args.d, args.model, pr._code_for_np(args.np_), mc_samples=args.mc_samples,
-            seed=args.seed, quad_order=args.quad_order, **model_args,
+            seed=args.seed, **model_args,
         )
         rep = pr.effective_channel(cfg)
     except ValueError as exc:
@@ -254,9 +258,9 @@ def cmd_simulate(args) -> int:
     if args.mc:
         est, err = pr.monte_carlo_epsilon(cfg)
         sig = abs(est - rep.mixture.a) / err if err > 0 else 0.0
-        print(f"monte carlo 1-F_ent = {est:.6g} +- {err:.2g}  ({sig:.2f} sigma from quadrature)")
+        print(f"monte carlo 1-F_ent = {est:.6g} +- {err:.2g}  ({sig:.2f} sigma from the exact channel)")
         if sig > 5:
-            print("WARNING: Monte Carlo diverges from quadrature by more than 5 sigma", file=sys.stderr)
+            print("WARNING: Monte Carlo diverges from the exact channel by more than 5 sigma", file=sys.stderr)
             return 1
     return 0
 
@@ -354,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--np", dest="np_", type=int, default=5)
     p_sim.add_argument("--pattern-dist", dest="pattern_dist", default="uniform_le",
                        choices=["uniform_le", "exact_ne", "none"])
-    p_sim.add_argument("--quad-order", dest="quad_order", type=int, default=None)
     p_sim.add_argument("--mc", action="store_true", help="run the Monte Carlo cross-check")
     p_sim.add_argument("--mc-samples", dest="mc_samples", type=int, default=20000)
     p_sim.set_defaults(func=cmd_simulate)

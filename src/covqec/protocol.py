@@ -15,10 +15,11 @@ channel whose parameter adds linearly over patterns, and eps_cov is its
 diamond distance from the identity.
 
 F_ent(M_j, I) is the p_j-weighted Haar integral of the Phi+ weight
-F(U') = sum_K |Tr K|^2 / d^2 of the per-node channel, so each node needs
-only traces.  The integral uses the exact SU(2) Euler product quadrature,
-vectorized over nodes; erasure and recovery act on the surviving qudits
-only, so dense spaces never exceed the surviving physical register.
+F(U') = sum_K |Tr K|^2 / d^2.  As p_j is a class function, F_ent =
+sum_g c_g int p_j chi_g: the character spectrum c_g = int F chi_g of an
+erasure pattern is integrated by the exact SU(2) Euler quadrature on the
+surviving qudits, once per effective_channel call, and each reference
+frame adds an exact 1-D integral over the rotation angle.
 """
 
 from __future__ import annotations
@@ -30,7 +31,9 @@ from math import comb
 import numpy as np
 
 from . import refframe as rf
+from .refframe import reference_fidelity_hand_sum  # noqa: F401 - re-exported, see __all__
 from . import sdp as sdp_mod
+from . import young
 from .channels import (
     ChoiMatrix,
     CovariantParams,
@@ -39,6 +42,7 @@ from .channels import (
     haar_su2,
     identity_channel,
     su2_eigenphase,
+    su2_from_euler,
 )
 from .codes import (
     CodeSpec,
@@ -81,13 +85,14 @@ class ProtocolConfig:
     m: int | None = None              # weak-model pairs per copy
     s_r: int | None = None            # strong-model copies
     pattern_dist: str = "uniform_le"  # weak: "uniform_le" | "exact_ne" | "none"
-    quad_order: int | None = None
     mc_samples: int = 20000
     seed: int = 7
 
     def __post_init__(self) -> None:
         if self.d != 2:
             raise ValueError("the simulation path is wired up for d = 2")
+        if self.mc_samples < 2:
+            raise ValueError("mc_samples must be at least 2 for a standard error")
         if self.model == "weak":
             if self.n_e is None or self.m is None:
                 raise ValueError("the weak model needs n_e and m")
@@ -130,15 +135,8 @@ class EffectiveChannelReport:
 
 
 # ---------------------------------------------------------------------------
-# inner channel by quadrature
+# inner channel: character spectrum x class integral
 # ---------------------------------------------------------------------------
-
-def _quad_order_for(spec: rf.RefFrameSpec, n_survivors: int) -> int:
-    # highest per-axis Euler frequency of p(U') x F(U'):
-    # max support gap from the density plus n_survivors + 1 channel legs
-    max_gap = int(spec.gaps().max())
-    return max_gap + n_survivors + 3
-
 
 def _phi_weight(code, erased, us):
     """Phi+ weight F(U') = F_ent(M_{U'}, I) of the inner channel at each node.
@@ -147,12 +145,13 @@ def _phi_weight(code, erased, us):
     U'^dag R_r W_b plus the off-support completion (junk -> maximally
     mixed), and F_ent = sum_K |Tr K|^2 / d^2.  The completion enters in
     closed form, (d - <W, P W>) / d, because sum_b ||W_b||^2 = d; its
-    rank-one Kraus are never materialized.
+    rank-one Kraus are never materialized, and <W, P W> = sum_r ||R_r W||^2
+    because sum_r R_r^dag R_r = P.  U'_surv acts one qudit at a time, so
+    U'^{(x) n_surv} is never formed either.
     """
     d = code.d
     m_ops = erased_restriction_kraus(code, erased)
     data_kraus, support = recovery_parts(code, erased)
-    n_surv = code.n_p - len(erased)
     dim_s = support.shape[0]
     m_cat = np.stack(m_ops, axis=1).reshape(dim_s, -1)          # (dim_s, n_b*d)
     r_cat = np.stack(data_kraus, axis=0).reshape(-1, dim_s)     # (n_r*d, dim_s)
@@ -161,10 +160,16 @@ def _phi_weight(code, erased, us):
     for start in range(0, len(us), chunk):
         ub = us[start:start + chunk]
         nb = ub.shape[0]
-        w_all = np.matmul(_kron_power_batch(ub, n_surv), m_cat)  # (n, dim_s, n_b*d)
-        x = np.matmul(r_cat, w_all).reshape(nb, len(data_kraus), d, len(m_ops), d)
-        traces = np.einsum("nxy,nrxby->nrb", ub.conj(), x, optimize=True)
-        kept = np.real(np.einsum("nsc,nsc->n", w_all.conj(), np.matmul(support, w_all)))
+        w_all = np.broadcast_to(m_cat, (nb,) + m_cat.shape)
+        u = ub[:, None, :, :, None]
+        for left in d ** np.arange(code.n_p - len(erased)):
+            # U' on one qudit: w[n, left, a, rest] = sum_b u[n, a, b] w[n, left, b, rest]
+            w_all = w_all.reshape(nb, left, 1, d, -1)
+            w_all = sum(u[:, :, :, b] * w_all[:, :, :, b] for b in range(d))
+        x = np.matmul(r_cat, w_all.reshape(nb, dim_s, -1))     # (n, n_r*d, n_b*d)
+        traces = np.einsum("nxy,nrxby->nrb", ub.conj(),
+                           x.reshape(nb, len(data_kraus), d, len(m_ops), d), optimize=True)
+        kept = np.sum(np.abs(x) ** 2, axis=(1, 2))
         data = np.sum(np.abs(traces) ** 2, axis=(1, 2))
         out[start:start + nb] = (data + (d - kept) / d) / d**2
     return out
@@ -179,41 +184,80 @@ def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# the outcome density of a Haar guess: identically one
+_HAAR_GUESS = rf.RefFrameSpec(2, 0, {(): 1.0})
+
+
+def _spectrum_order(n_surv: int) -> int:
+    # F has degree n_surv + 1 in U' and in U'^*, so F chi_g with
+    # g <= 2 (n_surv + 1) has per-axis frequency below this order
+    return 2 * n_surv + 4
+
+
+def _phi_spectrum(code: CodeSpec, erased) -> np.ndarray:
+    """Character spectrum c_g = int dU' F(U') chi_g(U') of the Phi+ weight.
+
+    Only even g <= 2 (n_surv + 1) occur; entry k holds c_{2k}.  The shift
+    gamma -> gamma + 2 pi of the Euler quadrature maps U' to -U', which
+    leaves F and every even character unchanged, so the half gamma < 2 pi
+    is integrated at double weight.
+    """
+    n_surv = code.n_p - len(set(erased))
+    quad = haar_quadrature_su2(_spectrum_order(n_surv))
+    half = quad.euler[:, 2] < 2 * np.pi - 1e-9
+    us = su2_from_euler(*quad.euler[half].T)
+    theta = su2_eigenphase(us)
+    wf = 2 * quad.weights[half] * _phi_weight(code, sorted(set(erased)), us)
+    return np.array([wf @ young.su2_character(g, theta) for g in range(0, 2 * n_surv + 3, 2)])
+
+
+def _class_integrals(spec: rf.RefFrameSpec, n_terms: int, n_theta: int):
+    """int dU p(U) chi_{2k}(U) for k < n_terms, and the mass int p.
+
+    A class function's Haar measure is (2/pi) sin^2(theta) dtheta on [0, pi];
+    p chi_g sin^2 is a cosine polynomial of degree 2 (max_gap + 1) + g, which
+    the midpoint rule integrates exactly while it stays below 2 n_theta.
+    """
+    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    wp = (2.0 / n_theta) * np.sin(theta) ** 2 * rf._density_su2(spec, theta)
+    total = float(np.sum(wp))
+    if abs(total - 1.0) > 1e-4:
+        raise QuadratureResolutionError(
+            f"density normalization drifted to {total} on {n_theta} angle nodes"
+        )
+    return np.array([wp @ young.su2_character(2 * k, theta) for k in range(n_terms)]), total
+
+
 def inner_channel(
     code: CodeSpec,
     spec: rf.RefFrameSpec,
     pattern_p,
-    quad_order: int | None = None,
+    spectrum: np.ndarray | None = None,
 ) -> tuple[CovariantParams, dict]:
     """Twirled inner channel of pattern j plus quadrature diagnostics.
 
     The twirl of M_j is the covariant channel with a = 1 - F_ent(M_j, I),
-    and F_ent(M_j, I) = int dU' p(U') F(U') integrates the Phi+ weight of
-    the per-node channel (see _phi_weight).
+    and F_ent(M_j, I) = sum_g c_g int p chi_g combines the pattern's
+    character spectrum with class integrals of the outcome density.  A
+    caller that needs one pattern under several reference frames passes
+    its `_phi_spectrum` as `spectrum`.
     """
-    erased = sorted(set(int(i) for i in pattern_p))
-    n_surv = code.n_p - len(erased)
-    order = quad_order or _quad_order_for(spec, n_surv)
-    quad = haar_quadrature_su2(order)
-    us = quad.matrices()
-    dens = rf._density_su2(spec, su2_eigenphase(us))
-    total = float(np.sum(quad.weights * dens))
-    if abs(total - 1.0) > 1e-4:
-        raise QuadratureResolutionError(
-            f"density normalization drifted to {total}; raise quad_order above {order}"
-        )
-
-    f_ent = float(np.sum(quad.weights * dens * _phi_weight(code, erased, us))) / total
-    diag = {"quad_order": order, "normalization": total, "n_survivors": n_surv}
+    if spectrum is None:
+        spectrum = _phi_spectrum(code, pattern_p)
+    n_surv = len(spectrum) - 2  # entries c_0, c_2, ..., c_{2 (n_surv + 1)}
+    n_theta = int(spec.gaps().max()) + n_surv + 3
+    overlaps, total = _class_integrals(spec, len(spectrum), n_theta)
+    f_ent = float(spectrum @ overlaps) / total
+    diag = {"quad_order": _spectrum_order(n_surv), "theta_nodes": n_theta,
+            "normalization": total, "n_survivors": n_surv}
     return CovariantParams(code.d, min(1.0, max(0.0, 1.0 - f_ent))), diag
 
 
-def haar_guess_channel(code: CodeSpec, pattern_p, quad_order: int = 6) -> CovariantParams:
+def haar_guess_channel(code: CodeSpec, pattern_p) -> CovariantParams:
     """Twirled inner channel when no reference information survives: the
-    decoder's estimate is a Haar guess, i.e. the density is identically one."""
-    flat = rf.RefFrameSpec(2, 0, {(): 1.0})
-    params, _ = inner_channel(code, flat, pattern_p, quad_order=quad_order)
-    return params
+    decoder's estimate is a Haar guess, i.e. the density is identically one
+    and F_ent is the spectrum's trivial-character entry."""
+    return inner_channel(code, _HAAR_GUESS, pattern_p)[0]
 
 
 def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
@@ -287,9 +331,7 @@ def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
     inner_cache: dict = {}
     for label, prob, phys in _weak_terms(config):
         if phys not in inner_cache:
-            inner_cache[phys], diagnostics["inner"][label] = inner_channel(
-                config.code, spec, phys, config.quad_order
-            )
+            inner_cache[phys], diagnostics["inner"][label] = inner_channel(config.code, spec, phys)
         terms.append(PatternTerm(label, prob, inner_cache[phys]))
     return _finish_report(config, terms, diagnostics)
 
@@ -313,18 +355,15 @@ def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
         for k in range(n_p + 1)
         for s in itertools.combinations(range(n_p), k)
     ]
+    # every survivor count shares the physical pattern's spectrum
+    spectra = {phys: _phi_spectrum(code, phys) for phys, _ in phys_patterns}
     for k in range(s_r + 1):
         p_k = comb(s_r, k) * p_copy**k * (1 - p_copy) ** (s_r - k)
-        if k >= 1:
-            spec = rf.strong_combined_spec(config.d, k)
+        # with no surviving copy the decoder makes a Haar guess
+        spec = rf.strong_combined_spec(config.d, k) if k else _HAAR_GUESS
         for phys, p_phys in phys_patterns:
             label = f"survivors:{k};phys:{','.join(map(str, sorted(phys))) or '-'}"
-            if k >= 1:
-                params, diag = inner_channel(code, spec, phys, config.quad_order)
-            else:
-                params = haar_guess_channel(code, phys)
-                diag = {"haar_guess": True}
-            diagnostics["inner"][label] = diag
+            params, diagnostics["inner"][label] = inner_channel(code, spec, phys, spectra[phys])
             terms.append(PatternTerm(label, p_k * p_phys, params))
     return _finish_report(config, terms, diagnostics)
 
@@ -414,54 +453,6 @@ def monte_carlo_epsilon(
     est = float(1.0 - fidelities.mean())
     stderr = float(fidelities.std(ddof=1) / np.sqrt(config.mc_samples))
     return est, stderr
-
-
-def reference_fidelity_hand_sum(spec: rf.RefFrameSpec, n_p: int) -> float:
-    """Exact-character oracle for F_ent(int dU' p(U') U'_P (x) U'*_L, I).
-
-    Expands the entanglement fidelity into Haar integrals of character
-    products and counts them with Littlewood-Richardson combinatorics,
-    fully independently of the quadrature path:
-
-        F = 4^-(n_p+1) sum_{lam lam'} sqrt(q q') Int chi_lam chi_lam'
-                                                     |chi_fund|^{2(n_p+1)}.
-    """
-    from . import young
-
-    d = spec.d
-    if d != 2:
-        raise ValueError("hand sum wired for d = 2")
-
-    def fund_power_decomp(k):
-        dec = {(): 1}
-        for _ in range(k):
-            nxt: dict = {}
-            for lam, mult in dec.items():
-                for nu, c in young.tensor_decompose(lam, (1,), d).items():
-                    nxt[nu] = nxt.get(nu, 0) + mult * c
-            dec = nxt
-        return dec
-
-    # chi of U'_P (x) U'*_L = chi_fund^{n_p} chi_fund* ; |.|^2 gives
-    # fund^{n_p+1} against its dual, and for SU(2) dual = fund
-    dec = fund_power_decomp(n_p + 1)
-    total = 0.0
-    dim = 2 ** (n_p + 1)
-    for lam, q in spec.weights.items():
-        for lam2, q2 in spec.weights.items():
-            # Int chi_lam chi_lam2* |chi_fund|^{2(n_p+1)}
-            #   = sum_nu mult_nu(lam (x) fund^{n_p+1}) mult_nu(lam2 (x) fund^{n_p+1})
-            acc = 0
-            left: dict = {}
-            for mu, m1 in dec.items():
-                for nu, c in young.tensor_decompose(lam, mu, d).items():
-                    left[nu] = left.get(nu, 0) + m1 * c
-            for mu, m2 in dec.items():
-                for nu, c in young.tensor_decompose(lam2, mu, d).items():
-                    if nu in left:
-                        acc += left[nu] * m2 * c
-            total += np.sqrt(q * q2) * acc
-    return float(total / dim**2)
 
 
 # ---------------------------------------------------------------------------

@@ -210,7 +210,7 @@ def _protocol_checks():
     out.append(_check("protocol", "mixture additivity", abs(rep.mixture.a - a_sum) < 1e-10))
     est, err = pr.monte_carlo_epsilon(cfg)
     sig = abs(est - rep.mixture.a) / max(err, 1e-12)
-    out.append(_check("protocol", "Monte Carlo vs quadrature (3 sigma)", sig < 3, f"{sig:.2f} sigma"))
+    out.append(_check("protocol", "Monte Carlo vs exact channel (3 sigma)", sig < 3, f"{sig:.2f} sigma"))
     return out
 
 

@@ -62,6 +62,22 @@ def test_sweep_csv_shape(tmp_path):
     assert (tmp_path / "s.svg").read_text().startswith("<svg")
 
 
+def test_sweep_simulate_reports_eps_cov_slope(tmp_path):
+    outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    for out in outs:
+        res = run_cli([
+            "sweep", "--model", "weak", "--n-grid", "37,53,69", "--ne", "1", "--np", "5",
+            "--seed", "3", "--simulate", "--out", str(out),
+        ])
+        assert res.returncode == 0, res.stderr
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    lines = outs[0].read_text().splitlines()
+    assert len(lines) == 1 + 3 + 2
+    assert lines[-2].startswith("# eps_cov_slope=")
+    assert lines[-1].startswith("# slope=")
+    assert float(lines[-2].split("=")[1]) < 0
+
+
 def test_sweep_bad_grid_exits_nonzero():
     res = run_cli(["sweep", "--model", "weak", "--n-grid", "6", "--ne", "1", "--np", "5"])
     assert res.returncode == 2
@@ -104,6 +120,13 @@ def test_simulate_uses_the_np_code(monkeypatch, capsys, args, n):
 def test_simulate_unsimulable_np_exits_2(capsys, args):
     assert cli.main(["simulate", *args]) == 2
     assert "n_p=3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_simulate_mc_samples_below_two_exits_2(capsys, samples):
+    args = ["simulate", "--model", "weak", "--ne", "1", "--m", "4", "--mc", "--mc-samples", samples]
+    assert cli.main(args) == 2
+    assert "mc_samples" in capsys.readouterr().err
 
 
 def test_verify_only_rep():

@@ -7,9 +7,51 @@ from covqec import channels as ch
 from covqec import codes
 from covqec import protocol as pr
 from covqec import refframe as rf
+from covqec import young
 
 
 IDENT = ch.identity_channel(2)
+# the outcome density of a Haar guess: identically one
+FLAT = rf.RefFrameSpec(2, 0, {(): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# slow oracles
+# ---------------------------------------------------------------------------
+
+def _quadrature_a(code, spec, pattern):
+    """a = 1 - int dU' p F by the 3-D Euler quadrature of p F itself.
+
+    The order is max_gap + n_surv + 3, the highest per-axis frequency of
+    p F plus two: no character spectrum and no class integral involved.
+    """
+    erased = sorted(set(pattern))
+    n_surv = code.n_p - len(erased)
+    quad = ch.haar_quadrature_su2(int(spec.gaps().max()) + n_surv + 3)
+    us = quad.matrices()
+    dens = rf._density_su2(spec, ch.su2_eigenphase(us))
+    total = float(np.sum(quad.weights * dens))
+    assert abs(total - 1.0) < 1e-10
+    f_ent = float(np.sum(quad.weights * dens * pr._phi_weight(code, erased, us))) / total
+    return min(1.0, max(0.0, 1.0 - f_ent))
+
+
+_ORACLE_CACHE: dict = {}
+
+
+def _oracle_for_term(code, label, weak_spec=None):
+    """Oracle a of a report term, read off its label: 'no-phys-erasure',
+    'phys:0,1' (weak) or 'survivors:k;phys:0,1' / 'survivors:k;phys:-'."""
+    fields = dict(f.split(":") for f in label.split(";") if ":" in f)
+    phys = tuple(int(i) for i in fields.get("phys", "-").split(",") if i != "-")
+    if weak_spec is not None:
+        return _quadrature_a(code, weak_spec, phys)
+    k = int(fields["survivors"])
+    key = (code.name, k, phys)
+    if key not in _ORACLE_CACHE:
+        spec = rf.strong_combined_spec(2, k) if k else FLAT
+        _ORACLE_CACHE[key] = _quadrature_a(code, spec, phys)
+    return _ORACLE_CACHE[key]
 
 
 # ---------------------------------------------------------------------------
@@ -95,19 +137,107 @@ def test_inner_hand_sum_oracle_weak_spec():
     assert acc == pytest.approx(hand, abs=1e-6)
 
 
+@pytest.mark.parametrize("spec,n_p", [
+    (rf.strong_combined_spec(2, 1), 1),
+    (rf.weak_spec(2, 4, 1)[1], 1),
+    (rf.weak_spec(2, 8, 3)[1], 3),
+])
+def test_class_integrals_hand_sum_oracle(spec, n_p):
+    # F_0(U') = |Tr U'|^{2(n_p+1)} / 4^{n_p+1} is the Phi+ weight of
+    # U'_P (x) U'*_L; its spectrum (from the 3-D quadrature) folded with the
+    # 1-D class integrals must reproduce the LR hand sum
+    k = n_p + 1
+    quad = ch.haar_quadrature_su2(2 * k + 4)
+    theta = ch.su2_eigenphase(quad.matrices())
+    wf = quad.weights * np.cos(theta) ** (2 * k)
+    spectrum = np.array([wf @ young.su2_character(2 * j, theta) for j in range(k + 1)])
+    overlaps, total = pr._class_integrals(spec, k + 1, int(spec.gaps().max()) + k + 2)
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert spectrum @ overlaps == pytest.approx(pr.reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
+
+
 def test_inner_under_resolution_raises():
-    code = codes.five_qubit_code()
+    # 4 angle nodes cannot integrate the m = 16 density (largest gap 16)
     _, spec = rf.weak_spec(2, 16, 5)
     with pytest.raises(pr.QuadratureResolutionError):
-        pr.inner_channel(code, spec, set(), quad_order=4)
+        pr._class_integrals(spec, 7, 4)
 
 
 def test_haar_guess_channel_is_heavily_depolarizing():
     params = pr.haar_guess_channel(codes.trivial_code(2), set())
     # trivial code: haar guess still cancels exactly
     assert 1 - params.a == pytest.approx(1.0, abs=1e-10)
-    params5 = pr.haar_guess_channel(codes.five_qubit_code(), set(), quad_order=8)
+    params5 = pr.haar_guess_channel(codes.five_qubit_code(), set())
     assert 1 - params5.a < 0.6
+
+
+# ---------------------------------------------------------------------------
+# the spectral path against the 3-D quadrature oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", [4, 8, 12])
+def test_spectral_inner_matches_quadrature_weak(m):
+    code = codes.five_qubit_code()
+    _, spec = rf.weak_spec(2, m, 5)
+    rep = pr.effective_channel(pr.ProtocolConfig(2, "weak", code, n_e=1, m=m,
+                                                 pattern_dist="uniform_le"))
+    assert len(rep.terms) == 6
+    oracle = [_oracle_for_term(code, t.label, spec) for t in rep.terms]
+    for t, a in zip(rep.terms, oracle):
+        assert abs(t.params.a - a) < 1e-13, t.label
+    assert abs(rep.mixture.a - sum(t.probability * a for t, a in zip(rep.terms, oracle))) < 1e-13
+
+
+@pytest.mark.parametrize("code,s_r", [
+    (codes.trivial_code(2), 3),
+    (codes.trivial_code(2), 6),
+    (codes.five_qubit_code(), 2),
+    (codes.five_qubit_code(), 3),
+])
+def test_spectral_inner_matches_quadrature_strong(code, s_r):
+    # the survivors:0 terms are Haar guesses
+    rep = pr.effective_channel(pr.ProtocolConfig(2, "strong", code, p_e=0.2, s_r=s_r))
+    assert len(rep.terms) == (s_r + 1) * 2**code.n_p
+    oracle = [_oracle_for_term(code, t.label) for t in rep.terms]
+    for t, a in zip(rep.terms, oracle):
+        assert abs(t.params.a - a) < 1e-13, t.label
+    assert abs(rep.mixture.a - sum(t.probability * a for t, a in zip(rep.terms, oracle))) < 1e-13
+
+
+@pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
+def test_haar_guess_matches_quadrature(pattern):
+    code = codes.five_qubit_code()
+    assert abs(pr.haar_guess_channel(code, pattern).a - _quadrature_a(code, FLAT, pattern)) < 1e-13
+
+
+@pytest.mark.parametrize("pattern", [(), (0,), (0, 1, 2)])
+def test_phi_spectrum_is_converged(pattern):
+    code = codes.five_qubit_code()
+    exact = pr._phi_spectrum(code, pattern)
+    n_surv = code.n_p - len(pattern)
+    assert len(exact) == n_surv + 2
+    # two orders finer, on the whole grid: no use of the U' -> -U' symmetry
+    quad = ch.haar_quadrature_su2(pr._spectrum_order(n_surv) + 2)
+    us = quad.matrices()
+    wf = quad.weights * pr._phi_weight(code, list(pattern), us)
+    theta = ch.su2_eigenphase(us)
+    finer = np.array([wf @ young.su2_character(2 * k, theta) for k in range(n_surv + 2)])
+    assert np.max(np.abs(finer - exact)) < 1e-14
+
+
+def test_inner_channel_follows_the_encoder():
+    # a fixed non-Clifford rotation of qubit 0 changes the encoder but not
+    # the CodeSpec's equality or hash, so no cache may key on the CodeSpec
+    code = codes.five_qubit_code()
+    u0 = ch.su2_from_euler(0.3, 0.7, 1.1)
+    rotated = codes.CodeSpec(2, 5, np.kron(u0, np.eye(16)) @ code.encoder, code.name,
+                             code.distance)
+    assert rotated == code and hash(rotated) == hash(code)
+    _, spec = rf.weak_spec(2, 4, 5)
+    got = [pr.inner_channel(c, spec, (1,))[0].a for c in (code, rotated, code)]
+    for c, a in zip((code, rotated, code), got):
+        assert abs(a - _quadrature_a(c, spec, (1,))) < 1e-13
+    assert abs(got[0] - got[1]) > 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +350,16 @@ def test_mc_forced_total_loss_matches_haar_guess():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="none",
                             mc_samples=3000, seed=17)
-    a_guess = pr.haar_guess_channel(code, set(), quad_order=8).a
+    a_guess = pr.haar_guess_channel(code, set()).a
     est, err = pr.monte_carlo_epsilon(cfg, force_total_loss=True)
     assert abs(est - a_guess) < 3 * err
+
+
+@pytest.mark.parametrize("samples", [0, 1])
+def test_config_rejects_fewer_than_two_mc_samples(samples):
+    # one sample has no standard error; the 5 sigma check would pass on nan
+    with pytest.raises(ValueError, match="mc_samples"):
+        pr.ProtocolConfig(2, "weak", codes.five_qubit_code(), n_e=1, m=8, mc_samples=samples)
 
 
 def test_mc_reproducible():
@@ -264,6 +401,13 @@ def test_sweep_simulated_eps():
     )
     assert rows[0].eps_cov > 0
     assert rows[0].eps_cov >= rows[0].lower_bound
+
+
+def test_eps_cov_slope_on_the_criterion_6_grid():
+    # the paper's 1/n^2 claim on the real channel, in criterion 6's window
+    rows = pr.scaling_sweep("weak", [201, 297, 393, 585, 777, 1161], simulate=True)
+    slope = pr.loglog_slope([r.n for r in rows], [r.eps_cov for r in rows])
+    assert -2.3 <= slope <= -1.8
 
 
 def _capture_configs(monkeypatch):
