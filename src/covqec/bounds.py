@@ -32,7 +32,6 @@ __all__ = [
     "compression_dims",
     "tdesign_gate_count",
     "local_circuit_sampler",
-    "haar_su4",
 ]
 
 
@@ -371,13 +370,15 @@ def tdesign_gate_count(n_qubits_per_qudit: int, n_p: int, n_r: int, eps: float) 
     return int(ceil(val))
 
 
-def haar_su4(rng: np.random.Generator) -> np.ndarray:
-    """One Haar-random SU(4) matrix (QR of a Ginibre matrix, phase-fixed)."""
-    z = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))) / np.sqrt(2)
+def _haar_su4_batch(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k Haar-random SU(4) matrices: QR of a stacked Ginibre batch with the
+    phases of diag(R) moved into Q (Mezzadri, math-ph/0609050), then
+    det^(-1/4) to land in SU(4)."""
+    z = (rng.standard_normal((k, 4, 4)) + 1j * rng.standard_normal((k, 4, 4))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    q = q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-    det = np.linalg.det(q)
-    return q * det ** (-1 / 4)
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (diag / np.abs(diag))[:, None, :]
+    return q * np.linalg.det(q)[:, None, None] ** (-1 / 4)
 
 
 def local_circuit_sampler(n_qubits: int, k: int, seed: int) -> list[tuple[int, np.ndarray]]:
@@ -386,8 +387,5 @@ def local_circuit_sampler(n_qubits: int, k: int, seed: int) -> list[tuple[int, n
     if n_qubits < 2:
         raise ValueError("need at least two qubits")
     rng = np.random.default_rng(seed)
-    layers = []
-    for _ in range(k):
-        site = int(rng.integers(1, n_qubits))
-        layers.append((site, haar_su4(rng)))
-    return layers
+    sites = rng.integers(1, n_qubits, size=k)
+    return list(zip(sites.tolist(), _haar_su4_batch(rng, k)))

@@ -190,6 +190,9 @@ def cmd_sweep(args) -> int:
     except ValueError:
         print("error: --n-grid must be a comma-separated list of integers", file=sys.stderr)
         return 2
+    if len(set(grid)) < 2:
+        print("error: --n-grid needs at least two distinct points to fit a slope", file=sys.stderr)
+        return 2
     try:
         rows = pr.scaling_sweep(
             args.model,

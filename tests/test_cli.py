@@ -79,8 +79,19 @@ def test_sweep_simulate_reports_eps_cov_slope(tmp_path):
 
 
 def test_sweep_bad_grid_exits_nonzero():
-    res = run_cli(["sweep", "--model", "weak", "--n-grid", "6", "--ne", "1", "--np", "5"])
+    res = run_cli(["sweep", "--model", "weak", "--n-grid", "6,201", "--ne", "1", "--np", "5"])
     assert res.returncode == 2
+    assert "n=6 incompatible" in res.stderr
+
+
+@pytest.mark.parametrize("grid", ["201", "201,201"])
+def test_sweep_one_point_grid_exits_2(capsys, grid):
+    # a slope needs two distinct n; one point used to give 0/0 and nan slopes
+    args = ["sweep", "--model", "weak", "--n-grid", grid, "--ne", "1", "--np", "5", "--simulate"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "two distinct points" in captured.err
+    assert "slope" not in captured.out
 
 
 def test_simulate_strong():

@@ -1,3 +1,7 @@
+import collections
+import functools
+import itertools
+import math
 import types
 
 import numpy as np
@@ -318,10 +322,118 @@ def _choi_to_kraus(choi):
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _shot_oracle(code, v, u, erased, u_rel):
+    """One shot scored the way the former per-shot loop did: the explicit
+    Kraus K = U^ R_r U'^{(x) s} M_b U^dag with U^ = V U U'^dag, and
+    sum_K |Tr(V^dag K)|^2 / d^2.  U'^{(x) s} comes from np.kron."""
+    r_ops = np.stack(codes.recovery_on_survivors(code, erased))
+    m_ops = np.stack(codes.erased_restriction_kraus(code, erased))
+    u_hat = (v @ u) @ u_rel.conj().T
+    mid = functools.reduce(np.kron, [u_rel] * (code.n_p - len(erased)), np.eye(1))
+    kraus = np.einsum("rxs,bsy->rbxy", u_hat @ r_ops @ mid, m_ops) @ u.conj().T
+    traces = np.einsum("xy,rbxy->rb", v.conj(), kraus)
+    return np.sum(np.abs(traces) ** 2) / 4
+
+
+@pytest.mark.parametrize("gated", [False, True])
+def test_score_shots_matches_per_shot_oracle(gated):
+    # every five-qubit pattern of size <= 3, three fixed shots each, scored
+    # in one batch (shots of a pattern are not adjacent)
+    code = codes.five_qubit_code()
+    rng = np.random.default_rng(41)
+    patterns = [p for k in range(4) for p in itertools.combinations(range(5), k)] * 3
+    phys = np.array([sum(1 << i for i in p) for p in patterns])
+    us = ch.haar_su2(rng, len(patterns))
+    u_rels = ch.haar_su2(rng, len(patterns))
+    v = ch.haar_su2(rng, 1)[0] if gated else np.eye(2, dtype=complex)
+    got = pr._score_shots(code, v, us, phys, u_rels)
+    for f, p, u, u_rel in zip(got, patterns, us, u_rels):
+        assert f == pytest.approx(_shot_oracle(code, v, u, list(p), u_rel), abs=1e-12)
+
+
+def test_kron_power_batch_matches_np_kron():
+    us = ch.haar_su2(np.random.default_rng(8), 3)
+    got = pr._kron_power_batch(us, 4)
+    for u, g in zip(us, got):
+        assert np.array_equal(g, functools.reduce(np.kron, [u] * 4))
+
+
+def _chi2_within_3_sigma(samples, law):
+    """Pearson chi-square of sampled classes against an exact law, classes
+    expected below five times pooled.  Passes below the 3 sigma point of
+    the chi-square law in the Wilson-Hilferty cube-root normalization;
+    dof + 3 sqrt(2 dof) sits near 2.3 sigma at dof = 9, since the
+    chi-square tail is heavier than the normal one."""
+    n = len(samples)
+    observed = collections.Counter(samples)
+    assert set(observed) <= set(law), set(observed) - set(law)
+    keys = sorted(law)
+    exp = np.array([n * law[k] for k in keys])
+    obs = np.array([observed[k] for k in keys], dtype=float)
+    big = exp >= 5
+    exp = np.append(exp[big], exp[~big].sum())
+    obs = np.append(obs[big], obs[~big].sum())
+    if exp[-1] == 0:
+        exp, obs = exp[:-1], obs[:-1]
+    dof = len(exp) - 1
+    chi2 = float(np.sum((obs - exp) ** 2 / exp))
+    h = 2 / (9 * dof)
+    assert chi2 < dof * (1 - h + 3 * np.sqrt(h)) ** 3, (chi2, dof)
+
+
+def _weak_class_law(cfg):
+    """(phys bitmask, surviving copies) law by enumerating every erasure
+    pattern of an allowed size; its physical marginal must be _weak_terms."""
+    n, n_p = cfg.n, cfg.code.n_p
+    sizes = range(cfg.n_e + 1) if cfg.pattern_dist == "uniform_le" else [cfg.n_e]
+    total = sum(math.comb(n, k) for k in sizes)
+    law = collections.Counter()
+    for k in sizes:
+        for qs in itertools.combinations(range(n), k):
+            mask = sum(1 << q for q in qs if q < n_p)
+            hit = {(q - n_p) // (2 * cfg.m) for q in qs if q >= n_p}
+            law[mask, cfg.n_e + 1 - len(hit)] += 1 / total
+    marginal = collections.Counter()
+    for (mask, _), p in law.items():
+        marginal[mask] += p
+    for _, p, phys in pr._weak_terms(cfg):
+        assert marginal.pop(sum(1 << i for i in phys)) == pytest.approx(p, abs=1e-12)
+    assert not marginal
+    return law
+
+
+@pytest.mark.parametrize("code,n_e,m", [
+    (codes.five_qubit_code(), 1, 2),
+    (codes.trivial_code(2), 2, 1),  # two reference erasures can hit one copy
+    (codes.trivial_code(2), 3, 1),  # the third draw steps over two taken qudits
+])
+@pytest.mark.parametrize("dist", ["uniform_le", "exact_ne"])
+def test_sample_patterns_weak_law(code, n_e, m, dist):
+    cfg = pr.ProtocolConfig(2, "weak", code, n_e=n_e, m=m, pattern_dist=dist)
+    phys, survivors = pr._sample_patterns(cfg, np.random.default_rng(19), 20000)
+    _chi2_within_3_sigma(list(zip(phys.tolist(), survivors.tolist())), _weak_class_law(cfg))
+
+
+@pytest.mark.parametrize("code,p_e,s_r", [
+    (codes.five_qubit_code(), 0.2, 3),
+    (codes.trivial_code(2), 0.3, 4),
+])
+def test_sample_patterns_strong_law(code, p_e, s_r):
+    cfg = pr.ProtocolConfig(2, "strong", code, p_e=p_e, s_r=s_r)
+    phys, survivors = pr._sample_patterns(cfg, np.random.default_rng(23), 20000)
+    p_copy = (1 - p_e) ** 2
+    law = {
+        (mask, k): p_e ** bin(mask).count("1") * (1 - p_e) ** (code.n_p - bin(mask).count("1"))
+        * math.comb(s_r, k) * p_copy**k * (1 - p_copy) ** (s_r - k)
+        for mask in range(2**code.n_p) for k in range(s_r + 1)
+    }
+    _chi2_within_3_sigma(list(zip(phys.tolist(), survivors.tolist())), law)
+
+
 def test_mc_matches_quadrature_weak():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
-                            mc_samples=4000, seed=13)
+                            mc_samples=40000, seed=13)
     rep = pr.effective_channel(cfg)
     est, err = pr.monte_carlo_epsilon(cfg)
     assert abs(est - rep.mixture.a) < 3 * err
@@ -330,7 +442,7 @@ def test_mc_matches_quadrature_weak():
 
 def test_mc_matches_quadrature_strong():
     code = codes.trivial_code(2)
-    cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.2, s_r=3, mc_samples=4000, seed=3)
+    cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.2, s_r=3, mc_samples=40000, seed=3)
     rep = pr.effective_channel(cfg)
     est, err = pr.monte_carlo_epsilon(cfg)
     assert abs(est - rep.mixture.a) < 3 * err
@@ -339,7 +451,7 @@ def test_mc_matches_quadrature_strong():
 def test_mc_covariant_gate_insertion():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
-                            mc_samples=2500, seed=29)
+                            mc_samples=25000, seed=29)
     base, err_b = pr.monte_carlo_epsilon(cfg)
     v = ch.haar_su2(np.random.default_rng(5), 1)[0]
     gated, err_g = pr.monte_carlo_epsilon(cfg, logical_gate=v)
@@ -349,7 +461,7 @@ def test_mc_covariant_gate_insertion():
 def test_mc_forced_total_loss_matches_haar_guess():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="none",
-                            mc_samples=3000, seed=17)
+                            mc_samples=30000, seed=17)
     a_guess = pr.haar_guess_channel(code, set()).a
     est, err = pr.monte_carlo_epsilon(cfg, force_total_loss=True)
     assert abs(est - a_guess) < 3 * err
