@@ -12,7 +12,6 @@ eigenvalues clipped at -1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -24,11 +23,7 @@ __all__ = [
     "CovarianceViolationError",
     "identity_channel",
     "depolarizing_channel",
-    "replace_channel",
-    "unitary_channel",
-    "apply_channel",
     "compose",
-    "mixture",
     "uhlmann_fidelity",
     "entanglement_fidelity",
     "entanglement_error",
@@ -41,7 +36,6 @@ __all__ = [
     "su2_eigenphase",
     "haar_su2",
     "max_entangled_state",
-    "assert_density_matrix",
     "trace_norm",
     "sqrtm_psd",
 ]
@@ -138,11 +132,6 @@ def identity_channel(d: int) -> KrausChannel:
     return KrausChannel(d, d, [np.eye(d, dtype=complex)])
 
 
-def unitary_channel(u: np.ndarray) -> KrausChannel:
-    u = np.asarray(u, dtype=complex)
-    return KrausChannel(u.shape[1], u.shape[0], [u])
-
-
 def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
     """rho -> (1-p) rho + p I/d."""
     kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
@@ -154,47 +143,12 @@ def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
     return KrausChannel(d, d, kraus)
 
 
-def replace_channel(sigma: np.ndarray) -> KrausChannel:
-    """rho -> Tr(rho) sigma for a fixed state sigma."""
-    sigma = np.asarray(sigma, dtype=complex)
-    d = sigma.shape[0]
-    w, v = np.linalg.eigh(sigma)
-    kraus = []
-    for i in range(d):
-        if w[i] > 1e-14:
-            for j in range(d):
-                e = np.zeros((d, d), dtype=complex)
-                e[:, j] = np.sqrt(w[i]) * v[:, i]
-                kraus.append(e)
-    return KrausChannel(d, d, kraus)
-
-
-def apply_channel(channel: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (channel.dim_in, channel.dim_in):
-        raise ValueError("state dimension does not match the channel input")
-    return sum(k @ rho @ k.conj().T for k in channel.kraus)
-
-
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
     """outer . inner (inner acts first)."""
     if inner.dim_out != outer.dim_in:
         raise ValueError("channel dimensions do not compose")
     kraus = [a @ b for a in outer.kraus for b in inner.kraus]
     return KrausChannel(inner.dim_in, outer.dim_out, kraus)
-
-
-def mixture(channels: Sequence[KrausChannel], weights: Sequence[float]) -> KrausChannel:
-    if abs(sum(weights) - 1.0) > 1e-12 or any(w < -1e-15 for w in weights):
-        raise ValueError("weights must form a probability vector")
-    dims = {(c.dim_in, c.dim_out) for c in channels}
-    if len(dims) != 1:
-        raise ValueError("mixture components must share dimensions")
-    kraus = []
-    for c, w in zip(channels, weights):
-        kraus.extend(np.sqrt(w) * k for k in c.kraus)
-    c0 = channels[0]
-    return KrausChannel(c0.dim_in, c0.dim_out, kraus)
 
 
 def _as_choi(x) -> ChoiMatrix:
@@ -204,20 +158,6 @@ def _as_choi(x) -> ChoiMatrix:
 # ---------------------------------------------------------------------------
 # fidelity and error measures
 # ---------------------------------------------------------------------------
-
-def assert_density_matrix(rho: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Validate a density matrix (Hermitian, unit trace, psd within tol)."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("a state must be a square matrix")
-    if np.max(np.abs(rho - rho.conj().T)) > tol:
-        raise ValueError("state is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > tol:
-        raise ValueError(f"state trace is {np.trace(rho)}")
-    if np.linalg.eigvalsh(rho).min() < -tol:
-        raise ValueError("state has a negative eigenvalue")
-    return rho
-
 
 def sqrtm_psd(mat: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(mat)

@@ -16,10 +16,13 @@ diamond distance from the identity.
 
 F_ent(M_j, I) is the p_j-weighted Haar integral of the Phi+ weight
 F(U') = sum_K |Tr K|^2 / d^2.  As p_j is a class function, F_ent =
-sum_g c_g int p_j chi_g: the character spectrum c_g = int F chi_g of an
-erasure pattern is integrated by the exact SU(2) Euler quadrature on the
-surviving qudits, once per effective_channel call, and each reference
-frame adds an exact 1-D integral over the rotation angle.
+sum_g c_g int p_j chi_g: a character spectrum c_g = int F chi_g for each
+erasure pattern, integrated by the exact SU(2) Euler quadrature on the
+surviving qudits, times an exact 1-D class integral over the rotation
+angle for each reference frame.  An effective channel is therefore one
+product of its patterns' spectra with its frames' class integrals: the
+strong model's s_r + 1 surviving-copy counts cost s_r + 1 class
+integrals against 2^n_p spectra, with no cap on s_r.
 
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, lgamma, log, log1p
 
 import numpy as np
 
@@ -113,6 +116,8 @@ class ProtocolConfig:
                 raise ValueError("the strong model needs p_e and s_r")
             if not 0 < self.p_e < 0.5:
                 raise ValueError("p_e must lie in (0, 1/2)")
+            if self.s_r < 0:
+                raise ValueError("s_r must be non-negative")
         else:
             raise ValueError("model must be 'weak' or 'strong'")
 
@@ -137,7 +142,6 @@ class EffectiveChannelReport:
     terms: list
     mixture: CovariantParams
     eps_cov: float
-    diagnostics: dict
 
 
 # ---------------------------------------------------------------------------
@@ -235,36 +239,38 @@ def _class_integrals(spec: rf.RefFrameSpec, n_terms: int, n_theta: int):
     return np.array([wp @ young.su2_character(2 * k, theta) for k in range(n_terms)]), total
 
 
-def inner_channel(
-    code: CodeSpec,
-    spec: rf.RefFrameSpec,
-    pattern_p,
-    spectrum: np.ndarray | None = None,
-) -> tuple[CovariantParams, dict]:
-    """Twirled inner channel of pattern j plus quadrature diagnostics.
+def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
+    """a[i, j] = 1 - F_ent(M_j, I) of erasure pattern j under reference
+    frame i, plus diagnostics.
 
-    The twirl of M_j is the covariant channel with a = 1 - F_ent(M_j, I),
-    and F_ent(M_j, I) = sum_g c_g int p chi_g combines the pattern's
-    character spectrum with class integrals of the outcome density.  A
-    caller that needs one pattern under several reference frames passes
-    its `_phi_spectrum` as `spectrum`.
+    F_ent = sum_g c_g int p chi_g is the product S_j . C_i / total_i of the
+    pattern's character spectrum S_j (`_phi_spectrum`, zero-padded to the
+    n_p + 2 entries of the erasure-free pattern) and the frame's class
+    integrals C_i on max_gap + n_p + 3 angle nodes, exact for every
+    pattern.  The diagnostics are the largest spectrum order
+    ("quad_order") and the frame mass farthest from one ("normalization").
     """
-    if spectrum is None:
-        spectrum = _phi_spectrum(code, pattern_p)
-    n_surv = len(spectrum) - 2  # entries c_0, c_2, ..., c_{2 (n_surv + 1)}
-    n_theta = int(spec.gaps().max()) + n_surv + 3
-    overlaps, total = _class_integrals(spec, len(spectrum), n_theta)
-    f_ent = float(spectrum @ overlaps) / total
-    diag = {"quad_order": _spectrum_order(n_surv), "theta_nodes": n_theta,
-            "normalization": total, "n_survivors": n_surv}
-    return CovariantParams(code.d, min(1.0, max(0.0, 1.0 - f_ent))), diag
+    n_p = code.n_p
+    spectra = np.zeros((len(patterns), n_p + 2))
+    for j, pattern in enumerate(patterns):
+        c = _phi_spectrum(code, pattern)
+        spectra[j, :len(c)] = c
+    overlaps, totals = zip(*(
+        _class_integrals(spec, n_p + 2, int(spec.gaps().max()) + n_p + 3) for spec in specs
+    ))
+    totals = np.array(totals)
+    a = np.clip(1.0 - np.array(overlaps) @ spectra.T / totals[:, None], 0.0, 1.0)
+    n_surv = n_p - min(len(set(p)) for p in patterns)
+    diag = {"quad_order": _spectrum_order(n_surv),
+            "normalization": float(totals[np.argmax(np.abs(totals - 1.0))])}
+    return a, diag
 
 
 def haar_guess_channel(code: CodeSpec, pattern_p) -> CovariantParams:
     """Twirled inner channel when no reference information survives: the
     decoder's estimate is a Haar guess, i.e. the density is identically one
     and F_ent is the spectrum's trivial-character entry."""
-    return inner_channel(code, _HAAR_GUESS, pattern_p)[0]
+    return CovariantParams(code.d, float(inner_channel(code, [_HAAR_GUESS], [pattern_p])[0][0, 0]))
 
 
 def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
@@ -315,64 +321,59 @@ def effective_channel(config: ProtocolConfig) -> EffectiveChannelReport:
     return _effective_strong(config)
 
 
-def _finish_report(config, terms, diagnostics) -> EffectiveChannelReport:
+def _finish_report(config, terms) -> EffectiveChannelReport:
     a_mix = sum(t.probability * t.params.a for t in terms)
     total_p = sum(t.probability for t in terms)
     if abs(total_p - 1.0) > 1e-10:
         raise RuntimeError(f"pattern probabilities sum to {total_p}")
     mixture = CovariantParams(config.d, min(1.0, max(0.0, a_mix)))
     eps = sdp_mod.diamond_error(covariant_choi(mixture), identity_channel(config.d).choi())
-    return EffectiveChannelReport(
-        config=config,
-        terms=terms,
-        mixture=mixture,
-        eps_cov=eps,
-        diagnostics=diagnostics,
-    )
+    return EffectiveChannelReport(config=config, terms=terms, mixture=mixture, eps_cov=eps)
 
 
 def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
     _, spec = rf.weak_spec(config.d, config.m, config.code.n_p, config.n_e)
-    terms = []
-    diagnostics = {"inner": {}}
-    inner_cache: dict = {}
-    for label, prob, phys in _weak_terms(config):
-        if phys not in inner_cache:
-            inner_cache[phys], diagnostics["inner"][label] = inner_channel(config.code, spec, phys)
-        terms.append(PatternTerm(label, prob, inner_cache[phys]))
-    return _finish_report(config, terms, diagnostics)
+    classes = list(_weak_terms(config))
+    a, _ = inner_channel(config.code, [spec], [phys for _, _, phys in classes])
+    terms = [PatternTerm(label, prob, CovariantParams(config.d, float(a_j)))
+             for (label, prob, _), a_j in zip(classes, a[0])]
+    return _finish_report(config, terms)
+
+
+def _survivor_law(s_r: int, p_copy: float) -> list[float]:
+    """Binomial law of the surviving-copy count k = 0..s_r, formed in log
+    space (comb(s_r, k) alone overflows a float past s_r ~ 1030) and
+    normalized there, which also drops the common factor s_r!."""
+    k = np.arange(s_r + 1)
+    log_w = (k * log(p_copy) + (s_r - k) * log1p(-p_copy)
+             - np.array([lgamma(i + 1) + lgamma(s_r - i + 1) for i in range(s_r + 1)]))
+    w = np.exp(log_w - log_w.max())
+    return (w / w.sum()).tolist()
 
 
 def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
-    """Exhaustive enumeration over per-copy reference losses and physical
-    erasures, collapsed by sufficient statistics (inner channels depend on
-    the pattern only through the survivor count and the physical part)."""
+    """Every reference-copy loss and physical erasure, collapsed by
+    sufficient statistics: a pattern's inner channel depends only on its
+    surviving-copy count k, which fixes the reference frame (the Schur-Weyl
+    spec of k pairs, a Haar guess at k = 0), and on its physical part,
+    which fixes the spectrum.  One `inner_channel` call evaluates the
+    s_r + 1 frames against the 2^n_p physical patterns, so any s_r runs;
+    five-qubit s_r = 256 (n = 517) takes ~2 s on one core."""
     p_e = config.p_e
-    s_r = config.s_r
-    if 2**s_r > 2**14:
-        raise ValueError("strong-model exhaustive enumeration capped at 2^14 copy patterns")
     code = config.code
     n_p = code.n_p
+    phys_list = [frozenset(s) for k in range(n_p + 1) for s in itertools.combinations(range(n_p), k)]
+    specs = [_HAAR_GUESS] + [rf.strong_combined_spec(config.d, k) for k in range(1, config.s_r + 1)]
+    a, _ = inner_channel(code, specs, phys_list)
     # a copy survives iff neither of its two qudits is erased
-    p_copy = (1 - p_e) ** 2
-    terms = []
-    diagnostics = {"inner": {}}
-    phys_patterns = [
-        (frozenset(s), p_e ** len(s) * (1 - p_e) ** (n_p - len(s)))
-        for k in range(n_p + 1)
-        for s in itertools.combinations(range(n_p), k)
+    p_k = _survivor_law(config.s_r, (1 - p_e) ** 2)
+    p_phys = [p_e ** len(s) * (1 - p_e) ** (n_p - len(s)) for s in phys_list]
+    terms = [
+        PatternTerm(f"survivors:{k};phys:{','.join(map(str, sorted(phys))) or '-'}",
+                    p_k[k] * p_phys[j], CovariantParams(config.d, float(a[k, j])))
+        for k in range(config.s_r + 1) for j, phys in enumerate(phys_list)
     ]
-    # every survivor count shares the physical pattern's spectrum
-    spectra = {phys: _phi_spectrum(code, phys) for phys, _ in phys_patterns}
-    for k in range(s_r + 1):
-        p_k = comb(s_r, k) * p_copy**k * (1 - p_copy) ** (s_r - k)
-        # with no surviving copy the decoder makes a Haar guess
-        spec = rf.strong_combined_spec(config.d, k) if k else _HAAR_GUESS
-        for phys, p_phys in phys_patterns:
-            label = f"survivors:{k};phys:{','.join(map(str, sorted(phys))) or '-'}"
-            params, diagnostics["inner"][label] = inner_channel(code, spec, phys, spectra[phys])
-            terms.append(PatternTerm(label, p_k * p_phys, params))
-    return _finish_report(config, terms, diagnostics)
+    return _finish_report(config, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,7 @@ def _protocol_checks():
     out = []
     code = codes.five_qubit_code()
     _, spec = rf.weak_spec(2, 8, 5)
-    _, diag = pr.inner_channel(code, spec, set())
+    _, diag = pr.inner_channel(code, [spec], [set()])
     out.append(
         _check(
             "protocol",

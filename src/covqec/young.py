@@ -39,7 +39,6 @@ __all__ = [
     "dualize",
     "correlation_count",
     "schur_weyl_prob",
-    "young_distance",
 ]
 
 
@@ -323,12 +322,3 @@ def schur_weyl_prob(lam: Sequence[int], s: int, d: int) -> Fraction:
         for j in range(i + 1, d):
             p *= (lt[i] - lt[j]) ** 2
     return p
-
-
-def young_distance(lam: Sequence[int], mu: Sequence[int]) -> float:
-    """Half the l1 distance between row vectors: (1/2) sum_i |lam_i - mu_i|."""
-    a, b = normalize(lam), normalize(mu)
-    n = max(len(a), len(b))
-    a = a + (0,) * (n - len(a))
-    b = b + (0,) * (n - len(b))
-    return sum(abs(x - y) for x, y in zip(a, b)) / 2.0

@@ -25,45 +25,36 @@ def random_channel(rng, d, n_kraus=3):
     return ch.KrausChannel(d, d, kraus)
 
 
+def apply(chan, rho):
+    return sum(k @ rho @ k.conj().T for k in chan.kraus)
+
+
 # ---------------------------------------------------------------------------
-# apply / compose / mixture
+# apply / compose / Kraus validation
 # ---------------------------------------------------------------------------
 
 def test_apply_identity():
     rho = random_state(RNG, 3)
-    out = ch.apply_channel(ch.identity_channel(3), rho)
+    out = apply(ch.identity_channel(3), rho)
     assert np.allclose(out, rho)
 
 
 def test_apply_depolarizing_p1():
     rho = random_state(RNG, 2)
-    out = ch.apply_channel(ch.depolarizing_channel(1.0), rho)
+    out = apply(ch.depolarizing_channel(1.0), rho)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
-def test_apply_replace():
-    flag = np.zeros((3, 3), dtype=complex)
-    flag[2, 2] = 1.0
-    out = ch.apply_channel(ch.replace_channel(flag), random_state(RNG, 3))
-    assert np.allclose(out, flag, atol=1e-12)
+def test_kraus_shape_mismatch_raises():
+    with pytest.raises(ValueError, match="shape"):
+        ch.KrausChannel(2, 2, [np.eye(3)])
 
 
-def test_apply_dim_mismatch():
-    with pytest.raises(ValueError):
-        ch.apply_channel(ch.identity_channel(2), np.eye(3) / 3)
-
-
-def test_mixture_single_is_identity_on_choi():
-    n = random_channel(RNG, 2)
-    mixed = ch.mixture([n], [1.0])
-    assert np.allclose(mixed.choi().mat, n.choi().mat, atol=1e-12)
-
-
-def test_mixture_choi_is_convex_combination():
+def test_choi_of_weighted_kraus_union_is_convex_combination():
     a, b = random_channel(RNG, 2), random_channel(RNG, 2)
-    mixed = ch.mixture([a, b], [0.3, 0.7])
+    kraus = [np.sqrt(0.3) * k for k in a.kraus] + [np.sqrt(0.7) * k for k in b.kraus]
     expect = 0.3 * a.choi().mat + 0.7 * b.choi().mat
-    assert np.allclose(mixed.choi().mat, expect, atol=1e-12)
+    assert np.allclose(ch.KrausChannel(2, 2, kraus).choi().mat, expect, atol=1e-12)
 
 
 def test_compose_with_identity():
@@ -72,10 +63,11 @@ def test_compose_with_identity():
     assert np.allclose(c.choi().mat, n.choi().mat, atol=1e-12)
 
 
-def test_mixture_rejects_bad_weights():
+def test_kraus_rejects_non_trace_preserving():
     n = random_channel(RNG, 2)
-    with pytest.raises(ValueError):
-        ch.mixture([n, n], [0.5, 0.6])
+    kraus = [np.sqrt(0.5) * k for k in n.kraus] + [np.sqrt(0.6) * k for k in n.kraus]
+    with pytest.raises(ValueError, match="trace preserving"):
+        ch.KrausChannel(2, 2, kraus)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +105,7 @@ def test_entanglement_fidelity_unitary_phase():
     # F_ent(I, e^{i t sz}) = |(e^{it} + e^{-it})/2|^2 = cos^2 t
     for t in (0.2, 0.9, 1.4):
         u = np.diag([np.exp(1j * t), np.exp(-1j * t)])
-        f = ch.entanglement_fidelity(ch.identity_channel(2), ch.unitary_channel(u))
+        f = ch.entanglement_fidelity(ch.identity_channel(2), ch.KrausChannel(2, 2, [u]))
         assert f == pytest.approx(np.cos(t) ** 2, abs=1e-10)
 
 
@@ -168,7 +160,7 @@ def test_covariant_params_depolarizing():
 def test_covariant_params_rejects_unitary():
     u = np.diag([np.exp(0.5j), np.exp(-0.5j)])
     with pytest.raises(ch.CovarianceViolationError):
-        ch.covariant_params(ch.unitary_channel(u).choi())
+        ch.covariant_params(ch.KrausChannel(2, 2, [u]).choi())
 
 
 def test_covariant_roundtrip():
@@ -232,7 +224,7 @@ def test_twirl_matches_quadrature():
 def test_twirl_unitary_invariance():
     n = random_channel(RNG, 2)
     v = ch.haar_su2(RNG, 1)[0]
-    conj = ch.compose(ch.unitary_channel(v), ch.compose(n, ch.unitary_channel(v.conj().T)))
+    conj = ch.compose(ch.KrausChannel(2, 2, [v]), ch.compose(n, ch.KrausChannel(2, 2, [v.conj().T])))
     assert _twirl_param(conj) == pytest.approx(_twirl_param(n), abs=1e-10)
 
 
@@ -278,13 +270,3 @@ def test_eigenphase():
     t = 0.77
     u = np.diag([np.exp(1j * t), np.exp(-1j * t)])
     assert ch.su2_eigenphase(u) == pytest.approx(t)
-
-
-def test_assert_density_matrix():
-    ch.assert_density_matrix(np.eye(2) / 2)
-    with pytest.raises(ValueError):
-        ch.assert_density_matrix(np.eye(2))  # trace 2
-    with pytest.raises(ValueError):
-        ch.assert_density_matrix(np.array([[1.5, 0], [0, -0.5]], dtype=complex))
-    with pytest.raises(ValueError):
-        ch.assert_density_matrix(np.array([[0.5, 0.5j], [0.5j, 0.5]]))

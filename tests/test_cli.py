@@ -102,6 +102,12 @@ def test_simulate_strong():
     assert "eps_cov" in res.stdout
 
 
+def test_simulate_strong_past_the_old_enumeration_cap(capsys):
+    # 2^64 copy-loss patterns, collapsed by survivor count: no cap on s_r
+    assert cli.main(["simulate", "--model", "strong", "--pe", "0.1", "--sr", "64"]) == 0
+    assert "n = 133" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("args,n", [
     (["--model", "weak", "--ne", "1", "--m", "4"], 5 + 16),
     (["--model", "weak", "--ne", "1", "--m", "4", "--np", "1"], 1 + 16),

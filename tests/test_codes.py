@@ -7,6 +7,10 @@ from covqec import channels as ch
 from covqec import codes
 
 
+def apply(chan, rho):
+    return sum(k @ rho @ k.conj().T for k in chan.kraus)
+
+
 # ---------------------------------------------------------------------------
 # flagged erasure oracle: erasure modelled literally on (C^{d+1})^n, with
 # erased qudits replaced by an orthogonal flag level
@@ -65,7 +69,7 @@ def erasure_recovery(code, pattern):
 def flagged_composite(code, pattern):
     return ch.compose(
         erasure_recovery(code, pattern),
-        ch.compose(erase(code.n_p, code.d, pattern), ch.unitary_channel(code.encoder)),
+        ch.compose(erase(code.n_p, code.d, pattern), ch.KrausChannel(code.d, code.d ** code.n_p, [code.encoder])),
     )
 
 
@@ -104,7 +108,7 @@ def test_trivial_code_single_erasure_destroys_everything():
     # output is independent of the input; recovery dumps to I/2
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     rho1 = np.diag([0.0, 1.0]).astype(complex)
-    assert np.allclose(ch.apply_channel(comp, rho0), ch.apply_channel(comp, rho1), atol=1e-12)
+    assert np.allclose(apply(comp, rho0), apply(comp, rho1), atol=1e-12)
     assert ch.entanglement_fidelity(comp, ch.identity_channel(2)) == pytest.approx(0.25, abs=1e-10)
 
 
@@ -119,7 +123,7 @@ def test_erase_no_pattern_is_embedding():
     rho[0, 3] = 0.5
     rho[3, 0] = 0.5
     rho[3, 3] = 0.5  # |Phi+><Phi+|
-    out = ch.apply_channel(chan, rho)
+    out = apply(chan, rho)
     # embedded support: levels {0,1} of each qutrit slot
     idx = [0 * 3 + 0, 1 * 3 + 1]
     sub = out[np.ix_(idx, idx)]
@@ -130,7 +134,7 @@ def test_erase_no_pattern_is_embedding():
 def test_erase_all_gives_flag_product():
     chan = erase(2, 2, {0, 1})
     rho = np.full((4, 4), 0.25, dtype=complex)
-    out = ch.apply_channel(chan, rho)
+    out = apply(chan, rho)
     flag_idx = 2 * 3 + 2
     assert out[flag_idx, flag_idx] == pytest.approx(1.0)
 
@@ -138,7 +142,7 @@ def test_erase_all_gives_flag_product():
 def test_erase_one_qubit_of_bell_pair():
     chan = erase(2, 2, {0})
     phi = ch.max_entangled_state(2)
-    out = ch.apply_channel(chan, phi)
+    out = apply(chan, phi)
     # remaining (second) qubit maximally mixed, first slot flagged
     marg = out.reshape(3, 3, 3, 3)
     reduced = np.einsum("abad->bd", marg)
@@ -149,7 +153,7 @@ def test_erased_marginal_carries_no_data():
     chan = erase(2, 2, {1})
     for vec in (np.array([1, 0, 0, 0]), np.array([0.5, 0.5, 0.5, 0.5])):
         rho = np.outer(vec, vec.conj()).astype(complex)
-        out = ch.apply_channel(chan, rho)
+        out = apply(chan, rho)
         marg = np.einsum("abad->bd", out.reshape(3, 3, 3, 3))
         flag = np.zeros((3, 3))
         flag[2, 2] = 1.0
@@ -210,7 +214,7 @@ def test_code_error_three_erasures_vs_scan_oracle():
         for p in np.linspace(0, 2 * np.pi, 41):
             psi = np.array([np.cos(t / 2), np.exp(1j * p) * np.sin(t / 2)])
             rho = np.outer(psi, psi.conj())
-            scan = max(scan, 0.5 * ch.trace_norm(ch.apply_channel(comp, rho) - rho))
+            scan = max(scan, 0.5 * ch.trace_norm(apply(comp, rho) - rho))
     assert 0.0 < err <= 1.0
     assert err >= scan - 1e-6
     # three erased qubits leak real information: the error is macroscopic
@@ -221,7 +225,7 @@ def test_erase_qutrit():
     chan = erase(2, 3, {1})
     rho = np.zeros((9, 9), dtype=complex)
     rho[1, 1] = 1.0  # |0>|1>
-    out = ch.apply_channel(chan, rho)
+    out = apply(chan, rho)
     # slot 0 keeps |0>, slot 1 flagged at level 3
     idx = 0 * 4 + 3
     assert out[idx, idx] == pytest.approx(1.0)

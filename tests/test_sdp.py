@@ -117,7 +117,7 @@ def test_sqrt_fwc_unitary_phase():
     )
     assert scan == pytest.approx(np.cos(t / 2), abs=1e-8)
     u = np.diag([np.exp(1j * t / 2), np.exp(-1j * t / 2)])
-    f = sdp.sqrt_fwc(ch.identity_channel(2).choi(), ch.unitary_channel(u).choi())
+    f = sdp.sqrt_fwc(ch.identity_channel(2).choi(), ch.KrausChannel(2, 2, [u]).choi())
     assert f == pytest.approx(1 / np.sqrt(2), abs=1e-6)
 
 
@@ -191,12 +191,12 @@ def test_diamond_bit_flip():
     # oracle: scan over pure inputs gives p, and eps_wc <= mixture bound p
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for p in (0.15, 0.4):
-        flip = ch.mixture([ch.identity_channel(2), ch.unitary_channel(x)], [1 - p, p])
+        flip = ch.KrausChannel(2, 2, [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * x])
         scan = 0.0
         for t in np.linspace(0, np.pi, 400):
             psi = np.array([np.cos(t / 2), np.sin(t / 2)], dtype=complex)
             rho = np.outer(psi, psi.conj())
-            diff = rho - ch.apply_channel(flip, rho)
+            diff = rho - sum(k @ rho @ k.conj().T for k in flip.kraus)
             scan = max(scan, 0.5 * ch.trace_norm(diff))
         assert scan == pytest.approx(p, abs=1e-4)
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)

@@ -340,24 +340,3 @@ def test_schur_weyl_normalization_exact(d):
     for s in range(1, 9):
         total = sum(young.schur_weyl_prob(lam, s, d) for lam in young.enumerate_diagrams(s, d))
         assert total == 1
-
-
-# ---------------------------------------------------------------------------
-# young_distance
-# ---------------------------------------------------------------------------
-
-def test_young_distance_values():
-    assert young.young_distance((3, 1), (3, 1)) == 0
-    assert young.young_distance((3, 1), (2, 2)) == 1
-    assert young.young_distance((5, 0), (0, 0)) == 2.5
-
-
-def test_young_distance_metric_axioms():
-    diags = young.enumerate_diagrams(4, 3) + young.enumerate_diagrams(3, 3)
-    for a in diags:
-        for b in diags:
-            dab = young.young_distance(a, b)
-            assert dab == young.young_distance(b, a)
-            assert (dab == 0) == (a == b)
-            for c in diags:
-                assert dab <= young.young_distance(a, c) + young.young_distance(c, b) + 1e-12
