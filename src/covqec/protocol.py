@@ -105,6 +105,8 @@ class ProtocolConfig:
         if self.model == "weak":
             if self.n_e is None or self.m is None:
                 raise ValueError("the weak model needs n_e and m")
+            if self.n_e < 0:
+                raise ValueError("n_e must be non-negative")
             if self.code.distance > 1 and self.n_e > self.code.distance - 1:
                 raise ValueError(
                     f"n_e={self.n_e} exceeds what the {self.code.name} code corrects exactly"
@@ -301,14 +303,12 @@ def _weak_terms(config: ProtocolConfig):
     weights: dict = {}
     for k in sizes:
         for phys_k in range(0, min(k, n_p) + 1):
-            count = comb(n_p, phys_k) * comb(n_ref, k - phys_k)
-            if count == 0:
+            mult = comb(n_ref, k - phys_k)
+            if mult == 0:
                 continue
             for phys in itertools.combinations(range(n_p), phys_k):
-                mult = comb(n_ref, k - phys_k)
-                if mult:
-                    key = frozenset(phys)
-                    weights[key] = weights.get(key, 0.0) + mult / n_patterns
+                key = frozenset(phys)
+                weights[key] = weights.get(key, 0.0) + mult / n_patterns
     for key in sorted(weights, key=sorted):
         label = "phys:" + ",".join(map(str, sorted(key))) if key else "no-phys-erasure"
         yield label, weights[key], key
@@ -616,6 +616,9 @@ def _code_for_np(n_p: int) -> CodeSpec:
 
 
 def loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x; needs two distinct x."""
+    if len(set(xs)) < 2:
+        raise ValueError("a log-log slope needs at least two distinct x")
     lx = np.log(np.asarray(xs, dtype=float))
     ly = np.log(np.asarray(ys, dtype=float))
     n = len(lx)

@@ -7,8 +7,13 @@ operating directly on complex Hermitian blocks:
     minimize    sum_j <C_j, X_j>
     subject to  sum_j <A_kj, X_j> = b_k,   X_j >= 0,
 
-with <A, X> = Re Tr(A X).  Problems stay at qubit/qutrit scale; the total
-variable dimension is capped (default 256) and larger requests fail fast.
+with <A, X> = Re Tr(A X).  The constraints are held as one complex
+(m, s_j^2) matrix per block, whose row k is vec(A_kj), so the constraint
+map, its adjoint and the Schur complement are matrix products against it.
+Each iterate block is factored by one eigendecomposition per iteration,
+which gives the scaling point, Z^{-1} and every step-length search.
+Problems stay at qubit/qutrit scale; the total variable dimension is
+capped (default 256) and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators
@@ -118,28 +123,22 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
     m = len(instance._constraints)
     if m == 0:
         raise ValueError("instance has no constraints")
-    A = [
-        [row.get(n, None) for n, s in zip(names, sizes)]
-        for row, _ in instance._constraints
-    ]
     b = np.array([rhs for _, rhs in instance._constraints], dtype=float)
 
     nb = len(names)
-    # stacked constraint tensors per block, for vectorized Schur assembly
-    A_stack = []
-    for j in range(nb):
-        s = sizes[j]
-        t = np.zeros((m, s, s), dtype=complex)
-        for k in range(m):
-            if A[k][j] is not None:
-                t[k] = A[k][j]
-        A_stack.append(t)
+    # one (m, s_j^2) matrix per block, row k = vec(A_kj); every A_kj is
+    # Hermitian, so <A_kj, X_j> = Re(conj(A_j) @ vec X_j) = Re(A_j @ conj(vec X_j))
+    A = [np.zeros((m, s * s), dtype=complex) for s in sizes]
+    for k, (row, _) in enumerate(instance._constraints):
+        for j, n in enumerate(names):
+            if n in row:
+                A[j][k] = row[n].reshape(-1)
 
     def op_A(X):
-        return np.array([sum(np.real(np.trace(A[k][j] @ X[j])) for j in range(nb) if A[k][j] is not None) for k in range(m)])
+        return sum(np.real(A[j] @ X[j].conj().reshape(-1)) for j in range(nb))
 
     def op_At(y):
-        return [np.einsum("k,kij->ij", y, A_stack[j]) for j in range(nb)]
+        return [(y @ A[j]).reshape(s, s) for j, s in enumerate(sizes)]
 
     scale = 1.0 + max(np.max(np.abs(c)) for c in C) + np.max(np.abs(b))
     X = [np.eye(s, dtype=complex) * scale for s in sizes]
@@ -169,14 +168,17 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             status = "infeasible"
             break
 
+        # one eigendecomposition per iterate and block: X^{-1/2}, Z^{+-1/2}
+        x_ihalf = [_half_powers(x)[1] for x in X]
+        z_half, z_ihalf = zip(*(_half_powers(z) for z in Z))
         # Nesterov-Todd scaling point per block: W Z W = X
-        W = [_nt_scaling(X[j], Z[j]) for j in range(nb)]
+        W = [_nt_scaling(X[j], z_half[j], z_ihalf[j]) for j in range(nb)]
 
         # Schur complement  M[k,l] = sum_j <A_k, W A_l W>
         M = np.zeros((m, m))
-        for j in range(nb):
-            V = np.einsum("ab,kbc,cd->kad", W[j], A_stack[j], W[j], optimize=True)
-            M += np.real(np.einsum("kab,lba->kl", A_stack[j], V, optimize=True))
+        for j, s in enumerate(sizes):
+            V = (W[j] @ A[j].reshape(m, s, s) @ W[j]).reshape(m, -1)
+            M += np.real(A[j] @ V.conj().T)
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
         M_reg = M + jitter * np.eye(m)
@@ -192,26 +194,22 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             s = s + _cho_solve(m_cho, rhs - M @ s)
             return s
 
-        z_inv = [_psd_inv(Z[j]) for j in range(nb)]
+        z_inv = [_hermitize(zi @ zi) for zi in z_ihalf]
+        wrw = [W[j] @ Rd[j] @ W[j] for j in range(nb)]
 
         def solve_dirs(sigma_mu):
             # NT linearization: dX + W dZ W = sigma_mu Z^{-1} - X
             rhs_blocks = [sigma_mu * z_inv[j] - X[j] for j in range(nb)]
-            t1 = np.zeros(m)
-            for j in range(nb):
-                t1 += np.real(np.einsum("kab,ba->k", A_stack[j], W[j] @ Rd[j] @ W[j], optimize=True))
-                t1 -= np.real(np.einsum("kab,ba->k", A_stack[j], rhs_blocks[j], optimize=True))
-            t1 += rp
-            dy = schur_solve(t1)
-            dZ = [_hermitize(Rd[j] - np.einsum("k,kij->ij", dy, A_stack[j])) for j in range(nb)]
+            dy = schur_solve(rp + op_A([wrw[j] - rhs_blocks[j] for j in range(nb)]))
+            dZ = [_hermitize(Rd[j] - a) for j, a in enumerate(op_At(dy))]
             dX = [_hermitize(rhs_blocks[j] - W[j] @ dZ[j] @ W[j]) for j in range(nb)]
             return dX, dZ, dy
 
         try:
             # predictor
             dX_a, dZ_a, _ = solve_dirs(0.0)
-            ap = min(1.0, 0.98 * _max_step(X, dX_a))
-            ad = min(1.0, 0.98 * _max_step(Z, dZ_a))
+            ap = min(1.0, 0.98 * _max_step(x_ihalf, dX_a))
+            ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ_a))
             mu_aff = sum(
                 np.real(np.trace((X[j] + ap * dX_a[j]) @ (Z[j] + ad * dZ_a[j])))
                 for j in range(nb)
@@ -224,8 +222,8 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             break
         if not all(np.isfinite(d).all() for d in dX + dZ) or not np.isfinite(dy).all():
             break
-        ap = min(1.0, 0.98 * _max_step(X, dX))
-        ad = min(1.0, 0.98 * _max_step(Z, dZ))
+        ap = min(1.0, 0.98 * _max_step(x_ihalf, dX))
+        ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ))
         X = [_hermitize(X[j] + ap * dX[j]) for j in range(nb)]
         Z = [_hermitize(Z[j] + ad * dZ[j]) for j in range(nb)]
         y = y + ad * dy
@@ -249,32 +247,23 @@ def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return _s(L.conj().T, _s(L, rhs))
 
 
-def _psd_inv(a: np.ndarray) -> np.ndarray:
+def _half_powers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A^{1/2} and A^{-1/2} of a Hermitian positive definite A, from one eigh."""
     w, v = np.linalg.eigh(a)
-    w = np.clip(w, 1e-250, None)
-    return _hermitize((v / w) @ v.conj().T)
+    r = np.sqrt(np.clip(w, 1e-300, None))
+    return (v * r) @ v.conj().T, (v / r) @ v.conj().T
 
 
-def _nt_scaling(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """W with W Z W = X, for Hermitian positive definite X, Z."""
-    wz, vz = np.linalg.eigh(Z)
-    wz = np.clip(wz, 1e-300, None)
-    z_half = (vz * np.sqrt(wz)) @ vz.conj().T
-    z_ihalf = (vz / np.sqrt(wz)) @ vz.conj().T
-    inner = z_half @ X @ z_half
-    wi, vi = np.linalg.eigh(_hermitize(inner))
-    wi = np.clip(wi, 1e-300, None)
-    inner_half = (vi * np.sqrt(wi)) @ vi.conj().T
+def _nt_scaling(X: np.ndarray, z_half: np.ndarray, z_ihalf: np.ndarray) -> np.ndarray:
+    """W with W Z W = X, for Hermitian positive definite X, Z, given Z^{+-1/2}."""
+    inner_half = _half_powers(_hermitize(z_half @ X @ z_half))[0]
     return _hermitize(z_ihalf @ inner_half @ z_ihalf)
 
 
-def _max_step(X: list[np.ndarray], dX: list[np.ndarray]) -> float:
-    """Largest alpha with X + alpha dX psd (per-block minimum)."""
+def _max_step(X_ihalf: list[np.ndarray], dX: list[np.ndarray]) -> float:
+    """Largest alpha with X + alpha dX psd (per-block minimum), given X^{-1/2}."""
     alpha = np.inf
-    for x, dx in zip(X, dX):
-        w, v = np.linalg.eigh(x)
-        w = np.clip(w, 1e-250, None)
-        half_inv = (v / np.sqrt(w)) @ v.conj().T
+    for half_inv, dx in zip(X_ihalf, dX):
         mat = _hermitize(half_inv @ dx @ half_inv.conj().T)
         if not np.isfinite(mat).all():
             return 0.0

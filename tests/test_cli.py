@@ -94,6 +94,11 @@ def test_sweep_one_point_grid_exits_2(capsys, grid):
     assert "slope" not in captured.out
 
 
+def test_simulate_weak_negative_ne_exits_2(capsys):
+    assert cli.main(["simulate", "--model", "weak", "--ne", "-1", "--m", "8"]) == 2
+    assert "n_e must be non-negative" in capsys.readouterr().err
+
+
 def test_simulate_strong():
     res = run_cli([
         "simulate", "--model", "strong", "--pe", "0.2", "--sr", "3", "--np", "1",

@@ -518,6 +518,11 @@ def test_config_rejects_negative_s_r():
         pr.ProtocolConfig(2, "strong", codes.five_qubit_code(), p_e=0.1, s_r=-1)
 
 
+def test_config_rejects_negative_n_e():
+    with pytest.raises(ValueError, match="n_e must be non-negative"):
+        pr.ProtocolConfig(2, "weak", codes.five_qubit_code(), n_e=-1, m=8)
+
+
 def test_mc_reproducible():
     code = codes.trivial_code(2)
     cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.1, s_r=2, mc_samples=500, seed=10)
@@ -564,6 +569,21 @@ def test_eps_cov_slope_on_the_criterion_6_grid():
     rows = pr.scaling_sweep("weak", [201, 297, 393, 585, 777, 1161], simulate=True)
     slope = pr.loglog_slope([r.n for r in rows], [r.eps_cov for r in rows])
     assert -2.3 <= slope <= -1.8
+
+
+def test_weak_sandwich_where_theorem1_bites():
+    # from n = 1161 on, theorem1_bound drops below 1 (0.689 and 0.173 here),
+    # so the exact eps_cov is held between both analytic bounds
+    rows = pr.scaling_sweep("weak", [1161, 2313], simulate=True)
+    for r in rows:
+        assert r.upper_bound < 1
+        assert r.lower_bound <= r.eps_cov <= r.upper_bound
+
+
+@pytest.mark.parametrize("xs", [[201], [201, 201]])
+def test_loglog_slope_needs_two_distinct_x(xs):
+    with pytest.raises(ValueError, match="two distinct"):
+        pr.loglog_slope(xs, [0.1] * len(xs))
 
 
 def test_eps_cov_strong_slope_on_the_real_channel():

@@ -202,6 +202,15 @@ def test_diamond_bit_flip():
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)
 
 
+def test_diamond_of_covariant_channel_is_a():
+    # a covariant channel's worst input is Phi+, so its diamond error is a:
+    # the program protocol._finish_report solves for eps_cov
+    ident = ch.identity_channel(2).choi()
+    for a in (0.0, 1e-6, 1e-3, 0.2, 0.5, 0.75, 1.0):
+        choi = ch.covariant_choi(ch.CovariantParams(2, a))
+        assert sdp.diamond_error(choi, ident) == pytest.approx(a, abs=1e-7)
+
+
 def test_diamond_brackets_random_pairs():
     for _ in range(25):
         a, b = random_channel(RNG, 2), random_channel(RNG, 2)
