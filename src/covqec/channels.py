@@ -85,21 +85,19 @@ class ChoiMatrix:
     dim_in: int
     dim_out: int
     mat: np.ndarray
-    check: bool = True
 
     def __post_init__(self) -> None:
         self.mat = np.asarray(self.mat, dtype=complex)
         n = self.dim_in * self.dim_out
         if self.mat.shape != (n, n):
             raise ValueError("Choi matrix has wrong shape")
-        if self.check:
-            if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
-                raise ValueError("Choi matrix is not Hermitian")
-            if np.linalg.eigvalsh(self.mat).min() < -_HERM_TOL:
-                raise ValueError("Choi matrix is not PSD")
-            marg = _partial_trace_out(self.mat, self.dim_out, self.dim_in)
-            if np.max(np.abs(marg - np.eye(self.dim_in) / self.dim_in)) > _HERM_TOL:
-                raise ValueError("Choi matrix is not trace preserving")
+        if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
+            raise ValueError("Choi matrix is not Hermitian")
+        if np.linalg.eigvalsh(self.mat).min() < -_HERM_TOL:
+            raise ValueError("Choi matrix is not PSD")
+        marg = _partial_trace_out(self.mat, self.dim_out, self.dim_in)
+        if np.max(np.abs(marg - np.eye(self.dim_in) / self.dim_in)) > _HERM_TOL:
+            raise ValueError("Choi matrix is not trace preserving")
 
     def unnormalized(self) -> np.ndarray:
         return self.mat * self.dim_in

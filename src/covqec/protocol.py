@@ -40,7 +40,6 @@ from math import comb, lgamma, log, log1p
 import numpy as np
 
 from . import refframe as rf
-from .refframe import reference_fidelity_hand_sum  # noqa: F401 - re-exported, see __all__
 from . import sdp as sdp_mod
 from . import young
 from .channels import (
@@ -73,7 +72,6 @@ __all__ = [
     "haar_guess_channel",
     "effective_channel",
     "monte_carlo_epsilon",
-    "reference_fidelity_hand_sum",
     "SweepRow",
     "scaling_sweep",
     "loglog_slope",
@@ -135,7 +133,6 @@ class PatternTerm:
     label: str
     probability: float
     params: CovariantParams
-    multiplicity: int = 1
 
 
 @dataclass

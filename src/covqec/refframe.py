@@ -196,9 +196,10 @@ def sample_envelope(spec: RefFrameSpec) -> float:
     return float(s**2)
 
 
-def sample_relative_rotations(
-    spec: RefFrameSpec, n_samples: int, rng: np.random.Generator, batch: int = 8192
-) -> np.ndarray:
+_SAMPLE_BATCH = 8192  # Haar proposals per rejection round
+
+
+def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw U' ~ p(U'|I) for d=2 by rejection against the Haar proposal."""
     if spec.d != 2:
         raise NotImplementedError("outcome sampling is implemented for d=2 only")
@@ -206,12 +207,12 @@ def sample_relative_rotations(
     out = np.empty((n_samples, 2, 2), dtype=complex)
     got = 0
     while got < n_samples:
-        us = haar_su2(rng, batch)
+        us = haar_su2(rng, _SAMPLE_BATCH)
         theta = su2_eigenphase(us)
         dens = _density_su2(spec, theta)
         if dens.max() > env * (1 + 1e-9):
             raise RuntimeError("rejection envelope exceeded; density evaluation inconsistent")
-        keep = rng.random(batch) * env < dens
+        keep = rng.random(_SAMPLE_BATCH) * env < dens
         take = min(int(keep.sum()), n_samples - got)
         out[got:got + take] = us[keep][:take]
         got += take
@@ -360,7 +361,10 @@ def cost_set(d: int, n_p: int) -> list[tuple[int, ...]]:
     return sorted(current, reverse=True)
 
 
-def strong_fidelity_form(d: int, s_survivors: int, n_prime: int, cost_cap: int = 24):
+_COST_CAP = 24  # the dense T matrix and the face solves stay desk-sized
+
+
+def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
     """Cost set and quadratic form Q with F(w) = w^T Q w for the strong model.
 
     Q_{mu mu'} = sum_nu T_mu(nu) T_mu'(nu) / (dim_mu dim_mu') with
@@ -373,8 +377,8 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int, cost_cap: int =
     if n_p < 0:
         raise ValueError("n_prime must be at least d - 1")
     cost = cost_set(d, n_p)
-    if len(cost) > cost_cap:
-        raise ValueError(f"cost set of size {len(cost)} exceeds the cap {cost_cap}")
+    if len(cost) > _COST_CAP:
+        raise ValueError(f"cost set of size {len(cost)} exceeds the cap {_COST_CAP}")
     p = {lam: float(young.schur_weyl_prob(lam, s_survivors, d)) for lam in young.enumerate_diagrams(s_survivors, d)}
     dims = np.array([young.weyl_dimension(mu, d) for mu in cost], dtype=float)
     nus = young.enumerate_diagrams(s_survivors + (d - 1) + n_p, d)
@@ -391,66 +395,47 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int, cost_cap: int =
     return cost, q_mat
 
 
-def f_strong(d: int, s_survivors: int, n_prime: int, cost_cap: int = 24) -> float:
+def f_strong(d: int, s_survivors: int, n_prime: int) -> float:
     """Worst-case fidelity floor F_{s'} of the strong model (d = 2 or 3).
 
     The exact minimum over the probability simplex of the convex quadratic
-    from strong_fidelity_form (active-set enumeration for small cost sets,
-    projected gradient with restarts otherwise).
+    from strong_fidelity_form, by one finite active-set solve.
     """
-    _, q_mat = strong_fidelity_form(d, s_survivors, n_prime, cost_cap)
+    _, q_mat = strong_fidelity_form(d, s_survivors, n_prime)
     return _min_quadratic_on_simplex(q_mat)
 
 
-def _min_quadratic_on_simplex(q_mat: np.ndarray, n_restarts: int = 50, tol: float = 1e-9) -> float:
+def _min_quadratic_on_simplex(q_mat: np.ndarray) -> float:
+    """min of w^T Q w over the probability simplex, Q positive semidefinite.
+
+    Primal active set (Lawson-Hanson) from the vertex of smallest Q_ii: free
+    the coordinate of most negative reduced gradient 2(Qw)_j - 2w^T Qw, move
+    to the minimizer on the free face (its KKT system solved by least squares,
+    as Q may be singular), and step back to the boundary, dropping a weight,
+    whenever a free weight would turn non-positive.
+    """
     k = q_mat.shape[0]
-    best = np.inf
-    if k <= 3:
-        # exact: enumerate active sets and solve the KKT system on each face
-        for r in range(1, k + 1):
-            for sub in itertools.combinations(range(k), r):
-                qs = q_mat[np.ix_(sub, sub)]
-                kkt = np.zeros((r + 1, r + 1))
-                kkt[:r, :r] = 2 * qs
-                kkt[:r, r] = 1.0
-                kkt[r, :r] = 1.0
-                rhs = np.zeros(r + 1)
-                rhs[r] = 1.0
-                sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-                w = sol[:r]
-                if (w < -1e-9).any():
-                    continue
-                w = np.clip(w, 0.0, None)
-                s = w.sum()
-                if s <= 0:
-                    continue
-                w = w / s
-                best = min(best, float(w @ qs @ w))
-        return max(0.0, min(1.0, best))
-    rng = np.random.default_rng(1234)
-    for trial in range(n_restarts):
-        w = np.full(k, 1.0 / k) if trial == 0 else rng.dirichlet(np.ones(k))
-        step = 0.5
-        f = float(w @ q_mat @ w)
-        for _ in range(2000):
-            g = 2 * q_mat @ w
-            w_new = _project_simplex(w - step * g)
-            f_new = float(w_new @ q_mat @ w_new)
-            if f_new < f - 1e-15:
-                w, f = w_new, f_new
-            else:
-                step *= 0.5
-                if step < tol:
-                    break
-        best = min(best, f)
-    return max(0.0, min(1.0, best))
-
-
-def _project_simplex(v: np.ndarray) -> np.ndarray:
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, len(v) + 1)
-    cond = u - css / idx > 0
-    rho = idx[cond][-1]
-    theta = css[cond][-1] / rho
-    return np.clip(v - theta, 0.0, None)
+    tol = 1e-13 * np.abs(q_mat).max()
+    free = [int(np.argmin(np.diag(q_mat)))]
+    w = np.eye(k)[free[0]]
+    for _ in range(4 * k * k):
+        kkt = np.pad(2 * q_mat[np.ix_(free, free)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        z = np.linalg.lstsq(kkt, np.eye(len(kkt))[-1], rcond=None)[0][:-1]
+        z = z / z.sum()
+        if (z > 0).all():
+            w[:] = 0.0
+            w[free] = z
+            f = float(w @ q_mat @ w)
+            grad = 2 * (q_mat @ w) - 2 * f
+            grad[free] = np.inf
+            if grad.min() >= -tol:
+                return max(0.0, min(1.0, f))
+            free.append(int(np.argmin(grad)))
+        else:
+            wf, out = w[free], z <= 0
+            ratios = wf[out] / (wf[out] - z[out])
+            w[free] = wf + ratios.min() * (z - wf)
+            w[np.array(free)[out][np.argmin(ratios)]] = 0.0
+            free = [i for i in free if w[i] > 0]
+    raise RuntimeError("active-set solve did not terminate")

@@ -87,7 +87,9 @@ def enumerate_diagrams(n_boxes: int, d: int) -> list[tuple[int, ...]]:
         if rem == 0:
             out.append(tuple(prefix))
             return
-        if len(prefix) == d:
+        if len(prefix) == d - 1:
+            if rem <= cap:
+                out.append(tuple(prefix) + (rem,))
             return
         for part in range(min(rem, cap), 0, -1):
             prefix.append(part)

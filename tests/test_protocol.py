@@ -112,7 +112,7 @@ def test_inner_hand_sum_oracle():
     # build the channel W on 2 qubits explicitly on the quadrature grid
     spec = rf.strong_combined_spec(2, 1)
     n_p = 1
-    hand = pr.reference_fidelity_hand_sum(spec, n_p)
+    hand = rf.reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(6)
     us = quad.matrices()
     dens = rf._density_su2(spec, ch.su2_eigenphase(us))
@@ -128,7 +128,7 @@ def test_inner_hand_sum_oracle():
 def test_inner_hand_sum_oracle_weak_spec():
     _, spec = rf.weak_spec(2, 4, 1)
     n_p = 1
-    hand = pr.reference_fidelity_hand_sum(spec, n_p)
+    hand = rf.reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(12)
     us = quad.matrices()
     dens = rf._density_su2(spec, ch.su2_eigenphase(us))
@@ -154,7 +154,7 @@ def test_class_integrals_hand_sum_oracle(spec, n_p):
     spectrum = np.array([wf @ young.su2_character(2 * j, theta) for j in range(k + 1)])
     overlaps, total = pr._class_integrals(spec, k + 1, int(spec.gaps().max()) + k + 2)
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert spectrum @ overlaps == pytest.approx(pr.reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
+    assert spectrum @ overlaps == pytest.approx(rf.reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
 
 
 def test_inner_under_resolution_raises():
@@ -569,6 +569,12 @@ def test_eps_cov_slope_on_the_criterion_6_grid():
     rows = pr.scaling_sweep("weak", [201, 297, 393, 585, 777, 1161], simulate=True)
     slope = pr.loglog_slope([r.n for r in rows], [r.eps_cov for r in rows])
     assert -2.3 <= slope <= -1.8
+    # the bound sandwich on every row; theorem1_bound is below 1 only at 1161
+    for r in rows:
+        assert r.lower_bound <= r.eps_cov
+        if r.upper_bound < 1:
+            assert r.eps_cov <= r.upper_bound
+    assert sum(r.upper_bound < 1 for r in rows) == 1
 
 
 def test_weak_sandwich_where_theorem1_bites():

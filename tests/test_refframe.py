@@ -1,3 +1,4 @@
+import itertools
 from math import cos, pi, sin
 
 import numpy as np
@@ -317,6 +318,47 @@ def test_f_strong_in_unit_interval_and_increasing():
 def test_f_strong_d3():
     v = rf.f_strong(3, 4, 3)
     assert 0.0 < v < 1.0
+
+
+def _face_enumeration_min(q):
+    # oracle: solve the KKT system on every face of the simplex and keep
+    # the feasible face minimizers
+    k = q.shape[0]
+    best = np.inf
+    for r in range(1, k + 1):
+        for sub in itertools.combinations(range(k), r):
+            qs = q[np.ix_(sub, sub)]
+            kkt = np.zeros((r + 1, r + 1))
+            kkt[:r, :r] = 2 * qs
+            kkt[:r, r] = 1.0
+            kkt[r, :r] = 1.0
+            rhs = np.zeros(r + 1)
+            rhs[r] = 1.0
+            w = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:r]
+            if (w < -1e-9).any():
+                continue
+            w = np.clip(w, 0.0, None)
+            if w.sum() <= 0:
+                continue
+            w = w / w.sum()
+            best = min(best, float(w @ qs @ w))
+    return max(0.0, min(1.0, best))
+
+
+@pytest.mark.parametrize(
+    "d, s, n_prime", [(2, 1, 6), (2, 4, 6), (2, 16, 6), (2, 1, 12), (3, 1, 7), (3, 2, 7)]
+)
+def test_f_strong_matches_face_enumeration(d, s, n_prime):
+    # cost sets of 4 to 7 diagrams, where a projected gradient stops short
+    _, q = rf.strong_fidelity_form(d, s, n_prime)
+    assert q.shape[0] >= 4
+    assert rf.f_strong(d, s, n_prime) == pytest.approx(_face_enumeration_min(q), abs=1e-12)
+
+
+def test_f_strong_cost_cap():
+    # n_P = 47 gives the first d = 2 cost set past the 24-diagram cap
+    with pytest.raises(ValueError, match="cost set of size 25 exceeds the cap 24"):
+        rf.f_strong(2, 1, 48)
 
 
 def test_min_overlap_eq30_shape_d3():
