@@ -101,7 +101,8 @@ def _load_config(path: str) -> dict:
             if not line or line.startswith("#"):
                 continue
             key, _, val = line.partition("=")
-            out[key.strip().replace("-", "_")] = val.strip()
+            key = key.strip().replace("-", "_")
+            out["np_" if key == "np" else key] = _coerce(val.strip())
     return out
 
 
@@ -117,22 +118,6 @@ def _coerce(raw: str):
         return float(raw)
     except ValueError:
         return raw
-
-
-def _apply_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    if not getattr(args, "config", None):
-        return args
-    cfg = _load_config(args.config)
-    for key, raw in cfg.items():
-        if key == "np":
-            key = "np_"
-        if not hasattr(args, key):
-            continue
-        # flags given on the command line win over the config file
-        if getattr(args, key) != parser_defaults.get(key):
-            continue
-        setattr(args, key, _coerce(raw))
-    return args
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, default=2)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
+        p.set_defaults(subparser=p)
 
     p_bounds = sub.add_parser("bounds", help="print every applicable analytic bound")
     common(p_bounds)
@@ -384,12 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    defaults = {
-        a.dest: a.default
-        for sp in parser._subparsers._group_actions
-        for a in sp.choices[args.command]._actions
-    }
-    args = _apply_config(args, defaults)
+    if args.config:
+        # the file becomes the subcommand's defaults, so every flag given on
+        # the command line still wins; keys the subcommand lacks are ignored
+        cfg = _load_config(args.config)
+        args.subparser.set_defaults(**{k: v for k, v in cfg.items() if k in vars(args)})
+        args = parser.parse_args(argv)
     return args.func(args)
 
 

@@ -29,6 +29,11 @@ attains its optimum; and the diamond-distance program for
 Hermiticity-preserving differences
 
     1/2 ||A - B||_diamond = min ||Tr_out Y||_inf  s.t.  Y >= +-J(A - B).
+
+The restricted worst-case fidelity of a block-covariant channel needs no
+SDP: it is a convex quadratic on the probability simplex, minimized by one
+exact active-set solve (_min_quadratic_on_simplex, which also gives the
+strong-model floor in refframe).
 """
 
 from __future__ import annotations
@@ -425,15 +430,19 @@ def restricted_fwc(
     choi: ChoiMatrix,
     symmetry_samples: list[np.ndarray] | None = None,
     n_restarts: int = 50,
-    tol: float = 1e-9,
-    rng: np.random.Generator | None = None,
 ) -> float:
     """F_wc(N, I) for a block-covariant channel, via the restricted ansatz.
 
     The worst-case input of a channel commuting with a block symmetry
     (+)_lam (U_lam (x) I) can be taken of the form
-    |Psi> = (+)_lam c_lam |Phi+_lam>, so only the amplitude vector c is
-    optimized (gradient descent on the unit sphere with restarts).
+    |Psi> = (+)_lam c_lam |Phi+_lam>.  Distinct blocks have orthogonal
+    supports, so with w = |c|^2 on the probability simplex
+
+        F(Psi) = w^T G w,   G_ij = sum_{x in i, y in j} J[(x,x),(y,y)] / (d_i d_j),
+
+    J the unnormalized Choi matrix.  G is a compression of a principal
+    submatrix of J, hence positive semidefinite, and the minimum is one
+    exact active-set solve.  `n_restarts` is ignored.
 
     `block_dims` slices the channel space into the irreducible blocks;
     `symmetry_samples`, if given, are full-space unitaries V in the
@@ -450,64 +459,44 @@ def restricted_fwc(
             if np.max(np.abs(k @ j_u @ k.conj().T - j_u)) > 1e-8 * n:
                 raise ValueError("channel is not covariant for the supplied symmetry samples")
 
-    # block maximally entangled vectors |Phi_i> in H (x) H'
-    offs = np.cumsum([0] + list(block_dims))
-    phis = []
-    for i, dim in enumerate(block_dims):
-        v = np.zeros(n * n, dtype=complex)
-        for a in range(offs[i], offs[i] + dim):
-            v[a * n + a] = 1.0
-        phis.append(v / np.sqrt(dim))
+    # J[(x,x),(y,y)] = <x|N(|x><y|)|y>, of which w real sees only the real
+    # part; avg[x, i] = 1/d_i for x in block i
+    xx = np.arange(n) * (n + 1)
+    avg = np.repeat(np.eye(len(block_dims)) / block_dims, block_dims, axis=0)
+    return _min_quadratic_on_simplex(avg.T @ np.real(j_u[np.ix_(xx, xx)]) @ avg)
 
-    # (N (x) I)(|Phi_i><Phi_j|) sandwiched between |Phi_k>, |Phi_l>
-    jt = j_u.reshape(n, n, n, n)  # [(a,i),(b,k)] -> N(E_ik)[a,b]
-    k_blocks = len(block_dims)
-    m4 = np.zeros((k_blocks,) * 4, dtype=complex)
-    for i in range(k_blocks):
-        for j in range(k_blocks):
-            rho = np.outer(phis[i], phis[j].conj()).reshape(n, n, n, n)
-            # sigma[(a,r),(b,s)] = sum_{ik} N(E_ik)[a,b] rho[(i,r),(k,s)]
-            sigma = np.einsum("aibk,irks->arbs", jt, rho)
-            sig = sigma.reshape(n * n, n * n)
-            for kk in range(k_blocks):
-                for ll in range(k_blocks):
-                    m4[kk, ll, i, j] = phis[kk].conj() @ sig @ phis[ll]
 
-    def fval(c):
-        r = np.einsum("k,l,i,j,klij->", c.conj(), c, c, c.conj(), m4)
-        return float(np.real(r))
+def _min_quadratic_on_simplex(q_mat: np.ndarray) -> float:
+    """min of w^T Q w over the probability simplex, Q positive semidefinite.
 
-    def grad(c):
-        # d/d c.conj of F
-        g = np.einsum("l,i,j,klij->k", c, c, c.conj(), m4)
-        g += np.einsum("k,l,i,klij->j", c.conj(), c, c, m4).conj()
-        return g
-
-    rng = rng or np.random.default_rng(20240517)
-    best = np.inf
-    for trial in range(n_restarts):
-        if trial == 0:
-            c = np.ones(k_blocks, dtype=complex)
+    Primal active set (Lawson-Hanson) from the vertex of smallest Q_ii: free
+    the coordinate of most negative reduced gradient 2(Qw)_j - 2w^T Qw, move
+    to the minimizer on the free face (its KKT system solved by least squares,
+    as Q may be singular), and step back to the boundary, dropping a weight,
+    whenever a free weight would turn non-positive.
+    """
+    k = q_mat.shape[0]
+    tol = 1e-13 * np.abs(q_mat).max()
+    free = [int(np.argmin(np.diag(q_mat)))]
+    w = np.eye(k)[free[0]]
+    for _ in range(4 * k * k):
+        kkt = np.pad(2 * q_mat[np.ix_(free, free)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        z = np.linalg.lstsq(kkt, np.eye(len(kkt))[-1], rcond=None)[0][:-1]
+        z = z / z.sum()
+        if (z > 0).all():
+            w[:] = 0.0
+            w[free] = z
+            f = float(w @ q_mat @ w)
+            grad = 2 * (q_mat @ w) - 2 * f
+            grad[free] = np.inf
+            if grad.min() >= -tol:
+                return max(0.0, min(1.0, f))
+            free.append(int(np.argmin(grad)))
         else:
-            c = rng.standard_normal(k_blocks) + 1j * rng.standard_normal(k_blocks)
-        c /= np.linalg.norm(c)
-        step = 0.2
-        f = fval(c)
-        for _ in range(500):
-            g = grad(c)
-            # project onto the sphere tangent
-            g -= c * np.real(np.vdot(c, g))
-            if np.linalg.norm(g) < tol:
-                break
-            c_new = c - step * g
-            c_new /= np.linalg.norm(c_new)
-            f_new = fval(c_new)
-            if f_new < f - 1e-15:
-                c, f = c_new, f_new
-                step = min(step * 1.2, 1.0)
-            else:
-                step *= 0.5
-                if step < 1e-12:
-                    break
-        best = min(best, f)
-    return float(np.clip(best, 0.0, 1.0))
+            wf, out = w[free], z <= 0
+            ratios = wf[out] / (wf[out] - z[out])
+            w[free] = wf + ratios.min() * (z - wf)
+            w[np.array(free)[out][np.argmin(ratios)]] = 0.0
+            free = [i for i in free if w[i] > 0]
+    raise RuntimeError("active-set solve did not terminate")

@@ -309,18 +309,19 @@ def schur_weyl_prob(lam: Sequence[int], s: int, d: int) -> Fraction:
     p = (det Gamma)^-1 * s! / prod_j ltilde_j! * d^-s * prod_{i<j} (ltilde_i - ltilde_j)^2
     with ltilde_j = lam_j + d - j and det Gamma = prod_{j<d} j!.  Exact
     rational; sums to 1 over all diagrams of s boxes with at most d rows.
+    The numerator is the integer dim_lam(S_s) dim_lam(SU(d)), formed as one
+    exact integer quotient.
     """
     lam_p = pad(lam, d)
     if boxes(lam_p) != s:
         raise ValueError(f"diagram {normalize(lam)} does not have {s} boxes")
     lt = [lam_p[j] + d - 1 - j for j in range(d)]
-    det_gamma = 1
-    for j in range(1, d):
-        det_gamma *= factorial(j)
-    p = Fraction(factorial(s), det_gamma) / Fraction(d) ** s
-    for x in lt:
-        p /= factorial(x)
-    for i in range(d):
-        for j in range(i + 1, d):
-            p *= (lt[i] - lt[j]) ** 2
-    return p
+    num = factorial(s)
+    den = 1
+    for j in range(d):
+        den *= factorial(j) * factorial(lt[j])
+        for i in range(j):
+            num *= (lt[i] - lt[j]) ** 2
+    q, r = divmod(num, den)
+    assert r == 0
+    return Fraction(q, d**s)

@@ -175,6 +175,20 @@ def test_config_file_precedence(tmp_path):
     assert "0.92095" not in res2.stdout
 
 
+def test_explicit_flag_at_its_default_beats_config(tmp_path, capsys):
+    # --alpha 0.1 is also the parser default; it must still beat the file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=0.5\n")
+    args = ["bounds", "--model", "strong", "--pe", "0.2", "--n", "101", "--alpha", "0.1"]
+    assert cli.main(args) == 0
+    plain = capsys.readouterr().out
+    assert "theorem2_upper = 16.0217863213" in plain
+    assert cli.main(args + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == plain
+    assert cli.main(args[:-2] + ["--config", str(cfg)]) == 0
+    assert "theorem2_upper = 101.493793401" in capsys.readouterr().out
+
+
 def test_sdp_check_command():
     res = run_cli(["sdp-check", "--pairs", "3"])
     assert res.returncode == 0

@@ -226,15 +226,13 @@ def test_diamond_brackets_random_pairs():
 
 def test_restricted_identity():
     n = 3
-    assert sdp.restricted_fwc([1, 2], ch.identity_channel(n).choi(), n_restarts=5) == pytest.approx(
-        1.0, abs=1e-9
-    )
+    assert sdp.restricted_fwc([1, 2], ch.identity_channel(n).choi()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_restricted_single_block_is_entanglement_fidelity():
     for p in (0.3, 0.8):
         depol = ch.depolarizing_channel(p)
-        val = sdp.restricted_fwc([2], depol.choi(), n_restarts=3)
+        val = sdp.restricted_fwc([2], depol.choi())
         assert val == pytest.approx(1 - 3 * p / 4, abs=1e-9)
 
 
@@ -247,13 +245,30 @@ def test_restricted_matches_sdp(blocks, weights):
     rng = np.random.default_rng(17)
     choi = block_covariant_choi(blocks, weights)
     vs = [block_unitary(blocks, u) for u in ch.haar_su2(rng, 3)]
-    restricted = sdp.restricted_fwc(blocks, choi, symmetry_samples=vs, n_restarts=20)
+    restricted = sdp.restricted_fwc(blocks, choi, symmetry_samples=vs)
     full = sdp.sqrt_fwc(ch.identity_channel(sum(blocks)).choi(), choi) ** 2
     assert restricted == pytest.approx(full, abs=1e-5)
+
+
+@pytest.mark.parametrize("weights", [
+    {0: 0.91719828, 1: 0.08280172},
+    {0: 0.27337798, 1: 0.72662202},
+])
+def test_restricted_fwc_is_exact(weights):
+    # weights at which a local descent on the unit sphere stalls ~1e-6
+    # above the restricted minimum
+    choi = block_covariant_choi([1, 2], weights)
+    full = sdp.sqrt_fwc(ch.identity_channel(3).choi(), choi) ** 2
+    assert abs(sdp.restricted_fwc([1, 2], choi) - full) < 1e-7
+
+
+def test_restricted_ignores_n_restarts():
+    choi = block_covariant_choi([1, 2], {0: 0.4, 1: 0.6})
+    assert sdp.restricted_fwc([1, 2], choi, n_restarts=25) == sdp.restricted_fwc([1, 2], choi)
 
 
 def test_restricted_rejects_noncovariant():
     n = random_channel(np.random.default_rng(2), 3)
     vs = [block_unitary([1, 2], u) for u in ch.haar_su2(np.random.default_rng(3), 2)]
     with pytest.raises(ValueError):
-        sdp.restricted_fwc([1, 2], n.choi(), symmetry_samples=vs, n_restarts=2)
+        sdp.restricted_fwc([1, 2], n.choi(), symmetry_samples=vs)
