@@ -13,6 +13,7 @@ Precedence for options: command-line flags beat the key=value config file
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -376,7 +377,15 @@ def main(argv=None) -> int:
         cfg = _load_config(args.config)
         args.subparser.set_defaults(**{k: v for k, v in cfg.items() if k in vars(args)})
         args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed early (`covqec ... | head -1`); point stdout at
+        # devnull so that the interpreter's flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

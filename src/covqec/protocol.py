@@ -19,7 +19,10 @@ F(U') = sum_K |Tr K|^2 / d^2.  As p_j is a class function, F_ent =
 sum_g c_g int p_j chi_g: a character spectrum c_g = int F chi_g for each
 erasure pattern, integrated by the exact SU(2) Euler quadrature on the
 surviving qudits, times an exact 1-D class integral over the rotation
-angle for each reference frame.  An effective channel is therefore one
+angle for each reference frame.  The quadrature is a product grid, so a
+node is U' = Rz(alpha) V: the survivor-space rotation V^{(x) n_surv} is
+applied on the (beta, gamma) nodes only, and each alpha node is a phase
+sum over z-weight blocks of the recovery.  An effective channel is one
 product of its patterns' spectra with its frames' class integrals: the
 strong model's s_r + 1 surviving-copy counts cost s_r + 1 class
 integrals against 2^n_p spectra, with no cap on s_r.
@@ -69,7 +72,6 @@ __all__ = [
     "QuadratureResolutionError",
     "inner_channel",
     "inner_channel_perfect",
-    "haar_guess_channel",
     "effective_channel",
     "monte_carlo_epsilon",
     "SweepRow",
@@ -147,43 +149,6 @@ class EffectiveChannelReport:
 # inner channel: character spectrum x class integral
 # ---------------------------------------------------------------------------
 
-def _phi_weight(code, erased, us):
-    """Phi+ weight F(U') = F_ent(M_{U'}, I) of the inner channel at each node.
-
-    With W_b = U'_surv M_b, the Kraus operators of M_{U'} are
-    U'^dag R_r W_b plus the off-support completion (junk -> maximally
-    mixed), and F_ent = sum_K |Tr K|^2 / d^2.  The completion enters in
-    closed form, (d - <W, P W>) / d, because sum_b ||W_b||^2 = d; its
-    rank-one Kraus are never materialized, and <W, P W> = sum_r ||R_r W||^2
-    because sum_r R_r^dag R_r = P.  U'_surv acts one qudit at a time, so
-    U'^{(x) n_surv} is never formed either.
-    """
-    d = code.d
-    m_ops = erased_restriction_kraus(code, erased)
-    data_kraus, support = recovery_parts(code, erased)
-    dim_s = support.shape[0]
-    m_cat = np.stack(m_ops, axis=1).reshape(dim_s, -1)          # (dim_s, n_b*d)
-    r_cat = np.stack(data_kraus, axis=0).reshape(-1, dim_s)     # (n_r*d, dim_s)
-    out = np.empty(len(us))
-    chunk = 2048
-    for start in range(0, len(us), chunk):
-        ub = us[start:start + chunk]
-        nb = ub.shape[0]
-        w_all = np.broadcast_to(m_cat, (nb,) + m_cat.shape)
-        u = ub[:, None, :, :, None]
-        for left in d ** np.arange(code.n_p - len(erased)):
-            # U' on one qudit: w[n, left, a, rest] = sum_b u[n, a, b] w[n, left, b, rest]
-            w_all = w_all.reshape(nb, left, 1, d, -1)
-            w_all = sum(u[:, :, :, b] * w_all[:, :, :, b] for b in range(d))
-        x = np.matmul(r_cat, w_all.reshape(nb, dim_s, -1))     # (n, n_r*d, n_b*d)
-        traces = np.einsum("nxy,nrxby->nrb", ub.conj(),
-                           x.reshape(nb, len(data_kraus), d, len(m_ops), d), optimize=True)
-        kept = np.sum(np.abs(x) ** 2, axis=(1, 2))
-        data = np.sum(np.abs(traces) ** 2, axis=(1, 2))
-        out[start:start + nb] = (data + (d - kept) / d) / d**2
-    return out
-
-
 def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
     """U^{(x) k} for each U of a batch, by broadcast products."""
     n, d = us.shape[:2]
@@ -204,20 +169,64 @@ def _spectrum_order(n_surv: int) -> int:
     return 2 * n_surv + 4
 
 
-def _phi_spectrum(code: CodeSpec, erased) -> np.ndarray:
-    """Character spectrum c_g = int dU' F(U') chi_g(U') of the Phi+ weight.
+def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
+    """Character spectrum c_g = int dU' F(U') chi_g(U') of the Phi+ weight
+    F(U') = F_ent(M_{U'}, I), on the Euler quadrature `quad` of order
+    `_spectrum_order(n_surv)`.
 
     Only even g <= 2 (n_surv + 1) occur; entry k holds c_{2k}.  The shift
     gamma -> gamma + 2 pi of the Euler quadrature maps U' to -U', which
     leaves F and every even character unchanged, so the half gamma < 2 pi
     is integrated at double weight.
+
+    With W_b = U'_surv M_b, the Kraus operators of M_{U'} are U'^dag R_r W_b
+    plus the off-support completion (junk -> maximally mixed), and F =
+    sum_K |Tr K|^2 / d^2.  The completion enters in closed form,
+    (d - sum_r ||R_r W||^2) / d, as sum_b ||W_b||^2 = d and
+    sum_r R_r^dag R_r is the support projector.  The grid is a product, so
+    U' = Rz(alpha) V with V = Ry(beta) Rz(gamma), and Rz(alpha)^{(x) s} is
+    diagonal: U'^dag R_r U'_surv = V^dag [sum_f e^{i alpha f/2} R_r^(f)] V_surv,
+    where R_r^(f) keeps the entries R_r[x, i] whose z-weights give
+    sigma_x - S_i = f.  W = V_surv M (qudit by qudit), X_f = R^(f) W and
+    Tr(V^dag X_f) are formed on the order^2 (beta, gamma) nodes only, and
+    every alpha node is a phase sum over f: data = sum_{r,b} |sum_f
+    e^{i alpha f/2} Tr(V^dag X_f)|^2 and kept = ||sum_f e^{i alpha f/2} X_f||^2.
+    A weak five-qubit m = 8 effective channel (six patterns) takes ~50 ms
+    on one core, about half of it in the diamond SDP.
     """
-    n_surv = code.n_p - len(set(erased))
-    quad = haar_quadrature_su2(_spectrum_order(n_surv))
+    d = code.d
+    erased = sorted(set(erased))
+    n_surv = code.n_p - len(erased)
+    m_ops = erased_restriction_kraus(code, erased)
+    data_kraus, support = recovery_parts(code, erased)
+    dim_s = support.shape[0]
     half = quad.euler[:, 2] < 2 * np.pi - 1e-9
-    us = su2_from_euler(*quad.euler[half].T)
-    theta = su2_eigenphase(us)
-    wf = 2 * quad.weights[half] * _phi_weight(code, sorted(set(erased)), us)
+    # the half grid in meshgrid order, axes (alpha, beta, gamma)
+    grid = quad.euler[half].reshape(2 * quad.order, quad.order, quad.order, 3)
+    v = su2_from_euler(0.0, grid[0, ..., 1], grid[0, ..., 2]).reshape(-1, d, d)
+    n_v = len(v)
+    w = np.broadcast_to(np.stack(m_ops, axis=1).reshape(dim_s, -1), (n_v, dim_s, len(m_ops) * d))
+    for left in d ** np.arange(n_surv):
+        # V on one qudit: w[n, left, a, rest] = sum_b v[n, a, b] w[n, left, b, rest]
+        w = w.reshape(n_v, left, 1, d, -1)
+        w = sum(v[:, None, :, b, None] * w[:, :, :, b] for b in range(d))
+    # f = sigma_x - S_i, with z-weight +1 for level 0 and -1 for level 1
+    sigma = np.array([1, -1])
+    s_z = np.zeros(1, dtype=int)
+    for _ in range(n_surv):
+        s_z = (s_z[:, None] + sigma).ravel()
+    fs = np.arange(-n_surv - 1, n_surv + 2, 2)
+    r_f = np.stack(data_kraus) * (sigma[:, None] - s_z == fs[:, None, None, None])
+    x = r_f.reshape(len(fs), 1, -1, dim_s) @ w.reshape(1, n_v, dim_s, -1)  # (f, node, r x, b y)
+    traces = np.einsum("nxy,fnrxby->fnrb", v.conj(),
+                       x.reshape(len(fs), n_v, len(data_kraus), d, len(m_ops), d), optimize=True)
+    phase = np.exp(0.5j * np.outer(grid[:, 0, 0, 0], fs))                  # (alpha, f)
+    data, kept = (
+        np.sum(np.abs(phase @ t.reshape(len(fs), -1)).reshape(len(phase), n_v, -1) ** 2, axis=2)
+        for t in (traces, x)
+    )
+    theta = su2_eigenphase(su2_from_euler(*quad.euler[half].T))
+    wf = 2 * quad.weights[half] * ((data + (d - kept) / d) / d**2).ravel()
     return np.array([wf @ young.su2_character(g, theta) for g in range(0, 2 * n_surv + 3, 2)])
 
 
@@ -250,26 +259,20 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     ("quad_order") and the frame mass farthest from one ("normalization").
     """
     n_p = code.n_p
+    orders = [_spectrum_order(n_p - len(set(p))) for p in patterns]
+    quads = {order: haar_quadrature_su2(order) for order in sorted(set(orders))}
     spectra = np.zeros((len(patterns), n_p + 2))
     for j, pattern in enumerate(patterns):
-        c = _phi_spectrum(code, pattern)
+        c = _phi_spectrum(code, pattern, quads[orders[j]])
         spectra[j, :len(c)] = c
     overlaps, totals = zip(*(
         _class_integrals(spec, n_p + 2, int(spec.gaps().max()) + n_p + 3) for spec in specs
     ))
     totals = np.array(totals)
     a = np.clip(1.0 - np.array(overlaps) @ spectra.T / totals[:, None], 0.0, 1.0)
-    n_surv = n_p - min(len(set(p)) for p in patterns)
-    diag = {"quad_order": _spectrum_order(n_surv),
+    diag = {"quad_order": max(orders),
             "normalization": float(totals[np.argmax(np.abs(totals - 1.0))])}
     return a, diag
-
-
-def haar_guess_channel(code: CodeSpec, pattern_p) -> CovariantParams:
-    """Twirled inner channel when no reference information survives: the
-    decoder's estimate is a Haar guess, i.e. the density is identically one
-    and F_ent is the spectrum's trivial-character entry."""
-    return CovariantParams(code.d, float(inner_channel(code, [_HAAR_GUESS], [pattern_p])[0][0, 0]))
 
 
 def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
@@ -355,7 +358,8 @@ def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
     spec of k pairs, a Haar guess at k = 0), and on its physical part,
     which fixes the spectrum.  One `inner_channel` call evaluates the
     s_r + 1 frames against the 2^n_p physical patterns, so any s_r runs;
-    five-qubit s_r = 256 (n = 517) takes ~2 s on one core."""
+    five-qubit s_r = 256 (n = 517) takes ~1 s on one core, most of it in
+    the frames' specs and class integrals."""
     p_e = config.p_e
     code = config.code
     n_p = code.n_p

@@ -29,6 +29,19 @@ def test_bounds_strong_includes_prop2():
     assert "prop2_lower = 5.2083" in res.stdout
 
 
+def test_closed_pipe_exits_without_traceback():
+    # `covqec bounds ... | head -1`: the reader is gone before the first write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covqec.cli", "bounds", "--model", "strong", "--pe", "0.2",
+         "--n", "101", "--alpha", "0.1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_bounds_missing_pe_usage_error():
     res = run_cli(["bounds", "--d", "2", "--model", "strong", "--n", "100"])
     assert res.returncode == 2

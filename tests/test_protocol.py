@@ -23,6 +23,61 @@ FLAT = rf.RefFrameSpec(2, 0, {(): 1.0})
 # slow oracles
 # ---------------------------------------------------------------------------
 
+def _phi_weight(code, erased, us):
+    """Phi+ weight F(U') = F_ent(M_{U'}, I) of the inner channel at each node.
+
+    With W_b = U'_surv M_b, the Kraus operators of M_{U'} are
+    U'^dag R_r W_b plus the off-support completion (junk -> maximally
+    mixed), and F_ent = sum_K |Tr K|^2 / d^2.  The completion enters in
+    closed form, (d - <W, P W>) / d, because sum_b ||W_b||^2 = d; its
+    rank-one Kraus are never materialized, and <W, P W> = sum_r ||R_r W||^2
+    because sum_r R_r^dag R_r = P.  U'_surv acts one qudit at a time, so
+    U'^{(x) n_surv} is never formed either.  Each node is taken whole, with
+    no use of the Euler grid's product structure.
+    """
+    d = code.d
+    m_ops = codes.erased_restriction_kraus(code, erased)
+    data_kraus, support = codes.recovery_parts(code, erased)
+    dim_s = support.shape[0]
+    m_cat = np.stack(m_ops, axis=1).reshape(dim_s, -1)          # (dim_s, n_b*d)
+    r_cat = np.stack(data_kraus, axis=0).reshape(-1, dim_s)     # (n_r*d, dim_s)
+    out = np.empty(len(us))
+    chunk = 2048
+    for start in range(0, len(us), chunk):
+        ub = us[start:start + chunk]
+        nb = ub.shape[0]
+        w_all = np.broadcast_to(m_cat, (nb,) + m_cat.shape)
+        u = ub[:, None, :, :, None]
+        for left in d ** np.arange(code.n_p - len(erased)):
+            # U' on one qudit: w[n, left, a, rest] = sum_b u[n, a, b] w[n, left, b, rest]
+            w_all = w_all.reshape(nb, left, 1, d, -1)
+            w_all = sum(u[:, :, :, b] * w_all[:, :, :, b] for b in range(d))
+        x = np.matmul(r_cat, w_all.reshape(nb, dim_s, -1))     # (n, n_r*d, n_b*d)
+        traces = np.einsum("nxy,nrxby->nrb", ub.conj(),
+                           x.reshape(nb, len(data_kraus), d, len(m_ops), d), optimize=True)
+        kept = np.sum(np.abs(x) ** 2, axis=(1, 2))
+        data = np.sum(np.abs(traces) ** 2, axis=(1, 2))
+        out[start:start + nb] = (data + (d - kept) / d) / d**2
+    return out
+
+
+def _full_grid_spectrum(code, pattern, order):
+    """c_{2k} of `_phi_weight` on every node of the Euler grid of `order`:
+    no half grid and no phase sums over alpha."""
+    n_surv = code.n_p - len(set(pattern))
+    quad = ch.haar_quadrature_su2(order)
+    us = quad.matrices()
+    wf = quad.weights * _phi_weight(code, sorted(set(pattern)), us)
+    theta = ch.su2_eigenphase(us)
+    return np.array([wf @ young.su2_character(2 * k, theta) for k in range(n_surv + 2)])
+
+
+def _haar_guess_a(code, pattern):
+    """a of the inner channel when no reference information survives: the
+    density is identically one."""
+    return pr.inner_channel(code, [FLAT], [pattern])[0][0, 0]
+
+
 def _quadrature_a(code, spec, pattern):
     """a = 1 - int dU' p F by the 3-D Euler quadrature of p F itself.
 
@@ -36,7 +91,7 @@ def _quadrature_a(code, spec, pattern):
     dens = rf._density_su2(spec, ch.su2_eigenphase(us))
     total = float(np.sum(quad.weights * dens))
     assert abs(total - 1.0) < 1e-10
-    f_ent = float(np.sum(quad.weights * dens * pr._phi_weight(code, erased, us))) / total
+    f_ent = float(np.sum(quad.weights * dens * _phi_weight(code, erased, us))) / total
     return min(1.0, max(0.0, 1.0 - f_ent))
 
 
@@ -90,7 +145,7 @@ def test_phi_weight_matches_explicit_kraus(pattern):
     us = ch.haar_su2(np.random.default_rng(31), 16)
     m_ops = codes.erased_restriction_kraus(code, pattern)
     r_ops = codes.recovery_on_survivors(code, pattern)
-    got = pr._phi_weight(code, list(pattern), us)
+    got = _phi_weight(code, list(pattern), us)
     for u, f in zip(us, got):
         u_surv = pr._kron_power_batch(u[None], code.n_p - len(pattern))[0]
         ref = sum(
@@ -165,11 +220,9 @@ def test_inner_under_resolution_raises():
 
 
 def test_haar_guess_channel_is_heavily_depolarizing():
-    params = pr.haar_guess_channel(codes.trivial_code(2), set())
     # trivial code: haar guess still cancels exactly
-    assert 1 - params.a == pytest.approx(1.0, abs=1e-10)
-    params5 = pr.haar_guess_channel(codes.five_qubit_code(), set())
-    assert 1 - params5.a < 0.6
+    assert 1 - _haar_guess_a(codes.trivial_code(2), set()) == pytest.approx(1.0, abs=1e-10)
+    assert 1 - _haar_guess_a(codes.five_qubit_code(), set()) < 0.6
 
 
 # ---------------------------------------------------------------------------
@@ -208,22 +261,67 @@ def test_spectral_inner_matches_quadrature_strong(code, s_r):
 @pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
 def test_haar_guess_matches_quadrature(pattern):
     code = codes.five_qubit_code()
-    assert abs(pr.haar_guess_channel(code, pattern).a - _quadrature_a(code, FLAT, pattern)) < 1e-13
+    assert abs(_haar_guess_a(code, pattern) - _quadrature_a(code, FLAT, pattern)) < 1e-13
+
+
+def _phi_spectrum(code, pattern):
+    order = pr._spectrum_order(code.n_p - len(set(pattern)))
+    return pr._phi_spectrum(code, pattern, ch.haar_quadrature_su2(order))
 
 
 @pytest.mark.parametrize("pattern", [(), (0,), (0, 1, 2)])
 def test_phi_spectrum_is_converged(pattern):
     code = codes.five_qubit_code()
-    exact = pr._phi_spectrum(code, pattern)
+    exact = _phi_spectrum(code, pattern)
     n_surv = code.n_p - len(pattern)
     assert len(exact) == n_surv + 2
     # two orders finer, on the whole grid: no use of the U' -> -U' symmetry
-    quad = ch.haar_quadrature_su2(pr._spectrum_order(n_surv) + 2)
-    us = quad.matrices()
-    wf = quad.weights * pr._phi_weight(code, list(pattern), us)
-    theta = ch.su2_eigenphase(us)
-    finer = np.array([wf @ young.su2_character(2 * k, theta) for k in range(n_surv + 2)])
+    finer = _full_grid_spectrum(code, pattern, pr._spectrum_order(n_surv) + 2)
     assert np.max(np.abs(finer - exact)) < 1e-14
+
+
+def _rotated_five_qubit_code():
+    # a fixed non-Clifford rotation of qubit 0 breaks the code's Z-parity
+    # structure, under which every z-weight difference f that contributes
+    # to one trace is the same mod 4
+    code = codes.five_qubit_code()
+    u0 = ch.su2_from_euler(0.3, 0.7, 1.1)
+    return codes.CodeSpec(2, 5, np.kron(u0, np.eye(16)) @ code.encoder, code.name, code.distance)
+
+
+_CODES = {"five_qubit": codes.five_qubit_code, "trivial": lambda: codes.trivial_code(2),
+          "rotated": _rotated_five_qubit_code}
+# every erasure pattern of the five-qubit and trivial codes, and patterns
+# of the rotated code that keep its rotated qubit, at s = 5..1 survivors;
+# at even s the z-weight differences f are odd, so the alpha frequencies
+# f/2 of the phase sums are half-integers
+_ALL_PATTERNS = [(name, p) for name, n_p in (("five_qubit", 5), ("trivial", 1))
+                 for k in range(n_p + 1) for p in itertools.combinations(range(n_p), k)]
+_ALL_PATTERNS += [("rotated", p) for p in [(), (1,), (2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]]
+
+
+@pytest.mark.parametrize("name,pattern", _ALL_PATTERNS,
+                         ids=[f"{name}:{','.join(map(str, p)) or '-'}" for name, p in _ALL_PATTERNS])
+def test_factored_spectrum_matches_per_node_oracle(name, pattern):
+    code = _CODES[name]()
+    order = pr._spectrum_order(code.n_p - len(pattern))
+    oracle = _full_grid_spectrum(code, pattern, order)
+    assert np.max(np.abs(_phi_spectrum(code, pattern) - oracle)) < 1e-14
+
+
+def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
+    built = []
+    real = pr.haar_quadrature_su2
+
+    def counted(order):
+        built.append(order)
+        return real(order)
+
+    monkeypatch.setattr(pr, "haar_quadrature_su2", counted)
+    code = codes.five_qubit_code()
+    patterns = [frozenset(p) for k in range(6) for p in itertools.combinations(range(5), k)]
+    pr.inner_channel(code, [FLAT], patterns)
+    assert sorted(built) == [pr._spectrum_order(s) for s in range(6)]
 
 
 def test_inner_channel_table_matches_quadrature():
@@ -272,9 +370,7 @@ def test_inner_channel_follows_the_encoder():
     # a fixed non-Clifford rotation of qubit 0 changes the encoder but not
     # the CodeSpec's equality or hash, so no cache may key on the CodeSpec
     code = codes.five_qubit_code()
-    u0 = ch.su2_from_euler(0.3, 0.7, 1.1)
-    rotated = codes.CodeSpec(2, 5, np.kron(u0, np.eye(16)) @ code.encoder, code.name,
-                             code.distance)
+    rotated = _rotated_five_qubit_code()
     assert rotated == code and hash(rotated) == hash(code)
     _, spec = rf.weak_spec(2, 4, 5)
     got = [pr.inner_channel(c, [spec], [(1,)])[0][0, 0] for c in (code, rotated, code)]
@@ -501,7 +597,7 @@ def test_mc_forced_total_loss_matches_haar_guess():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="none",
                             mc_samples=30000, seed=17)
-    a_guess = pr.haar_guess_channel(code, set()).a
+    a_guess = _haar_guess_a(code, set())
     est, err = pr.monte_carlo_epsilon(cfg, force_total_loss=True)
     assert abs(est - a_guess) < 3 * err
 
