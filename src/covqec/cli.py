@@ -269,7 +269,8 @@ def cmd_verify(args) -> int:
 
 def cmd_sdp_check(args) -> int:
     from . import sdp
-    from .channels import depolarizing_channel, identity_channel
+    from .channels import depolarizing_channel, entanglement_error, identity_channel
+    from .verify import _random_channel
 
     rng = np.random.default_rng(args.seed)
     worst_gap = 0.0
@@ -280,13 +281,9 @@ def cmd_sdp_check(args) -> int:
     if worst_gap > 1e-6:
         print(f"FIDELITY GAP {worst_gap:.2e} exceeds 1e-6")
         return 1
-    from .verify import _random_channel
-
     for _ in range(args.pairs):
         a, b = _random_channel(rng, 2), _random_channel(rng, 2)
         eps = sdp.diamond_error(a.choi(), b.choi())
-        from .channels import entanglement_error
-
         lo = entanglement_error(a, b)
         if not (lo - 1e-6 <= eps <= 2 * lo + 1e-6):
             print(f"BRACKET VIOLATION: eps={eps} eps_ent={lo}")

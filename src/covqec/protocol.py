@@ -191,8 +191,8 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     Tr(V^dag X_f) are formed on the order^2 (beta, gamma) nodes only, and
     every alpha node is a phase sum over f: data = sum_{r,b} |sum_f
     e^{i alpha f/2} Tr(V^dag X_f)|^2 and kept = ||sum_f e^{i alpha f/2} X_f||^2.
-    A weak five-qubit m = 8 effective channel (six patterns) takes ~50 ms
-    on one core, about half of it in the diamond SDP.
+    A weak five-qubit m = 8 effective channel (six patterns) takes ~45 ms
+    on one core, ~8 ms of it in the diamond SDP.
     """
     d = code.d
     erased = sorted(set(erased))

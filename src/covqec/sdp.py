@@ -7,13 +7,15 @@ operating directly on complex Hermitian blocks:
     minimize    sum_j <C_j, X_j>
     subject to  sum_j <A_kj, X_j> = b_k,   X_j >= 0,
 
-with <A, X> = Re Tr(A X).  The constraints are held as one complex
-(m, s_j^2) matrix per block, whose row k is vec(A_kj), so the constraint
-map, its adjoint and the Schur complement are matrix products against it.
-Each iterate block is factored by one eigendecomposition per iteration,
-which gives the scaling point, Z^{-1} and every step-length search.
-Problems stay at qubit/qutrit scale; the total variable dimension is
-capped (default 256) and larger requests fail fast.
+with <A, X> = Re Tr(A X).  The blocks sit on the diagonal of one Hermitian
+matrix of size total = sum_j s_j, so the primal X and dual Z are one
+block-diagonal iterate each and the constraints one complex (m, total^2)
+matrix, whose row k is vec(A_k): the constraint map, its adjoint and the
+Schur complement are matrix products against it.  Each iterate is factored
+by one eigendecomposition per iteration, which gives the scaling point,
+Z^{-1} and every step-length search, and each Schur solve is one LU solve
+plus one refinement step.  Problems stay at qubit/qutrit scale; the total
+variable dimension is capped (default 256) and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators
@@ -83,7 +85,6 @@ class SdpInstance:
     """
 
     def __init__(self):
-        self._names: list[str] = []
         self._sizes: dict[str, int] = {}
         self._obj: dict[str, np.ndarray] = {}
         self._sense = "min"
@@ -96,19 +97,28 @@ class SdpInstance:
             raise SdpSizeError(
                 f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}"
             )
-        self._names.append(name)
         self._sizes[name] = size
 
     def set_objective(self, coeffs: dict[str, np.ndarray], sense: str = "min") -> None:
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         self._sense = sense
-        self._obj = {k: _hermitize(np.asarray(v, dtype=complex)) for k, v in coeffs.items()}
+        self._obj = self._checked(coeffs)
 
     def add_equality(self, coeffs: dict[str, np.ndarray], rhs: float) -> None:
-        self._constraints.append(
-            ({k: _hermitize(np.asarray(v, dtype=complex)) for k, v in coeffs.items()}, float(rhs))
-        )
+        self._constraints.append((self._checked(coeffs), float(rhs)))
+
+    def _checked(self, coeffs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Hermitian parts of the coefficients; unknown names and wrong shapes raise."""
+        out = {}
+        for k, v in coeffs.items():
+            if k not in self._sizes:
+                raise ValueError(f"unknown block {k!r}")
+            a = np.asarray(v, dtype=complex)
+            if a.shape != (self._sizes[k],) * 2:
+                raise ValueError(f"block {k!r} of size {self._sizes[k]} given shape {a.shape}")
+            out[k] = _hermitize(a)
+        return out
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
@@ -120,52 +130,58 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpResult:
-    names = list(instance._names)
-    sizes = [instance._sizes[n] for n in names]
-    total = sum(sizes)
+    sizes = instance._sizes
+    total = sum(sizes.values())
+    ends = np.cumsum(list(sizes.values()))
+    spans = {n: slice(e - s, e) for (n, s), e in zip(sizes.items(), ends)}
+
+    def embed(coeffs, out):
+        for n, a in coeffs.items():
+            out[spans[n], spans[n]] = a
+        return out
+
     sgn = 1.0 if instance._sense == "min" else -1.0
-    C = [sgn * instance._obj.get(n, np.zeros((s, s), dtype=complex)) for n, s in zip(names, sizes)]
+    C = sgn * embed(instance._obj, np.zeros((total, total), dtype=complex))
     m = len(instance._constraints)
     if m == 0:
         raise ValueError("instance has no constraints")
     b = np.array([rhs for _, rhs in instance._constraints], dtype=float)
-
-    nb = len(names)
-    # one (m, s_j^2) matrix per block, row k = vec(A_kj); every A_kj is
-    # Hermitian, so <A_kj, X_j> = Re(conj(A_j) @ vec X_j) = Re(A_j @ conj(vec X_j))
-    A = [np.zeros((m, s * s), dtype=complex) for s in sizes]
+    # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
+    # A_k is Hermitian, so <A_k, X> = Re(A_k @ conj(vec X))
+    A3 = np.zeros((m, total, total), dtype=complex)
     for k, (row, _) in enumerate(instance._constraints):
-        for j, n in enumerate(names):
-            if n in row:
-                A[j][k] = row[n].reshape(-1)
+        embed(row, A3[k])
+    A = A3.reshape(m, -1)
+    # 0/1 block pattern: masking X^{-1/2}, Z^{+-1/2} and W keeps every
+    # iterate exactly block-diagonal, the zeros off the blocks propagating
+    mask = embed({n: 1.0 for n in spans}, np.zeros((total, total)))
 
     def op_A(X):
-        return sum(np.real(A[j] @ X[j].conj().reshape(-1)) for j in range(nb))
+        return np.real(A @ X.conj().reshape(-1))
 
     def op_At(y):
-        return [(y @ A[j]).reshape(s, s) for j, s in enumerate(sizes)]
+        return (y @ A).reshape(total, total)
 
-    scale = 1.0 + max(np.max(np.abs(c)) for c in C) + np.max(np.abs(b))
-    X = [np.eye(s, dtype=complex) * scale for s in sizes]
-    Z = [np.eye(s, dtype=complex) * scale for s in sizes]
+    scale = 1.0 + np.max(np.abs(C)) + np.max(np.abs(b))
+    X = np.eye(total, dtype=complex) * scale
+    Z = np.eye(total, dtype=complex) * scale
     y = np.zeros(m)
 
     bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + np.sqrt(sum(np.linalg.norm(c) ** 2 for c in C))
+    cnorm = 1.0 + np.linalg.norm(C)
     status = "max_iterations"
     iters = 0
 
     for it in range(max_iter):
         iters = it + 1
         rp = b - op_A(X)
-        AtY = op_At(y)
-        Rd = [C[j] - Z[j] - AtY[j] for j in range(nb)]
-        mu = sum(np.real(np.trace(X[j] @ Z[j])) for j in range(nb)) / total
-        pobj = sum(np.real(np.trace(C[j] @ X[j])) for j in range(nb))
+        Rd = C - Z - op_At(y)
+        mu = np.real(np.vdot(X, Z)) / total
+        pobj = np.real(np.vdot(C, X))
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
         err_p = np.linalg.norm(rp) / bnorm
-        err_d = np.sqrt(sum(np.linalg.norm(r) ** 2 for r in Rd)) / cnorm
+        err_d = np.linalg.norm(Rd) / cnorm
         if err_p < tol and err_d < tol and (mu * total < tol * (1 + abs(pobj)) or gap < tol):
             status = "optimal"
             break
@@ -173,41 +189,36 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             status = "infeasible"
             break
 
-        # one eigendecomposition per iterate and block: X^{-1/2}, Z^{+-1/2}
-        x_ihalf = [_half_powers(x)[1] for x in X]
-        z_half, z_ihalf = zip(*(_half_powers(z) for z in Z))
-        # Nesterov-Todd scaling point per block: W Z W = X
-        W = [_nt_scaling(X[j], z_half[j], z_ihalf[j]) for j in range(nb)]
+        # one eigendecomposition per iterate: X^{-1/2}, Z^{+-1/2}
+        x_ihalf = mask * _half_powers(X)[1]
+        z_half, z_ihalf = (mask * p for p in _half_powers(Z))
+        # Nesterov-Todd scaling point: W Z W = X
+        W = mask * _nt_scaling(X, z_half, z_ihalf)
 
-        # Schur complement  M[k,l] = sum_j <A_k, W A_l W>
-        M = np.zeros((m, m))
-        for j, s in enumerate(sizes):
-            V = (W[j] @ A[j].reshape(m, s, s) @ W[j]).reshape(m, -1)
-            M += np.real(A[j] @ V.conj().T)
+        # Schur complement  M[k,l] = <A_k, W A_l W>
+        M = np.real(A @ (W @ A3 @ W).reshape(m, -1).conj().T)
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
         M_reg = M + jitter * np.eye(m)
         try:
-            m_cho = np.linalg.cholesky(M_reg)
+            np.linalg.cholesky(M_reg)
         except np.linalg.LinAlgError:
             M_reg = M + 1e6 * jitter * np.eye(m)
-            m_cho = np.linalg.cholesky(M_reg)
 
         def schur_solve(rhs):
-            s = _cho_solve(m_cho, rhs)
+            s = np.linalg.solve(M_reg, rhs)
             # one step of iterative refinement against the unjittered M
-            s = s + _cho_solve(m_cho, rhs - M @ s)
-            return s
+            return s + np.linalg.solve(M_reg, rhs - M @ s)
 
-        z_inv = [_hermitize(zi @ zi) for zi in z_ihalf]
-        wrw = [W[j] @ Rd[j] @ W[j] for j in range(nb)]
+        z_inv = _hermitize(z_ihalf @ z_ihalf)
+        wrw = W @ Rd @ W
 
         def solve_dirs(sigma_mu):
             # NT linearization: dX + W dZ W = sigma_mu Z^{-1} - X
-            rhs_blocks = [sigma_mu * z_inv[j] - X[j] for j in range(nb)]
-            dy = schur_solve(rp + op_A([wrw[j] - rhs_blocks[j] for j in range(nb)]))
-            dZ = [_hermitize(Rd[j] - a) for j, a in enumerate(op_At(dy))]
-            dX = [_hermitize(rhs_blocks[j] - W[j] @ dZ[j] @ W[j]) for j in range(nb)]
+            rhs = sigma_mu * z_inv - X
+            dy = schur_solve(rp + op_A(wrw - rhs))
+            dZ = _hermitize(Rd - op_At(dy))
+            dX = _hermitize(rhs - W @ dZ @ W)
             return dX, dZ, dy
 
         try:
@@ -215,41 +226,32 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
             dX_a, dZ_a, _ = solve_dirs(0.0)
             ap = min(1.0, 0.98 * _max_step(x_ihalf, dX_a))
             ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ_a))
-            mu_aff = sum(
-                np.real(np.trace((X[j] + ap * dX_a[j]) @ (Z[j] + ad * dZ_a[j])))
-                for j in range(nb)
-            ) / total
+            mu_aff = np.real(np.vdot(X + ap * dX_a, Z + ad * dZ_a)) / total
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.9))
 
             # corrector
             dX, dZ, dy = solve_dirs(sigma * mu)
         except np.linalg.LinAlgError:
             break
-        if not all(np.isfinite(d).all() for d in dX + dZ) or not np.isfinite(dy).all():
+        if not (np.isfinite(dX).all() and np.isfinite(dZ).all() and np.isfinite(dy).all()):
             break
         ap = min(1.0, 0.98 * _max_step(x_ihalf, dX))
         ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ))
-        X = [_hermitize(X[j] + ap * dX[j]) for j in range(nb)]
-        Z = [_hermitize(Z[j] + ad * dZ[j]) for j in range(nb)]
+        X = _hermitize(X + ap * dX)
+        Z = _hermitize(Z + ad * dZ)
         y = y + ad * dy
 
-    pobj = sum(np.real(np.trace(C[j] @ X[j])) for j in range(nb))
+    pobj = np.real(np.vdot(C, X))
     dobj = float(b @ y)
     value = sgn * 0.5 * (pobj + dobj) if status == "optimal" else sgn * pobj
     return SdpResult(
         value=float(value),
-        blocks={n: X[j] for j, n in enumerate(names)},
+        blocks={n: X[sl, sl] for n, sl in spans.items()},
         dual=y,
         gap=float(abs(pobj - dobj)),
         status=status,
         iterations=iters,
     )
-
-
-def _cho_solve(L: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    from numpy.linalg import solve as _s
-
-    return _s(L.conj().T, _s(L, rhs))
 
 
 def _half_powers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -265,17 +267,13 @@ def _nt_scaling(X: np.ndarray, z_half: np.ndarray, z_ihalf: np.ndarray) -> np.nd
     return _hermitize(z_ihalf @ inner_half @ z_ihalf)
 
 
-def _max_step(X_ihalf: list[np.ndarray], dX: list[np.ndarray]) -> float:
-    """Largest alpha with X + alpha dX psd (per-block minimum), given X^{-1/2}."""
-    alpha = np.inf
-    for half_inv, dx in zip(X_ihalf, dX):
-        mat = _hermitize(half_inv @ dx @ half_inv.conj().T)
-        if not np.isfinite(mat).all():
-            return 0.0
-        lo = np.linalg.eigvalsh(mat).min()
-        if lo < 0:
-            alpha = min(alpha, -1.0 / lo)
-    return float(min(alpha, 1e8))
+def _max_step(x_ihalf: np.ndarray, dX: np.ndarray) -> float:
+    """Largest alpha <= 1e8 with X + alpha dX psd, given X^{-1/2}."""
+    mat = _hermitize(x_ihalf @ dX @ x_ihalf.conj().T)
+    if not np.isfinite(mat).all():
+        return 0.0
+    lo = np.linalg.eigvalsh(mat).min()
+    return float(min(-1.0 / lo if lo < 0 else np.inf, 1e8))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,51 @@ def test_duality_on_optimal_exit():
     assert w.min() >= -1e-9
 
 
+def test_solve_unequal_blocks():
+    # min Tr(C1 X1) + Tr(C2 X2) s.t. Tr X1 + Tr X2 = 1: the smallest
+    # eigenvalue over both blocks (and the largest for sense="max")
+    rng = np.random.default_rng(13)
+    cs = []
+    for s in (3, 2):
+        a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        cs.append(0.5 * (a + a.conj().T))
+    for sense, pick in (("min", min), ("max", max)):
+        inst = sdp.SdpInstance()
+        inst.add_block("X1", 3)
+        inst.add_block("X2", 2)
+        inst.set_objective({"X1": cs[0], "X2": cs[1]}, sense)
+        inst.add_equality({"X1": np.eye(3), "X2": np.eye(2)}, 1.0)
+        res = sdp.solve(inst)
+        assert res.status == "optimal"
+        w = [np.linalg.eigvalsh(c) for c in cs]
+        ref = pick(w[0].min(), w[1].min()) if sense == "min" else pick(w[0].max(), w[1].max())
+        assert res.value == pytest.approx(ref, abs=1e-7)
+        x1, x2 = res.blocks["X1"], res.blocks["X2"]
+        assert x1.shape == (3, 3) and x2.shape == (2, 2)
+        assert min(np.linalg.eigvalsh(x1).min(), np.linalg.eigvalsh(x2).min()) >= -1e-9
+        assert np.real(np.trace(x1) + np.trace(x2)) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_unknown_block_name_raises():
+    inst = sdp.SdpInstance()
+    inst.add_block("x", 1)
+    inst.add_block("s", 1)
+    with pytest.raises(ValueError, match="unknown block 'X'"):
+        inst.set_objective({"X": np.eye(1)}, "min")
+    with pytest.raises(ValueError, match="unknown block 'S'"):
+        inst.add_equality({"x": np.eye(1), "S": -np.eye(1)}, 1.0)
+    assert inst._constraints == []
+
+
+def test_wrong_coefficient_shape_raises():
+    inst = sdp.SdpInstance()
+    inst.add_block("X", 3)
+    with pytest.raises(ValueError, match="shape"):
+        inst.set_objective({"X": np.eye(2)}, "min")
+    with pytest.raises(ValueError, match="shape"):
+        inst.add_equality({"X": np.ones(3)}, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # sqrt_fwc
 # ---------------------------------------------------------------------------
@@ -187,8 +232,25 @@ def test_diamond_identical():
     assert sdp.diamond_error(n.choi(), n.choi()) == pytest.approx(0.0, abs=1e-7)
 
 
-def test_diamond_bit_flip():
+def _recorded_solves(monkeypatch):
+    """(status, iterations) of every sdp.solve from here on; exact counts
+    catch a rewrite of the interior point that changes its path (start
+    point, step rule, centering, Schur solve)."""
+    runs = []
+    inner = sdp.solve
+
+    def recording(inst, *args, **kwargs):
+        res = inner(inst, *args, **kwargs)
+        runs.append((res.status, res.iterations))
+        return res
+
+    monkeypatch.setattr(sdp, "solve", recording)
+    return runs
+
+
+def test_diamond_bit_flip(monkeypatch):
     # oracle: scan over pure inputs gives p, and eps_wc <= mixture bound p
+    runs = _recorded_solves(monkeypatch)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     for p in (0.15, 0.4):
         flip = ch.KrausChannel(2, 2, [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * x])
@@ -200,6 +262,16 @@ def test_diamond_bit_flip():
             scan = max(scan, 0.5 * ch.trace_norm(diff))
         assert scan == pytest.approx(p, abs=1e-4)
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)
+    assert runs == [("optimal", 10), ("optimal", 9)]
+
+
+def test_diamond_random_pairs_pin_iterations(monkeypatch):
+    runs = _recorded_solves(monkeypatch)
+    rng = np.random.default_rng(2024)
+    for _ in range(2):
+        a, b = random_channel(rng, 2), random_channel(rng, 2)
+        sdp.diamond_error(a.choi(), b.choi())
+    assert runs == [("optimal", 19), ("optimal", 18)]
 
 
 def test_diamond_of_covariant_channel_is_a():
