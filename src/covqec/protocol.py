@@ -16,16 +16,16 @@ diamond distance from the identity.
 
 F_ent(M_j, I) is the p_j-weighted Haar integral of the Phi+ weight
 F(U') = sum_K |Tr K|^2 / d^2.  As p_j is a class function, F_ent =
-sum_g c_g int p_j chi_g: a character spectrum c_g = int F chi_g for each
-erasure pattern, integrated by the exact SU(2) Euler quadrature on the
-surviving qudits, times an exact 1-D class integral over the rotation
-angle for each reference frame.  The quadrature is a product grid, so a
+sum_g c_g C_g: a character spectrum c_g = int F chi_g for each erasure
+pattern, integrated by the exact SU(2) Euler quadrature on the surviving
+qudits, times the frame's exact class coefficients C_g = int p_j chi_g
+(`refframe.class_coefficients`).  The quadrature is a product grid, so a
 node is U' = Rz(alpha) V: the survivor-space rotation V^{(x) n_surv} is
 applied on the (beta, gamma) nodes only, and each alpha node is a phase
 sum over z-weight blocks of the recovery.  An effective channel is one
-product of its patterns' spectra with its frames' class integrals: the
-strong model's s_r + 1 surviving-copy counts cost s_r + 1 class
-integrals against 2^n_p spectra, with no cap on s_r.
+product of its patterns' spectra with its frames' class coefficients:
+the strong model's s_r + 1 surviving-copy counts cost s_r + 1
+coefficient vectors against 2^n_p spectra, with no cap on s_r.
 
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
@@ -69,7 +69,6 @@ __all__ = [
     "ProtocolConfig",
     "PatternTerm",
     "EffectiveChannelReport",
-    "QuadratureResolutionError",
     "inner_channel",
     "inner_channel_perfect",
     "effective_channel",
@@ -78,10 +77,6 @@ __all__ = [
     "scaling_sweep",
     "loglog_slope",
 ]
-
-
-class QuadratureResolutionError(RuntimeError):
-    """The quadrature failed to reproduce the density normalization."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ class EffectiveChannelReport:
 
 
 # ---------------------------------------------------------------------------
-# inner channel: character spectrum x class integral
+# inner channel: character spectrum x class coefficients
 # ---------------------------------------------------------------------------
 
 def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
@@ -230,33 +225,16 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     return np.array([wf @ young.su2_character(g, theta) for g in range(0, 2 * n_surv + 3, 2)])
 
 
-def _class_integrals(spec: rf.RefFrameSpec, n_terms: int, n_theta: int):
-    """int dU p(U) chi_{2k}(U) for k < n_terms, and the mass int p.
-
-    A class function's Haar measure is (2/pi) sin^2(theta) dtheta on [0, pi];
-    p chi_g sin^2 is a cosine polynomial of degree 2 (max_gap + 1) + g, which
-    the midpoint rule integrates exactly while it stays below 2 n_theta.
-    """
-    theta = np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    wp = (2.0 / n_theta) * np.sin(theta) ** 2 * rf._density_su2(spec, theta)
-    total = float(np.sum(wp))
-    if abs(total - 1.0) > 1e-4:
-        raise QuadratureResolutionError(
-            f"density normalization drifted to {total} on {n_theta} angle nodes"
-        )
-    return np.array([wp @ young.su2_character(2 * k, theta) for k in range(n_terms)]), total
-
-
 def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     """a[i, j] = 1 - F_ent(M_j, I) of erasure pattern j under reference
     frame i, plus diagnostics.
 
-    F_ent = sum_g c_g int p chi_g is the product S_j . C_i / total_i of the
+    F_ent = sum_g c_g int p chi_g is the product S_j . C_i / C_i0 of the
     pattern's character spectrum S_j (`_phi_spectrum`, zero-padded to the
-    n_p + 2 entries of the erasure-free pattern) and the frame's class
-    integrals C_i on max_gap + n_p + 3 angle nodes, exact for every
-    pattern.  The diagnostics are the largest spectrum order
-    ("quad_order") and the frame mass farthest from one ("normalization").
+    n_p + 2 entries of the erasure-free pattern) and the frame's even
+    class coefficients C_i = (C_0, C_2, ..., C_{2 n_p + 2}), exact for every
+    pattern.  The diagnostics are the largest spectrum order ("quad_order")
+    and the frame mass C_0 = sum q farthest from one ("normalization").
     """
     n_p = code.n_p
     orders = [_spectrum_order(n_p - len(set(p))) for p in patterns]
@@ -265,13 +243,10 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     for j, pattern in enumerate(patterns):
         c = _phi_spectrum(code, pattern, quads[orders[j]])
         spectra[j, :len(c)] = c
-    overlaps, totals = zip(*(
-        _class_integrals(spec, n_p + 2, int(spec.gaps().max()) + n_p + 3) for spec in specs
-    ))
-    totals = np.array(totals)
-    a = np.clip(1.0 - np.array(overlaps) @ spectra.T / totals[:, None], 0.0, 1.0)
+    coeffs = np.array([rf.class_coefficients(spec, 2 * n_p + 2)[::2] for spec in specs])
+    a = np.clip(1.0 - coeffs @ spectra.T / coeffs[:, :1], 0.0, 1.0)
     diag = {"quad_order": max(orders),
-            "normalization": float(totals[np.argmax(np.abs(totals - 1.0))])}
+            "normalization": float(max(coeffs[:, 0], key=lambda c0: abs(c0 - 1.0)))}
     return a, diag
 
 
@@ -358,8 +333,8 @@ def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
     spec of k pairs, a Haar guess at k = 0), and on its physical part,
     which fixes the spectrum.  One `inner_channel` call evaluates the
     s_r + 1 frames against the 2^n_p physical patterns, so any s_r runs;
-    five-qubit s_r = 256 (n = 517) takes ~1 s on one core, most of it in
-    the frames' specs and class integrals."""
+    five-qubit s_r = 256 (n = 517) takes ~0.5 s on one core, most of it
+    building the frames' Schur-Weyl specs."""
     p_e = config.p_e
     code = config.code
     n_p = code.n_p
@@ -479,12 +454,11 @@ def monte_carlo_epsilon(
 
     Shots are drawn in bulk: every U in one Haar batch, every erasure
     pattern in one vectorized draw, and the relative rotations U' by one
-    rejection-sampling call per surviving-copy count (a Haar guess when no
-    copy survives).  They are then scored per physical-pattern group
+    inverse-CDF sampling call per surviving-copy count (a Haar guess when
+    no copy survives).  They are then scored per physical-pattern group
     (`_score_shots`).  The default 20,000 shots of `covqec simulate --mc`
-    take ~0.25 s (strong, s_r = 6) to ~1.9 s (weak, five-qubit code,
-    m = 12) on one core of a 2-core VM; the weak time is mostly rejection
-    sampling, which at m = 12 accepts one Haar proposal in ~220.
+    (five-qubit code, one core) take ~0.26 s (strong, s_r = 6, p_e = 0.2)
+    and ~0.44 s (weak, m = 12), mostly scoring; weak sampling is ~0.07 s.
     """
     rng = np.random.default_rng(config.seed)
     code = config.code

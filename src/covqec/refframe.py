@@ -11,6 +11,8 @@ rotation U is
     p(U) = | sum_lam sqrt(q_lam) chi_lam(U) |^2 ,
 
 a conjugation-invariant probability density with respect to Haar measure.
+At d = 2 its exact class coefficients C_g = int p chi_g feed both the
+effective channel and the outcome sampler's inverse CDF of the angle.
 
 Two families of weights are provided: the sine-squared product weights of
 the weak erasure model, supported on an explicit viable set of diagrams,
@@ -27,7 +29,7 @@ from math import pi, sin, cos
 import numpy as np
 
 from . import young
-from .channels import haar_su2, su2_eigenphase
+from .channels import haar_su2
 from .sdp import _min_quadratic_on_simplex
 
 __all__ = [
@@ -37,6 +39,7 @@ __all__ = [
     "g_weight",
     "weak_spec",
     "strong_combined_spec",
+    "class_coefficients",
     "sample_relative_rotations",
     "interior_set",
     "min_overlap",
@@ -79,7 +82,8 @@ class RefFrameSpec:
         """SU(2) row gaps of the support, in support() order (d=2 only)."""
         if self.d != 2:
             raise ValueError("gaps() is a d=2 helper")
-        return np.array([young.pad(l, 2)[0] - young.pad(l, 2)[1] for l in self.support()])
+        # keys are diagrams of at most two rows, checked on construction
+        return np.array([(lam + (0, 0))[0] - (lam + (0, 0))[1] for lam in self.support()])
 
 
 @dataclass(frozen=True)
@@ -179,45 +183,67 @@ def strong_combined_spec(d: int, s_survivors: int) -> RefFrameSpec:
 # outcome distribution
 # ---------------------------------------------------------------------------
 
-def _density_su2(spec: RefFrameSpec, theta: np.ndarray) -> np.ndarray:
-    """Vectorized SU(2) outcome density at rotation half-angles theta."""
-    amps = np.sqrt(np.array([spec.weights[l] for l in spec.support()]))
+def class_coefficients(spec: RefFrameSpec, g_max: int) -> np.ndarray:
+    """C_g = int dU p(U) chi_g(U) for g = 0..g_max (d = 2), by the
+    Clebsch-Gordan rule C_g = sum_{a,b} sqrt(q_a q_b) T(a, b, g) over the
+    support gaps, where T = 1 if |a - b| <= g <= a + b and a + b + g is even.
+
+    So p = sum_g C_g chi_g (g <= 2 max_gap), C_0 = sum q, and odd g vanish.
+    Continued by chi_{-b-2} = -chi_b, the b-sum runs over the whole window
+    a - g, a - g + 2, ..., a + g (the extra terms cancel in pairs), which
+    grows by its two ends per step of g: O(support * g_max).
+    """
     gaps = spec.gaps()
-    # chi_lam carries a U(1) phase from the total box count, common to all
-    # support diagrams (fixed m), so it cancels inside |.|^2
-    acc = np.zeros_like(theta, dtype=float)
-    for a, gap in zip(amps, gaps):
-        acc = acc + a * young.su2_character(int(gap), theta)
-    return acc**2
-
-
-def sample_envelope(spec: RefFrameSpec) -> float:
-    """Rejection envelope (sum_lam sqrt(q_lam) dim_lam)^2 >= sup p."""
-    s = sum(np.sqrt(q) * young.weyl_dimension(lam, spec.d) for lam, q in spec.weights.items())
-    return float(s**2)
-
-
-_SAMPLE_BATCH = 8192  # Haar proposals per rejection round
+    amps = np.sqrt([spec.weights[lam] for lam in spec.support()])
+    n = int(gaps.max()) + g_max + 2
+    lattice = np.zeros(2 * n + 1)  # sqrt(q) of label b sits at n + b
+    lattice[n + gaps], lattice[n - 2 - gaps] = amps, -amps
+    a = n + gaps
+    windows = [lattice[a], lattice[a - 1] + lattice[a + 1]]
+    for g in range(2, g_max + 1):
+        windows.append(windows[g - 2] + lattice[a - g] + lattice[a + g])
+    return np.array([amps @ w for w in windows[:g_max + 1]])
 
 
 def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw U' ~ p(U'|I) for d=2 by rejection against the Haar proposal."""
+    """Draw U' ~ p(U'|I) for d = 2 as V diag(e^{i theta}, e^{-i theta}) V^dag,
+    V Haar, with theta in [0, pi] drawn by inverting its CDF
+
+        F = (1/pi) sum_g C_g [S_g - S_{g+2}],  S_0 = theta, S_k = sin(k theta)/k,
+
+    from the class coefficients C_g.  Each uniform is bracketed in a table
+    of F on 4 len(C) cells, then Newton steps that stay in the bracket
+    (else bisections) bring F(theta) to it within roundoff.
+    """
     if spec.d != 2:
         raise NotImplementedError("outcome sampling is implemented for d=2 only")
-    env = sample_envelope(spec)
-    out = np.empty((n_samples, 2, 2), dtype=complex)
-    got = 0
-    while got < n_samples:
-        us = haar_su2(rng, _SAMPLE_BATCH)
-        theta = su2_eigenphase(us)
-        dens = _density_su2(spec, theta)
-        if dens.max() > env * (1 + 1e-9):
-            raise RuntimeError("rejection envelope exceeded; density evaluation inconsistent")
-        keep = rng.random(_SAMPLE_BATCH) * env < dens
-        take = min(int(keep.sum()), n_samples - got)
-        out[got:got + take] = us[keep][:take]
-        got += take
-    return out
+    c = class_coefficients(spec, 2 * int(spec.gaps().max()))
+    w = np.pad(c, (0, 2)) - np.pad(c, (2, 0))  # pi F = w_0 theta + sum_k w_k S_k
+    k = np.flatnonzero(w[1:]) + 1
+
+    def cdf(theta):  # F and its derivative, the density of theta
+        ph = np.outer(theta, k)
+        return (w[0] * theta + np.sin(ph) @ (w[k] / k)) / pi, (w[0] + np.cos(ph) @ w[k]) / pi
+
+    target = rng.random(n_samples) * c[0]
+    grid = np.linspace(0.0, pi, 4 * len(c) + 1)
+    cell = np.clip(np.searchsorted(cdf(grid)[0], target, side="right"), 1, len(grid) - 1)
+    lo, hi = grid[cell - 1], grid[cell]
+    theta, idx = (lo + hi) / 2, np.arange(n_samples)
+    for _ in range(64):  # bisection alone exhausts a double in fewer halvings
+        f, dens = cdf(theta[idx])
+        r = f - target[idx]
+        busy = np.abs(r) > 4 * np.finfo(float).eps * np.abs(w).sum()
+        idx, r, dens, t = idx[busy], r[busy], dens[busy], theta[idx][busy]
+        if not idx.size:
+            break
+        lo[idx], hi[idx] = np.where(r < 0, t, lo[idx]), np.where(r > 0, t, hi[idx])
+        newton = np.abs(r) <= dens * (hi[idx] - lo[idx])  # a finite step
+        step = t - r / np.where(newton, dens, 1.0)
+        inside = newton & (lo[idx] <= step) & (step <= hi[idx])
+        theta[idx] = np.where(inside, step, (lo[idx] + hi[idx]) / 2)
+    v = haar_su2(rng, n_samples)
+    return (v * np.exp(1j * np.stack([theta, -theta], axis=1))[:, None, :]) @ v.conj().transpose(0, 2, 1)
 
 
 # ---------------------------------------------------------------------------

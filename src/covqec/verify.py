@@ -91,9 +91,15 @@ def _refframe_checks():
     out.append(_check("refframe", "weak spec support and normalization", ok, witness))
 
     _, spec = rf.weak_spec(2, 10, 5)
-    quad = ch.haar_quadrature_su2(int(spec.gaps().max()) + 2)
-    mass = quad.integrate(rf._density_su2(spec, ch.su2_eigenphase(quad.matrices())))
-    out.append(_check("refframe", "outcome density integrates to 1", abs(mass - 1) < 1e-6, f"mass={mass}"))
+    g_max = 2 * int(spec.gaps().max())
+    quad = ch.haar_quadrature_su2(g_max + 2)  # exact for p chi_g, g <= g_max
+    theta = ch.su2_eigenphase(quad.matrices())
+    dens = sum(np.sqrt(spec.weights[lam]) * young.su2_character(int(gap), theta)
+               for lam, gap in zip(spec.support(), spec.gaps())) ** 2
+    ref = [quad.integrate(dens * young.su2_character(g, theta)) for g in range(g_max + 1)]
+    worst = float(np.max(np.abs(rf.class_coefficients(spec, g_max) - ref)))
+    out.append(_check("refframe", "class coefficients = int p chi_g (quadrature)", worst < 1e-10,
+                      f"worst={worst:.1e}"))
 
     worst = 0.0
     for big_m in (20, 101):
@@ -194,15 +200,8 @@ def _protocol_checks():
     out = []
     code = codes.five_qubit_code()
     _, spec = rf.weak_spec(2, 8, 5)
-    _, diag = pr.inner_channel(code, [spec], [set()])
-    out.append(
-        _check(
-            "protocol",
-            "inner quadrature mass",
-            abs(diag["normalization"] - 1) < 1e-10,
-            f"mass={diag['normalization']}",
-        )
-    )
+    mass = pr.inner_channel(code, [spec], [set()])[1]["normalization"]
+    out.append(_check("protocol", "inner frame mass C_0 = sum q", abs(mass - 1) < 1e-10, f"mass={mass}"))
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
                             mc_samples=1500, seed=11)
     rep = pr.effective_channel(cfg)

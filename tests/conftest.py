@@ -1,8 +1,21 @@
-"""Shared builders for channel-level tests."""
+"""Shared builders for channel-level tests, and the slow outcome-density oracle."""
 
 import numpy as np
 
 from covqec import channels as ch
+from covqec import young
+
+
+def _density_su2(spec, theta):
+    """Vectorized SU(2) outcome density at rotation half-angles theta."""
+    amps = np.sqrt(np.array([spec.weights[l] for l in spec.support()]))
+    gaps = spec.gaps()
+    # chi_lam carries a U(1) phase from the total box count, common to all
+    # support diagrams (fixed m), so it cancels inside |.|^2
+    acc = np.zeros_like(theta, dtype=float)
+    for a, gap in zip(amps, gaps):
+        acc = acc + a * young.su2_character(int(gap), theta)
+    return acc**2
 
 
 def spin1_wigner(u):
@@ -44,8 +57,6 @@ def block_covariant_choi(block_dims, weights, order=8):
     quadrature order is chosen high enough that the construction is exact,
     so the resulting channel is exactly block-covariant.
     """
-    from covqec import young
-
     quad = ch.haar_quadrature_su2(order)
     us = quad.matrices()
     theta = ch.su2_eigenphase(us)

@@ -16,7 +16,7 @@ import pytest
 
 from covqec import bounds, channels as ch, codes, protocol as pr, refframe as rf, sdp, young
 
-from conftest import block_covariant_choi, block_unitary
+from conftest import _density_su2, block_covariant_choi, block_unitary
 
 
 def _report(num, text):
@@ -94,7 +94,7 @@ def test_criterion_04_povm_completeness():
     worst = 0.0
     for spec in specs:
         quad = ch.haar_quadrature_su2(int(spec.gaps().max()) + 2)
-        mass = quad.integrate(rf._density_su2(spec, ch.su2_eigenphase(quad.matrices())))
+        mass = quad.integrate(_density_su2(spec, ch.su2_eigenphase(quad.matrices())))
         worst = max(worst, abs(mass - 1.0))
     assert worst < 1e-6
     _report(4, f"outcome density integrates to 1 within 1e-6 (worst drift {worst:.1e})")

@@ -13,6 +13,7 @@ from covqec import protocol as pr
 from covqec import refframe as rf
 from covqec import young
 
+from conftest import _density_su2
 
 IDENT = ch.identity_channel(2)
 # the outcome density of a Haar guess: identically one
@@ -82,13 +83,13 @@ def _quadrature_a(code, spec, pattern):
     """a = 1 - int dU' p F by the 3-D Euler quadrature of p F itself.
 
     The order is max_gap + n_surv + 3, the highest per-axis frequency of
-    p F plus two: no character spectrum and no class integral involved.
+    p F plus two: no character spectrum and no class coefficient involved.
     """
     erased = sorted(set(pattern))
     n_surv = code.n_p - len(erased)
     quad = ch.haar_quadrature_su2(int(spec.gaps().max()) + n_surv + 3)
     us = quad.matrices()
-    dens = rf._density_su2(spec, ch.su2_eigenphase(us))
+    dens = _density_su2(spec, ch.su2_eigenphase(us))
     total = float(np.sum(quad.weights * dens))
     assert abs(total - 1.0) < 1e-10
     f_ent = float(np.sum(quad.weights * dens * _phi_weight(code, erased, us))) / total
@@ -170,7 +171,7 @@ def test_inner_hand_sum_oracle():
     hand = rf.reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(6)
     us = quad.matrices()
-    dens = rf._density_su2(spec, ch.su2_eigenphase(us))
+    dens = _density_su2(spec, ch.su2_eigenphase(us))
     dim = 2 ** (n_p + 1)
     acc = 0.0
     for u, w, p in zip(us, quad.weights, dens):
@@ -186,7 +187,7 @@ def test_inner_hand_sum_oracle_weak_spec():
     hand = rf.reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(12)
     us = quad.matrices()
-    dens = rf._density_su2(spec, ch.su2_eigenphase(us))
+    dens = _density_su2(spec, ch.su2_eigenphase(us))
     acc = 0.0
     for u, w, p in zip(us, quad.weights, dens):
         acc += w * p * abs(np.trace(np.kron(u, u.conj()))) ** 2 / 16
@@ -201,22 +202,16 @@ def test_inner_hand_sum_oracle_weak_spec():
 def test_class_integrals_hand_sum_oracle(spec, n_p):
     # F_0(U') = |Tr U'|^{2(n_p+1)} / 4^{n_p+1} is the Phi+ weight of
     # U'_P (x) U'*_L; its spectrum (from the 3-D quadrature) folded with the
-    # 1-D class integrals must reproduce the LR hand sum
+    # frame's class coefficients must reproduce the LR hand sum
     k = n_p + 1
     quad = ch.haar_quadrature_su2(2 * k + 4)
     theta = ch.su2_eigenphase(quad.matrices())
     wf = quad.weights * np.cos(theta) ** (2 * k)
     spectrum = np.array([wf @ young.su2_character(2 * j, theta) for j in range(k + 1)])
-    overlaps, total = pr._class_integrals(spec, k + 1, int(spec.gaps().max()) + k + 2)
+    overlaps = rf.class_coefficients(spec, 2 * k)[::2]
+    total = overlaps[0]
     assert total == pytest.approx(1.0, abs=1e-12)
     assert spectrum @ overlaps == pytest.approx(rf.reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
-
-
-def test_inner_under_resolution_raises():
-    # 4 angle nodes cannot integrate the m = 16 density (largest gap 16)
-    _, spec = rf.weak_spec(2, 16, 5)
-    with pytest.raises(pr.QuadratureResolutionError):
-        pr._class_integrals(spec, 7, 4)
 
 
 def test_haar_guess_channel_is_heavily_depolarizing():
@@ -326,7 +321,7 @@ def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
 
 def test_inner_channel_table_matches_quadrature():
     # rows are reference frames, columns erasure patterns of different
-    # survivor counts, all against the class integrals of one node count
+    # survivor counts, all against the frames' class coefficients
     code = codes.five_qubit_code()
     specs = [FLAT, rf.strong_combined_spec(2, 3), rf.weak_spec(2, 8, 5)[1]]
     patterns = [(), (0,), (0, 1, 2)]
@@ -620,9 +615,12 @@ def test_config_rejects_negative_n_e():
 
 
 def test_mc_reproducible():
-    code = codes.trivial_code(2)
-    cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.1, s_r=2, mc_samples=500, seed=10)
-    assert pr.monte_carlo_epsilon(cfg) == pr.monte_carlo_epsilon(cfg)
+    for cfg in (
+        pr.ProtocolConfig(2, "strong", codes.trivial_code(2), p_e=0.1, s_r=2, mc_samples=500, seed=10),
+        pr.ProtocolConfig(2, "weak", codes.five_qubit_code(), n_e=1, m=8, pattern_dist="exact_ne",
+                          mc_samples=500, seed=10),
+    ):
+        assert pr.monte_carlo_epsilon(cfg) == pr.monte_carlo_epsilon(cfg)
 
 
 # ---------------------------------------------------------------------------

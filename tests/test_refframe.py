@@ -8,6 +8,10 @@ from covqec import channels as ch
 from covqec import refframe as rf
 from covqec import young
 
+from conftest import _density_su2
+
+# the outcome density of a Haar guess: identically one
+FLAT = rf.RefFrameSpec(2, 0, {(): 1.0})
 
 # ---------------------------------------------------------------------------
 # g weights
@@ -103,18 +107,18 @@ def test_strong_spec_three_copies():
 
 def test_density_single_pair_identity():
     spec = rf.strong_combined_spec(2, 1)
-    assert rf._density_su2(spec, np.array([0.0]))[0] == pytest.approx(4.0)
+    assert _density_su2(spec, np.array([0.0]))[0] == pytest.approx(4.0)
 
 
 def test_density_single_pair_orthogonal():
     spec = rf.strong_combined_spec(2, 1)
-    assert rf._density_su2(spec, np.array([pi / 2]))[0] == pytest.approx(0.0, abs=1e-12)
+    assert _density_su2(spec, np.array([pi / 2]))[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_density_phase_negation_symmetry():
     _, spec = rf.weak_spec(2, 10, 5)
     for t in (0.3, 1.2, 2.9):
-        plus, minus = rf._density_su2(spec, np.array([t, -t]))
+        plus, minus = _density_su2(spec, np.array([t, -t]))
         assert plus == minus
 
 
@@ -128,25 +132,120 @@ def test_density_normalization_by_quadrature(make):
     max_gap = int(spec.gaps().max())
     quad = ch.haar_quadrature_su2(max_gap + 2)
     theta = ch.su2_eigenphase(quad.matrices())
-    vals = rf._density_su2(spec, theta)
+    vals = _density_su2(spec, theta)
     assert quad.integrate(vals) == pytest.approx(1.0, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# class coefficients
+# ---------------------------------------------------------------------------
+
+_COEFF_SPECS = {
+    **{f"weak-m{m}": (lambda m=m: rf.weak_spec(2, m, 5)[1]) for m in (4, 8, 32, 128)},
+    **{f"strong-s{s}": (lambda s=s: rf.strong_combined_spec(2, s)) for s in (1, 6, 64, 256)},
+    "flat": lambda: FLAT,
+}
+
+
+def _midpoint_class_integrals(spec, g_max):
+    """int dU p chi_g for g <= g_max on a midpoint grid in the rotation angle.
+
+    A class function's Haar measure is (2/pi) sin^2(theta) dtheta on [0, pi],
+    and p chi_g sin^2 is a cosine polynomial of degree 2 (max_gap + 1) + g,
+    which the midpoint rule on n nodes integrates exactly below degree 2 n.
+    """
+    n = int(spec.gaps().max()) + g_max // 2 + 2
+    theta = pi * (np.arange(n) + 0.5) / n
+    wp = (2.0 / n) * np.sin(theta) ** 2 * _density_su2(spec, theta)
+    return np.array([wp @ young.su2_character(g, theta) for g in range(g_max + 1)])
+
+
+@pytest.mark.parametrize("name", list(_COEFF_SPECS))
+def test_class_coefficients_match_midpoint_oracle(name):
+    spec = _COEFF_SPECS[name]()
+    c = rf.class_coefficients(spec, 12)
+    assert c.shape == (13,)
+    assert np.max(np.abs(c - _midpoint_class_integrals(spec, 12))) < 1e-12
+    # every support gap has the parity of m, so no odd character occurs
+    assert np.all(c[1::2] == 0.0)
+
+
+@pytest.mark.parametrize("name", list(_COEFF_SPECS))
+def test_class_coefficients_reconstruct_the_density(name):
+    # p = sum_{g <= 2 max_gap} C_g chi_g exactly, C_0 = sum q = 1
+    spec = _COEFF_SPECS[name]()
+    c = rf.class_coefficients(spec, 2 * int(spec.gaps().max()))
+    assert abs(c[0] - 1.0) < 1e-12
+    theta = np.linspace(0.0, pi, 97)
+    rec = sum(cg * young.su2_character(g, theta) for g, cg in enumerate(c))
+    dens = _density_su2(spec, theta)
+    assert np.max(np.abs(rec - dens)) < 1e-12 * dens.max()
+
+
+def test_gaps_match_padded_rows():
+    for spec in (FLAT, rf.strong_combined_spec(2, 5), rf.weak_spec(2, 22, 5)[1]):
+        rows = [young.pad(lam, 2) for lam in spec.support()]
+        assert spec.gaps().tolist() == [r[0] - r[1] for r in rows]
+    assert rf.strong_combined_spec(2, 5).gaps().tolist() == [5, 3, 1]
+    with pytest.raises(ValueError):
+        rf.strong_combined_spec(3, 2).gaps()
 
 
 # ---------------------------------------------------------------------------
 # outcome sampling
 # ---------------------------------------------------------------------------
 
-def test_sampler_acceptance_rate():
-    # point-mass check: acceptance rate - 1/envelope within 3 sigma
-    spec = rf.strong_combined_spec(2, 1)
-    env = rf.sample_envelope(spec)
-    rng = np.random.default_rng(11)
-    n_prop = 40000
-    us = ch.haar_su2(rng, n_prop)
-    dens = rf._density_su2(spec, ch.su2_eigenphase(us))
-    acc = (rng.random(n_prop) * env < dens).mean()
-    sigma = np.sqrt((1 / env) * (1 - 1 / env) / n_prop)
-    assert abs(acc - 1 / env) < 3 * sigma
+_KS_CRIT_1PCT = 1.6276  # sqrt(n) D at the 1% level, Kolmogorov's limit law
+
+
+def _ks_statistic(samples, cdf):
+    x = np.sort(samples)
+    n = len(x)
+    f = cdf(x)
+    return max(np.max(np.arange(1, n + 1) / n - f), np.max(f - np.arange(n) / n))
+
+
+def _angle_cdf_oracle(spec, n_grid=2**16):
+    """CDF of the rotation half-angle: the cumulative trapezoid rule on
+    (2/pi) sin^2(theta) p(theta), with p from the slow density oracle."""
+    grid = np.linspace(0.0, pi, n_grid + 1)
+    f = (2 / pi) * np.sin(grid) ** 2 * _density_su2(spec, grid)
+    cdf = np.concatenate([[0.0], np.cumsum(f[1:] + f[:-1]) * (pi / (2 * n_grid))])
+    assert abs(cdf[-1] - 1.0) < 1e-6
+    return lambda t: np.interp(t, grid, cdf)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rf.weak_spec(2, 8, 5)[1],
+    lambda: rf.weak_spec(2, 32, 5)[1],
+    lambda: rf.strong_combined_spec(2, 6),
+], ids=["weak-m8", "weak-m32", "strong-s6"])
+def test_sampler_angle_ks(make):
+    spec = make()
+    n = 20000
+    theta = ch.su2_eigenphase(rf.sample_relative_rotations(spec, n, np.random.default_rng(101)))
+    assert _ks_statistic(theta, _angle_cdf_oracle(spec)) < _KS_CRIT_1PCT / np.sqrt(n)
+
+
+def test_sampler_flat_spec_is_haar():
+    n = 20000
+    theta = ch.su2_eigenphase(rf.sample_relative_rotations(FLAT, n, np.random.default_rng(103)))
+
+    def haar(t):
+        return (t - np.sin(2 * t) / 2) / pi
+
+    assert _ks_statistic(theta, haar) < _KS_CRIT_1PCT / np.sqrt(n)
+
+
+def test_sampler_zero_samples():
+    us = rf.sample_relative_rotations(rf.weak_spec(2, 8, 5)[1], 0, np.random.default_rng(0))
+    assert us.shape == (0, 2, 2)
+
+
+def test_sampler_returns_su2():
+    us = rf.sample_relative_rotations(rf.weak_spec(2, 12, 5)[1], 500, np.random.default_rng(5))
+    assert np.allclose(us @ us.conj().transpose(0, 2, 1), np.eye(2), atol=1e-12)
+    assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
 
 def test_sampler_matches_density_histogram():
