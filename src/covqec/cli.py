@@ -237,6 +237,7 @@ def cmd_simulate(args) -> int:
             seed=args.seed, **model_args,
         )
         rep = pr.effective_channel(cfg)
+        mc = pr.monte_carlo_epsilon(cfg) if args.mc else None
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -244,8 +245,8 @@ def cmd_simulate(args) -> int:
     print(f"mixture a = {rep.mixture.a:.10g}")
     print(f"F_ent     = {1.0 - rep.mixture.a:.10g}")
     print(f"eps_cov   = {rep.eps_cov:.10g}  (diamond-sdp)")
-    if args.mc:
-        est, err = pr.monte_carlo_epsilon(cfg)
+    if mc is not None:
+        est, err = mc
         sig = abs(est - rep.mixture.a) / err if err > 0 else 0.0
         print(f"monte carlo 1-F_ent = {est:.6g} +- {err:.2g}  ({sig:.2f} sigma from the exact channel)")
         if sig > 5:

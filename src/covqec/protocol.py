@@ -17,15 +17,17 @@ diamond distance from the identity.
 F_ent(M_j, I) is the p_j-weighted Haar integral of the Phi+ weight
 F(U') = sum_K |Tr K|^2 / d^2.  As p_j is a class function, F_ent =
 sum_g c_g C_g: a character spectrum c_g = int F chi_g for each erasure
-pattern, integrated by the exact SU(2) Euler quadrature on the surviving
-qudits, times the frame's exact class coefficients C_g = int p_j chi_g
-(`refframe.class_coefficients`).  The quadrature is a product grid, so a
-node is U' = Rz(alpha) V: the survivor-space rotation V^{(x) n_surv} is
-applied on the (beta, gamma) nodes only, and each alpha node is a phase
-sum over z-weight blocks of the recovery.  An effective channel is one
-product of its patterns' spectra with its frames' class coefficients:
-the strong model's s_r + 1 surviving-copy counts cost s_r + 1
-coefficient vectors against 2^n_p spectra, with no cap on s_r.
+pattern, exact on the SU(2) Euler quadrature of the surviving qudits,
+times the frame's exact class coefficients C_g = int p_j chi_g
+(`refframe.class_coefficients`).  At U' = Rz(alpha) Ry(beta) Rz(gamma),
+Rz is diagonal in the z-weights and chi_g is a sum of phases
+e^{-i m (alpha + gamma)} times the Wigner diagonals d^j_mm(beta), so the
+alpha and gamma integrals are done in closed form by the selection rule
+on z-weight lags, and only the Gauss-Legendre beta nodes are formed.  An
+effective channel is one product of its patterns' spectra with its
+frames' class coefficients: the strong model's s_r + 1 surviving-copy
+counts cost s_r + 1 coefficient vectors against 2^n_p spectra, with no
+cap on s_r.
 
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
@@ -44,7 +46,6 @@ import numpy as np
 
 from . import refframe as rf
 from . import sdp as sdp_mod
-from . import young
 from .channels import (
     ChoiMatrix,
     CovariantParams,
@@ -52,7 +53,6 @@ from .channels import (
     haar_quadrature_su2,
     haar_su2,
     identity_channel,
-    su2_eigenphase,
     su2_from_euler,
 )
 from .codes import (
@@ -164,30 +164,61 @@ def _spectrum_order(n_surv: int) -> int:
     return 2 * n_surv + 4
 
 
+def _wigner_diagonals(betas: np.ndarray, j_max: int) -> np.ndarray:
+    """Diagonal Wigner d-matrix entries d^j_mm(beta) = <j m| e^{-i beta J_y} |j m>
+    for 0 <= m <= j <= j_max, as table[node, j, m] (zero where m > j).
+
+    d^j_mm = cos^{2m}(beta/2) P_{j-m}^{(0, 2m)}(cos beta), the Jacobi
+    polynomials from their three-term recurrence in the degree, for every m
+    at once; d^j_{-m,-m} = d^j_mm gives the negative m.
+    """
+    x = np.cos(betas)[:, None]
+    b = 2.0 * np.arange(j_max + 1)
+    # 2n (n + b)(s - 2) P_n = (s - 1)(s (s - 2) x - b^2) P_{n-1}
+    #                         - 2 (n - 1)(n + b - 1) s P_{n-2},  s = 2n + b,
+    # with the integer factors of n = 2..j_max in rows n - 2
+    n = np.arange(2, j_max + 1)[:, None]
+    s = 2 * n + b
+    lead, cross, den = s * (s - 2), 2 * (n - 1) * (n + b - 1) * s, 2 * n * (n + b) * (s - 2)
+    p = [np.ones_like(x * b), ((b + 2) * x - b) / 2]
+    for i in range(j_max - 1):
+        p.append(((s[i] - 1) * (lead[i] * x - b * b) * p[-1] - cross[i] * p[-2]) / den[i])
+    j, m = np.ogrid[:j_max + 1, :j_max + 1]
+    table = np.stack(p)[np.clip(j - m, 0, None), :, m] * np.cos(betas / 2) ** (2 * m[..., None])
+    return np.where((m <= j)[..., None], table, 0.0).transpose(2, 0, 1)
+
+
 def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     """Character spectrum c_g = int dU' F(U') chi_g(U') of the Phi+ weight
-    F(U') = F_ent(M_{U'}, I), on the Euler quadrature `quad` of order
-    `_spectrum_order(n_surv)`.
+    F(U') = F_ent(M_{U'}, I), exact on the Euler quadrature `quad` of order
+    `_spectrum_order(n_surv)`, of which only the `order` Gauss-Legendre beta
+    nodes are used: alpha and gamma are integrated in closed form.
 
-    Only even g <= 2 (n_surv + 1) occur; entry k holds c_{2k}.  The shift
-    gamma -> gamma + 2 pi of the Euler quadrature maps U' to -U', which
-    leaves F and every even character unchanged, so the half gamma < 2 pi
-    is integrated at double weight.
+    Only even g <= 2 (n_surv + 1) occur; entry j holds c_{2j}.
 
     With W_b = U'_surv M_b, the Kraus operators of M_{U'} are U'^dag R_r W_b
     plus the off-support completion (junk -> maximally mixed), and F =
-    sum_K |Tr K|^2 / d^2.  The completion enters in closed form,
-    (d - sum_r ||R_r W||^2) / d, as sum_b ||W_b||^2 = d and
-    sum_r R_r^dag R_r is the support projector.  The grid is a product, so
-    U' = Rz(alpha) V with V = Ry(beta) Rz(gamma), and Rz(alpha)^{(x) s} is
-    diagonal: U'^dag R_r U'_surv = V^dag [sum_f e^{i alpha f/2} R_r^(f)] V_surv,
-    where R_r^(f) keeps the entries R_r[x, i] whose z-weights give
-    sigma_x - S_i = f.  W = V_surv M (qudit by qudit), X_f = R^(f) W and
-    Tr(V^dag X_f) are formed on the order^2 (beta, gamma) nodes only, and
-    every alpha node is a phase sum over f: data = sum_{r,b} |sum_f
-    e^{i alpha f/2} Tr(V^dag X_f)|^2 and kept = ||sum_f e^{i alpha f/2} X_f||^2.
-    A weak five-qubit m = 8 effective channel (six patterns) takes ~45 ms
-    on one core, ~8 ms of it in the diamond SDP.
+    sum_K |Tr K|^2 / d^2 = [data + 1 - kept / d] / d^2 with data =
+    sum_{r,b} |Tr(U'^dag R_r W_b)|^2 and kept = sum_{r,b} ||R_r W_b||^2: the
+    completion enters in closed form, as sum_b ||W_b||^2 = d and
+    sum_r R_r^dag R_r is the support projector.
+
+    At U' = Rz(alpha) Ry(beta) Rz(gamma), Rz is diagonal in the z-weights
+    (+1 for level 0, -1 for level 1).  Split R_r by f = sigma_x - S_i (the
+    entries R_r[x, i] kept in R^(f)) and M's rows by their z-weight k (P_k):
+    X_{f,k} = R^(f) Ry(beta)^{(x) n_surv} P_k M enters with the phase
+    e^{i (alpha f - gamma k) / 2}, and Tr(U'^dag X_f) = sum_kappa
+    e^{-i gamma kappa / 2} tau_{f,kappa}(beta) with kappa = k - sigma_y.  As
+    chi_{2j}(U') = sum_m e^{-i m (alpha + gamma)} d^j_mm(beta), the alpha and
+    gamma integrals keep the pairs at lag m only:
+
+        c_{2j} = sum_beta w_beta sum_{m=-j..j} d^j_mm(beta) G_m(beta),
+        G_m = [sum tau_{f,kappa} conj tau_{f-2m,kappa+2m}
+               - (1/d) sum <X_{f-2m,k+2m}, X_{f,k}> + delta_{m0}] / d^2,
+
+    and G_{-m} = conj G_m.  Nothing is formed on the alpha or gamma axes.
+    A weak five-qubit m = 8 effective channel (six patterns) takes ~19 ms
+    on one core, about half of it in the diamond SDP.
     """
     d = code.d
     erased = sorted(set(erased))
@@ -195,34 +226,38 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     m_ops = erased_restriction_kraus(code, erased)
     data_kraus, support = recovery_parts(code, erased)
     dim_s = support.shape[0]
-    half = quad.euler[:, 2] < 2 * np.pi - 1e-9
-    # the half grid in meshgrid order, axes (alpha, beta, gamma)
-    grid = quad.euler[half].reshape(2 * quad.order, quad.order, quad.order, 3)
-    v = su2_from_euler(0.0, grid[0, ..., 1], grid[0, ..., 2]).reshape(-1, d, d)
-    n_v = len(v)
-    w = np.broadcast_to(np.stack(m_ops, axis=1).reshape(dim_s, -1), (n_v, dim_s, len(m_ops) * d))
-    for left in d ** np.arange(n_surv):
-        # V on one qudit: w[n, left, a, rest] = sum_b v[n, a, b] w[n, left, b, rest]
-        w = w.reshape(n_v, left, 1, d, -1)
-        w = sum(v[:, None, :, b, None] * w[:, :, :, b] for b in range(d))
-    # f = sigma_x - S_i, with z-weight +1 for level 0 and -1 for level 1
+    # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
+    # summed over the (alpha, gamma) plane
+    w_grid = quad.weights.reshape(2 * quad.order, quad.order, 2 * quad.order)
+    betas = quad.euler[:, 1].reshape(w_grid.shape)[0, :, 0]
+    ry = su2_from_euler(0.0, betas, 0.0).real
     sigma = np.array([1, -1])
-    s_z = np.zeros(1, dtype=int)
-    for _ in range(n_surv):
-        s_z = (s_z[:, None] + sigma).ravel()
+    s_z = sigma[np.indices((d,) * n_surv).reshape(n_surv, dim_s)].sum(axis=0)  # S_i of basis state i
     fs = np.arange(-n_surv - 1, n_surv + 2, 2)
+    ks = np.arange(-n_surv, n_surv + 1, 2)
     r_f = np.stack(data_kraus) * (sigma[:, None] - s_z == fs[:, None, None, None])
-    x = r_f.reshape(len(fs), 1, -1, dim_s) @ w.reshape(1, n_v, dim_s, -1)  # (f, node, r x, b y)
-    traces = np.einsum("nxy,fnrxby->fnrb", v.conj(),
-                       x.reshape(len(fs), n_v, len(data_kraus), d, len(m_ops), d), optimize=True)
-    phase = np.exp(0.5j * np.outer(grid[:, 0, 0, 0], fs))                  # (alpha, f)
-    data, kept = (
-        np.sum(np.abs(phase @ t.reshape(len(fs), -1)).reshape(len(phase), n_v, -1) ** 2, axis=2)
-        for t in (traces, x)
-    )
-    theta = su2_eigenphase(su2_from_euler(*quad.euler[half].T))
-    wf = 2 * quad.weights[half] * ((data + (d - kept) / d) / d**2).ravel()
-    return np.array([wf @ young.su2_character(g, theta) for g in range(0, 2 * n_surv + 3, 2)])
+    m_k = np.stack(m_ops, axis=1).reshape(dim_s, -1) * (s_z == ks[:, None])[:, :, None]
+    # X_{f,k} by two GEMMs, on axes (f, r, x, beta, k, b, y)
+    ry_s = _kron_power_batch(ry, n_surv).transpose(1, 0, 2).reshape(dim_s, -1)
+    x = (r_f.reshape(-1, dim_s) @ ry_s).reshape(-1, dim_s) @ m_k.transpose(1, 0, 2).reshape(dim_s, -1)
+    x = x.reshape(len(fs), len(data_kraus), d, len(betas), len(ks), len(m_ops), d)
+    # Ry^dag[y, x] X[x, y] on axes (f, r, beta, k, b, y); kappa = k - sigma_y
+    t = sum(x[:, :, i] * ry[:, i, None, None, :] for i in range(d))
+    tau = np.zeros(t.shape[:3] + (len(ks) + 1,) + t.shape[4:-1], dtype=complex)
+    tau[:, :, :, :-1] += t[..., 0]
+    tau[:, :, :, 1:] += t[..., 1]
+    # G_m d^2 - delta_{m0}: Re sum v[f, k] conj v[f - 2m, k + 2m] over every axis
+    # but beta, by the real views (Re z conj w = re.re + im.im)
+    g = np.zeros((len(betas), len(fs)))
+    for m in range(len(fs)):
+        g[:, m] = (np.einsum("frnkb,frnkb->n", tau[m:, ..., :len(ks) + 1 - m, :].view(float),
+                             tau[:len(fs) - m, ..., m:, :].view(float))
+                   - np.einsum("frxnkby,frxnkby->n", x[m:, ..., :len(ks) - m, :, :].view(float),
+                               x[:len(fs) - m, ..., m:, :, :].view(float)) / d)
+    g[:, 0] += 1.0
+    g[:, 1:] *= 2.0  # G_m + G_{-m}
+    table = _wigner_diagonals(betas, n_surv + 1)
+    return np.einsum("n,njm,nm->j", w_grid.sum(axis=(0, 2)), table, g) / d**2
 
 
 def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
@@ -233,8 +268,11 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     pattern's character spectrum S_j (`_phi_spectrum`, zero-padded to the
     n_p + 2 entries of the erasure-free pattern) and the frame's even
     class coefficients C_i = (C_0, C_2, ..., C_{2 n_p + 2}), exact for every
-    pattern.  The diagnostics are the largest spectrum order ("quad_order")
-    and the frame mass C_0 = sum q farthest from one ("normalization").
+    pattern.  The patterns of one survivor count share one
+    `haar_quadrature_su2` of their spectrum order, whose Gauss-Legendre beta
+    nodes and weights carry the spectrum.  The diagnostics are the largest
+    spectrum order ("quad_order") and the frame mass C_0 = sum q farthest
+    from one ("normalization").
     """
     n_p = code.n_p
     orders = [_spectrum_order(n_p - len(set(p))) for p in patterns]
@@ -333,8 +371,8 @@ def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
     spec of k pairs, a Haar guess at k = 0), and on its physical part,
     which fixes the spectrum.  One `inner_channel` call evaluates the
     s_r + 1 frames against the 2^n_p physical patterns, so any s_r runs;
-    five-qubit s_r = 256 (n = 517) takes ~0.5 s on one core, most of it
-    building the frames' Schur-Weyl specs."""
+    five-qubit s_r = 256 (n = 517) takes ~0.55 s on one core, ~85% of it
+    building the frames' exact Schur-Weyl specs."""
     p_e = config.p_e
     code = config.code
     n_p = code.n_p
@@ -370,7 +408,7 @@ def _sample_patterns(config: ProtocolConfig, rng, n_shots: int) -> tuple[np.ndar
         for start in range(0, n_shots, rows):
             erased = rng.random((min(rows, n_shots - start), width)) < config.p_e
             phys[start:start + rows] = erased[:, :n_p] @ (1 << np.arange(n_p))
-            intact = ~erased[:, n_p:].reshape(-1, config.s_r, 2).any(axis=2)
+            intact = ~erased[:, n_p:].reshape(len(erased), config.s_r, 2).any(axis=2)
             survivors[start:start + rows] = intact.sum(axis=1)
         return phys, survivors
     n_copies = config.n_e + 1

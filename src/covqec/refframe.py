@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from math import pi, sin, cos
 
 import numpy as np
+from numpy.fft import rfft
 
 from . import young
 from .channels import haar_su2
@@ -191,7 +192,8 @@ def class_coefficients(spec: RefFrameSpec, g_max: int) -> np.ndarray:
     So p = sum_g C_g chi_g (g <= 2 max_gap), C_0 = sum q, and odd g vanish.
     Continued by chi_{-b-2} = -chi_b, the b-sum runs over the whole window
     a - g, a - g + 2, ..., a + g (the extra terms cancel in pairs), which
-    grows by its two ends per step of g: O(support * g_max).
+    grows by its two ends per step of g: O(support * g_max) time and
+    O(support) memory.
     """
     gaps = spec.gaps()
     amps = np.sqrt([spec.weights[lam] for lam in spec.support()])
@@ -200,9 +202,11 @@ def class_coefficients(spec: RefFrameSpec, g_max: int) -> np.ndarray:
     lattice[n + gaps], lattice[n - 2 - gaps] = amps, -amps
     a = n + gaps
     windows = [lattice[a], lattice[a - 1] + lattice[a + 1]]
-    for g in range(2, g_max + 1):
-        windows.append(windows[g - 2] + lattice[a - g] + lattice[a + g])
-    return np.array([amps @ w for w in windows[:g_max + 1]])
+    out = [amps @ w for w in windows]
+    for g in range(2, g_max + 1):  # only the last window of each parity is kept
+        windows[g % 2] = windows[g % 2] + lattice[a - g] + lattice[a + g]
+        out.append(amps @ windows[g % 2])
+    return np.array(out[:g_max + 1])
 
 
 def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -212,8 +216,10 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
         F = (1/pi) sum_g C_g [S_g - S_{g+2}],  S_0 = theta, S_k = sin(k theta)/k,
 
     from the class coefficients C_g.  Each uniform is bracketed in a table
-    of F on 4 len(C) cells, then Newton steps that stay in the bracket
-    (else bisections) bring F(theta) to it within roundoff.
+    of F on N = 4 len(C) cells, theta_t = pi t / N, whose sine sums are one
+    real FFT of length 2N: O(len(C) log len(C)) time and O(len(C)) memory.
+    Then Newton steps that stay in the bracket (else bisections) bring
+    F(theta) to it within roundoff, in blocks of samples.
     """
     if spec.d != 2:
         raise NotImplementedError("outcome sampling is implemented for d=2 only")
@@ -226,22 +232,30 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
         return (w[0] * theta + np.sin(ph) @ (w[k] / k)) / pi, (w[0] + np.cos(ph) @ w[k]) / pi
 
     target = rng.random(n_samples) * c[0]
-    grid = np.linspace(0.0, pi, 4 * len(c) + 1)
-    cell = np.clip(np.searchsorted(cdf(grid)[0], target, side="right"), 1, len(grid) - 1)
+    n_cells = 4 * len(c)
+    grid = np.linspace(0.0, pi, n_cells + 1)
+    # sum_k (w_k / k) sin(pi k t / N) = -Im sum_k (w_k / k) e^{-2 pi i k t / 2N}
+    sines = np.zeros(len(w))
+    sines[k] = w[k] / k
+    table = (w[0] * grid - rfft(sines, 2 * n_cells).imag) / pi
+    cell = np.clip(np.searchsorted(table, target, side="right"), 1, n_cells)
     lo, hi = grid[cell - 1], grid[cell]
-    theta, idx = (lo + hi) / 2, np.arange(n_samples)
-    for _ in range(64):  # bisection alone exhausts a double in fewer halvings
-        f, dens = cdf(theta[idx])
-        r = f - target[idx]
-        busy = np.abs(r) > 4 * np.finfo(float).eps * np.abs(w).sum()
-        idx, r, dens, t = idx[busy], r[busy], dens[busy], theta[idx][busy]
-        if not idx.size:
-            break
-        lo[idx], hi[idx] = np.where(r < 0, t, lo[idx]), np.where(r > 0, t, hi[idx])
-        newton = np.abs(r) <= dens * (hi[idx] - lo[idx])  # a finite step
-        step = t - r / np.where(newton, dens, 1.0)
-        inside = newton & (lo[idx] <= step) & (step <= hi[idx])
-        theta[idx] = np.where(inside, step, (lo[idx] + hi[idx]) / 2)
+    theta = (lo + hi) / 2
+    block = max(1, 2**18 // len(k))  # its (samples x frequencies) arrays hold 2^18 entries
+    for start in range(0, n_samples, block):
+        idx = np.arange(start, min(start + block, n_samples))
+        for _ in range(64):  # bisection alone exhausts a double in fewer halvings
+            f, dens = cdf(theta[idx])
+            r = f - target[idx]
+            busy = np.abs(r) > 4 * np.finfo(float).eps * np.abs(w).sum()
+            idx, r, dens, t = idx[busy], r[busy], dens[busy], theta[idx][busy]
+            if not idx.size:
+                break
+            lo[idx], hi[idx] = np.where(r < 0, t, lo[idx]), np.where(r > 0, t, hi[idx])
+            newton = np.abs(r) <= dens * (hi[idx] - lo[idx])  # a finite step
+            step = t - r / np.where(newton, dens, 1.0)
+            inside = newton & (lo[idx] <= step) & (step <= hi[idx])
+            theta[idx] = np.where(inside, step, (lo[idx] + hi[idx]) / 2)
     v = haar_su2(rng, n_samples)
     return (v * np.exp(1j * np.stack([theta, -theta], axis=1))[:, None, :]) @ v.conj().transpose(0, 2, 1)
 

@@ -3,8 +3,8 @@
 Young diagrams are plain tuples of non-increasing non-negative integers;
 trailing zeros are allowed on input and stripped by :func:`normalize`
 (the empty diagram is ``()``).  Everything combinatorial is computed in
-exact integer / rational arithmetic; floats only enter through character
-evaluation at explicit eigenphases.
+exact integer / rational arithmetic; floats only enter through the SU(2)
+character at explicit eigenphases.
 
 Conventions
 -----------
@@ -12,8 +12,9 @@ Conventions
   diagrams differing by full columns of height ``d`` label the same irrep;
   box counts are nevertheless kept everywhere, because the Schur-Weyl
   bookkeeping of the reference-frame constructions is by box count.
-* Characters are evaluated on the eigenphases (theta_1, ..., theta_d) of a
-  special-unitary matrix, i.e. at diag(exp(i theta_k)).
+* The SU(2) character ``su2_character(gap, t)`` is evaluated on the
+  eigenphases (t, -t) of a special-unitary matrix, i.e. at
+  diag(exp(i t), exp(-i t)).
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ __all__ = [
     "is_diagram",
     "enumerate_diagrams",
     "weyl_dimension",
-    "character",
     "su2_character",
     "lr_coefficient",
     "tensor_decompose",
@@ -138,54 +138,6 @@ def su2_character(gap: int, theta: float | np.ndarray) -> float | np.ndarray:
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def character(lam: Sequence[int], phases: Sequence[float]) -> complex:
-    """Character chi_lam at diag(exp(i theta_1), ..., exp(i theta_d)).
-
-    Evaluated as the Schur polynomial of the eigenvalues (ratio of
-    alternants).  Fully degenerate phase vectors are handled exactly;
-    partially degenerate ones by an epsilon-perturbation with Richardson
-    extrapolation.
-    """
-    lam = normalize(lam)
-    d = len(phases)
-    if len(lam) > d:
-        raise ValueError(f"diagram {lam} has more than {d} rows")
-    th = np.asarray(phases, dtype=float)
-    lam_p = pad(lam, d)
-    if d == 1:
-        return complex(np.exp(1j * th[0] * lam_p[0]))
-    if d == 2:
-        # exact and stable for all phases; overall U(1) phase e^{i avg * |lam|}
-        half = (th[0] - th[1]) / 2.0
-        avg = (th[0] + th[1]) / 2.0
-        return complex(np.exp(1j * avg * boxes(lam)) * su2_character(lam_p[0] - lam_p[1], half))
-
-    z = np.exp(1j * th)
-    spread = min(abs(z[i] - z[j]) for i in range(d) for j in range(i + 1, d))
-    if spread < 1e-12:
-        # all phases equal: chi = dim * exp(i theta |lam|)
-        if max(abs(z[i] - z[0]) for i in range(d)) < 1e-12:
-            return complex(weyl_dimension(lam, d) * np.exp(1j * th[0] * boxes(lam)))
-    if spread > 1e-5:
-        return _alternant_ratio(lam_p, th)
-    # partial degeneracy: perturb along a traceless direction and extrapolate
-    w = np.arange(1, d + 1, dtype=float)
-    w -= w.mean()
-    eps = 1e-5
-    c1 = _alternant_ratio(lam_p, th + eps * w)
-    c2 = _alternant_ratio(lam_p, th + (eps / 2) * w)
-    return complex(2 * c2 - c1)
-
-
-def _alternant_ratio(lam_p: tuple[int, ...], th: np.ndarray) -> complex:
-    d = len(th)
-    exps = np.array([lam_p[j] + d - 1 - j for j in range(d)], dtype=float)
-    rho = np.arange(d - 1, -1, -1, dtype=float)
-    num = np.linalg.det(np.exp(1j * np.outer(th, exps)))
-    den = np.linalg.det(np.exp(1j * np.outer(th, rho)))
-    return complex(num / den)
 
 
 @lru_cache(maxsize=None)

@@ -164,6 +164,28 @@ def test_simulate_mc_samples_below_two_exits_2(capsys, samples):
     assert "mc_samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("np_", ["1", "5"])
+def test_simulate_mc_without_reference_copies(capsys, np_):
+    args = ["simulate", "--model", "strong", "--pe", "0.1", "--sr", "0", "--np", np_,
+            "--mc", "--mc-samples", "200"]
+    assert cli.main(args) == 0
+    assert "monte carlo 1-F_ent" in capsys.readouterr().out
+
+
+def test_simulate_mc_value_error_exits_2(monkeypatch, capsys):
+    from covqec import protocol as pr
+
+    def fail(cfg):
+        raise ValueError("no shots to draw")
+
+    monkeypatch.setattr(pr, "monte_carlo_epsilon", fail)
+    args = ["simulate", "--model", "strong", "--pe", "0.1", "--sr", "2", "--np", "1", "--mc"]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "error: no shots to draw" in captured.err
+    assert "eps_cov" not in captured.out
+
+
 def test_verify_only_rep():
     res = run_cli(["verify", "--only", "rep"])
     assert res.returncode == 0

@@ -64,7 +64,7 @@ def _phi_weight(code, erased, us):
 
 def _full_grid_spectrum(code, pattern, order):
     """c_{2k} of `_phi_weight` on every node of the Euler grid of `order`:
-    no half grid and no phase sums over alpha."""
+    no half grid and no selection rule over alpha and gamma."""
     n_surv = code.n_p - len(set(pattern))
     quad = ch.haar_quadrature_su2(order)
     us = quad.matrices()
@@ -264,17 +264,6 @@ def _phi_spectrum(code, pattern):
     return pr._phi_spectrum(code, pattern, ch.haar_quadrature_su2(order))
 
 
-@pytest.mark.parametrize("pattern", [(), (0,), (0, 1, 2)])
-def test_phi_spectrum_is_converged(pattern):
-    code = codes.five_qubit_code()
-    exact = _phi_spectrum(code, pattern)
-    n_surv = code.n_p - len(pattern)
-    assert len(exact) == n_surv + 2
-    # two orders finer, on the whole grid: no use of the U' -> -U' symmetry
-    finer = _full_grid_spectrum(code, pattern, pr._spectrum_order(n_surv) + 2)
-    assert np.max(np.abs(finer - exact)) < 1e-14
-
-
 def _rotated_five_qubit_code():
     # a fixed non-Clifford rotation of qubit 0 breaks the code's Z-parity
     # structure, under which every z-weight difference f that contributes
@@ -288,8 +277,8 @@ _CODES = {"five_qubit": codes.five_qubit_code, "trivial": lambda: codes.trivial_
           "rotated": _rotated_five_qubit_code}
 # every erasure pattern of the five-qubit and trivial codes, and patterns
 # of the rotated code that keep its rotated qubit, at s = 5..1 survivors;
-# at even s the z-weight differences f are odd, so the alpha frequencies
-# f/2 of the phase sums are half-integers
+# at even s the z-weight differences f and kappa are odd, so the alpha and
+# gamma frequencies f/2 and kappa/2 are half-integers
 _ALL_PATTERNS = [(name, p) for name, n_p in (("five_qubit", 5), ("trivial", 1))
                  for k in range(n_p + 1) for p in itertools.combinations(range(n_p), k)]
 _ALL_PATTERNS += [("rotated", p) for p in [(), (1,), (2,), (1, 3), (1, 2, 4), (1, 2, 3, 4)]]
@@ -302,6 +291,44 @@ def test_factored_spectrum_matches_per_node_oracle(name, pattern):
     order = pr._spectrum_order(code.n_p - len(pattern))
     oracle = _full_grid_spectrum(code, pattern, order)
     assert np.max(np.abs(_phi_spectrum(code, pattern) - oracle)) < 1e-14
+
+
+_CONVERGED = [("five_qubit", ()), ("five_qubit", (0,)), ("five_qubit", (0, 1, 2)),
+              ("rotated", ()), ("rotated", (1,)), ("rotated", (1, 2, 4)),
+              ("trivial", ()), ("trivial", (0,))]
+
+
+@pytest.mark.parametrize("name,pattern", _CONVERGED, ids=[f"pattern{i}" for i in range(len(_CONVERGED))])
+def test_phi_spectrum_is_converged(name, pattern):
+    # the rotated code breaks the five-qubit code's Z-parity structure (see
+    # _rotated_five_qubit_code); the trivial code runs at n_surv = 1 and 0
+    code = _CODES[name]()
+    exact = _phi_spectrum(code, pattern)
+    n_surv = code.n_p - len(pattern)
+    assert len(exact) == n_surv + 2
+    # two orders finer, on the whole grid: no use of the U' -> -U' symmetry
+    finer = _full_grid_spectrum(code, pattern, pr._spectrum_order(n_surv) + 2)
+    assert np.max(np.abs(finer - exact)) < 1e-14
+
+
+def test_wigner_diagonals_sum_to_the_character():
+    # chi_{2j}(U) = sum_{m=-j..j} e^{-i m (alpha + gamma)} d^j_mm(beta) at
+    # U = su2_from_euler(alpha, beta, gamma), with d^j_{-m,-m} = d^j_mm.  The
+    # eigenphase is read off U as atan2(|(Im U00, U10)|, Re U00): arccos of
+    # the trace loses ~1e-8 of theta near 0 and pi, which the character's
+    # slope turns into ~1e-13
+    rng = np.random.default_rng(43)
+    alpha, beta, gamma = (rng.uniform(0, top, 200) for top in (2 * np.pi, np.pi, 4 * np.pi))
+    u = ch.su2_from_euler(alpha, beta, gamma)
+    theta = np.arctan2(np.hypot(u[:, 0, 0].imag, np.abs(u[:, 1, 0])), u[:, 0, 0].real)
+    table = pr._wigner_diagonals(beta, 8)
+    assert table.shape == (200, 9, 9)
+    m = np.arange(-8, 9)
+    for j in range(9):
+        d_jj = np.where(np.abs(m) <= j, table[:, j, np.abs(m)], 0.0)
+        chi = np.sum(np.exp(-1j * np.outer(alpha + gamma, m)) * d_jj, axis=1)
+        assert np.max(np.abs(chi - young.su2_character(2 * j, theta))) < 1e-13, j
+        assert not np.any(table[:, j, j + 1:])
 
 
 def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
@@ -576,6 +603,18 @@ def test_mc_matches_quadrature_strong():
     rep = pr.effective_channel(cfg)
     est, err = pr.monte_carlo_epsilon(cfg)
     assert abs(est - rep.mixture.a) < 3 * err
+
+
+@pytest.mark.parametrize("code", [codes.five_qubit_code(), codes.trivial_code(2)],
+                         ids=["five_qubit", "trivial"])
+def test_mc_with_no_reference_copies(code):
+    # s_r = 0: no shot has a survivor, and every one takes a Haar guess
+    cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.1, s_r=0, mc_samples=20000, seed=37)
+    _, survivors = pr._sample_patterns(cfg, np.random.default_rng(0), 1000)
+    assert survivors.shape == (1000,) and not survivors.any()
+    rep = pr.effective_channel(cfg)
+    est, err = pr.monte_carlo_epsilon(cfg)
+    assert abs(est - rep.mixture.a) < 5 * err + 1e-12, "5 sigma divergence flags a fault"
 
 
 def test_mc_covariant_gate_insertion():
