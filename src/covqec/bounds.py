@@ -124,6 +124,8 @@ def theorem2_bound(d: int, p_e: float, n: int, alpha: float) -> BoundReport:
     """
     if not 0 < p_e < 0.5:
         raise ValueError("p_e must lie in (0, 1/2)")
+    if n < 1:
+        raise ValueError("n must be positive")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     denom = (2 - 4 * p_e) * np.prod([factorial(j - 1) for j in range(1, d + 1)])
@@ -156,6 +158,8 @@ def prop2_lower(n: int, p_e: float) -> BoundReport:
     """Strong-model converse: eps_cov >= p_e / (64 n (1 - p_e))."""
     if not 0 < p_e < 1:
         raise ValueError("p_e must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be positive")
     return BoundReport(
         value=p_e / (64 * n * (1 - p_e)),
         kind="lower",
@@ -199,6 +203,8 @@ def fisher_upper_strong(n: int, delta_h: float, p_e: float) -> BoundReport:
     """I_Fisher = 4 n (Delta H)^2 (1 - p_e)/p_e for the independent model."""
     if not 0 < p_e < 1:
         raise ValueError("p_e must lie in (0, 1)")
+    if n < 1:
+        raise ValueError("n must be positive")
     return BoundReport(
         value=4 * n * delta_h**2 * (1 - p_e) / p_e,
         kind="upper",
@@ -212,28 +218,21 @@ def fisher_upper_strong(n: int, delta_h: float, p_e: float) -> BoundReport:
 # Kraus-family Fisher machinery
 # ---------------------------------------------------------------------------
 
-def erasure_kraus_family(
-    n: int,
-    n_e: int,
-    h: Hamiltonian,
-    theta: float,
-    p_0: float = 0.0,
-    p_subsets: dict | None = None,
-):
+def erasure_kraus_family(n: int, n_e: int, h: Hamiltonian, theta: float, p_0: float = 0.0):
     """Kraus operators of C . U_theta^(x)n on the flagged space (C^{d+1})^n.
 
-    C erases exactly-n_e subsets s with probabilities p_s (uniform unless
-    given), plus an identity branch of weight p_0; phases
-    exp(i theta h / (binom(n-1, n_e-1) p_s)) on the flag transitions make
-    the family theta-covariant in the sense that sum dK/dtheta^dag K = 0.
+    C erases each exactly-n_e subset s with the uniform probability
+    p_s = (1 - p_0) / binom(n, n_e), plus an identity branch of weight
+    p_0 in [0, 1]; phases exp(i theta h / (binom(n-1, n_e-1) p_s)) on the
+    flag transitions make the family theta-covariant in the sense that
+    sum dK/dtheta^dag K = 0.
     """
+    if not 0 <= p_0 <= 1:
+        raise ValueError("p_0 must lie in [0, 1]")
     d = len(h.eigenvalues)
     dd = d + 1
     subsets = [frozenset(s) for s in itertools.combinations(range(n), n_e)]
-    if p_subsets is None:
-        p_subsets = {s: (1 - p_0) / len(subsets) for s in subsets}
-    if abs(p_0 + sum(p_subsets.values()) - 1.0) > 1e-12:
-        raise ValueError("erasure probabilities do not sum to one")
+    ps = (1 - p_0) / len(subsets)
 
     h_ext = np.array(list(h.eigenvalues) + [0.0])
     u_slot = np.diag(np.exp(-1j * theta * h_ext))
@@ -248,11 +247,10 @@ def erasure_kraus_family(
     kraus = []
     if p_0 > 0:
         kraus.append(np.sqrt(p_0) * u_all)
+    if ps == 0:
+        return kraus  # p_0 = 1: the identity branch alone
     binom = comb(n - 1, n_e - 1)
     for s in subsets:
-        ps = p_subsets[s]
-        if ps == 0:
-            continue
         slots = sorted(s)
         for levels in itertools.product(range(dd), repeat=n_e):
             ops = [np.eye(dd, dtype=complex)] * n
@@ -264,18 +262,12 @@ def erasure_kraus_family(
     return kraus
 
 
-def kraus_zero_check(
-    n: int,
-    n_e: int,
-    h: Hamiltonian,
-    theta: float,
-    p_0: float = 0.0,
-    step: float = 1e-5,
-) -> tuple[float, float]:
+def kraus_zero_check(n: int, n_e: int, h: Hamiltonian, theta: float,
+                     p_0: float = 0.0) -> tuple[float, float]:
     """Residuals of the two Kraus-family identities at the given theta.
 
-    Derivatives are central finite differences with one Richardson
-    extrapolation step.  Returns (||sum dK^dag K||_inf,
+    Derivatives are central finite differences (step 1e-5) with one
+    Richardson extrapolation step.  Returns (||sum dK^dag K||_inf,
     ||sum dK^dag dK - closed form||_inf) with the closed form
 
         sum_s (sum_j H_{s_j})^2 / (binom(n-1, n_e-1)^2 p_s) - (sum_l H_l)^2,
@@ -301,6 +293,7 @@ def kraus_zero_check(
         kp, km = family(t + eps), family(t - eps)
         return [(a - b) / (2 * eps) for a, b in zip(kp, km)]
 
+    step = 1e-5
     d1 = deriv(theta, step)
     d2 = deriv(theta, step / 2)
     dk = [(4 * b - a) / 3 for a, b in zip(d1, d2)]  # Richardson: O(step^4)

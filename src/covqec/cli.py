@@ -125,34 +125,34 @@ def _coerce(raw: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_bounds(args) -> int:
     d = args.d
-    lines = []
-    if args.model == "weak":
-        if args.ne is None or args.np_ is None or args.nr is None:
-            print("error: the weak model needs --ne, --np and --nr", file=sys.stderr)
-            return 2
-        n = args.np_ + args.nr
-        t1 = bounds_mod.theorem1_bound(d, args.ne, args.np_, args.nr)
-        p1 = bounds_mod.prop1_lower(n, args.ne)
-        h = bounds_mod.Hamiltonian.balanced_qubit()
-        fisher = bounds_mod.fisher_upper_weak(n, args.ne, h)
-        lines.append(("theorem1_upper", t1))
-        lines.append(("prop1_lower", p1))
-        lines.append(("fisher_upper_weak", fisher))
-    elif args.model == "strong":
-        if args.pe is None or args.n is None:
-            print("error: the strong model needs --pe and --n", file=sys.stderr)
-            return 2
-        t2 = bounds_mod.theorem2_bound(d, args.pe, args.n, args.alpha)
-        p2 = bounds_mod.prop2_lower(args.n, args.pe)
-        fisher = bounds_mod.fisher_upper_strong(args.n, 2.0, args.pe)
-        lines.append(("theorem2_upper", t2))
-        lines.append(("prop2_lower", p2))
-        lines.append(("fisher_upper_strong", fisher))
-    else:
-        print("error: --model must be weak or strong", file=sys.stderr)
-        return 2
+    if args.model == "weak" and None in (args.ne, args.np_, args.nr):
+        return _usage_error("the weak model needs --ne, --np and --nr")
+    if args.model == "strong" and None in (args.pe, args.n):
+        return _usage_error("the strong model needs --pe and --n")
+    try:
+        if args.model == "weak":
+            n = args.np_ + args.nr
+            h = bounds_mod.Hamiltonian.balanced_qubit()
+            lines = [
+                ("theorem1_upper", bounds_mod.theorem1_bound(d, args.ne, args.np_, args.nr)),
+                ("prop1_lower", bounds_mod.prop1_lower(n, args.ne)),
+                ("fisher_upper_weak", bounds_mod.fisher_upper_weak(n, args.ne, h)),
+            ]
+        else:
+            lines = [
+                ("theorem2_upper", bounds_mod.theorem2_bound(d, args.pe, args.n, args.alpha)),
+                ("prop2_lower", bounds_mod.prop2_lower(args.n, args.pe)),
+                ("fisher_upper_strong", bounds_mod.fisher_upper_strong(args.n, 2.0, args.pe)),
+            ]
+    except ValueError as exc:
+        return _usage_error(str(exc))
     out = []
     for name, rep in lines:
         flags = []
@@ -174,11 +174,11 @@ def cmd_sweep(args) -> int:
     try:
         grid = [int(x) for x in args.n_grid.split(",")]
     except ValueError:
-        print("error: --n-grid must be a comma-separated list of integers", file=sys.stderr)
-        return 2
+        return _usage_error("--n-grid must be a comma-separated list of integers")
     if len(set(grid)) < 2:
-        print("error: --n-grid needs at least two distinct points to fit a slope", file=sys.stderr)
-        return 2
+        return _usage_error("--n-grid needs at least two distinct points to fit a slope")
+    if args.format == "csv+svg" and not args.out:
+        return _usage_error("--format csv+svg needs --out, which names the SVG too")
     try:
         rows = pr.scaling_sweep(
             args.model,
@@ -192,8 +192,7 @@ def cmd_sweep(args) -> int:
             timing=args.timing,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     ns = [r.n for r in rows]
     slope = pr.loglog_slope(ns, [r.one_minus_fwc for r in rows])
     eps_slope = pr.loglog_slope(ns, [r.eps_cov for r in rows]) if args.simulate else None
@@ -223,13 +222,11 @@ def cmd_simulate(args) -> int:
 
     if args.model == "weak":
         if args.ne is None or args.m is None:
-            print("error: simulate weak needs --ne and --m", file=sys.stderr)
-            return 2
+            return _usage_error("simulate weak needs --ne and --m")
         model_args = dict(n_e=args.ne, m=args.m, pattern_dist=args.pattern_dist)
     else:
         if args.pe is None or args.sr is None:
-            print("error: simulate strong needs --pe and --sr", file=sys.stderr)
-            return 2
+            return _usage_error("simulate strong needs --pe and --sr")
         model_args = dict(p_e=args.pe, s_r=args.sr)
     try:
         cfg = pr.ProtocolConfig(
@@ -239,8 +236,7 @@ def cmd_simulate(args) -> int:
         rep = pr.effective_channel(cfg)
         mc = pr.monte_carlo_epsilon(cfg) if args.mc else None
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(str(exc))
     print(f"n = {cfg.n}")
     print(f"mixture a = {rep.mixture.a:.10g}")
     print(f"F_ent     = {1.0 - rep.mixture.a:.10g}")
@@ -256,7 +252,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run(only=args.only, inject_fault=args.inject_fault)
+    results = verify_mod.run(only=args.only)
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -273,6 +269,8 @@ def cmd_sdp_check(args) -> int:
     from .channels import depolarizing_channel, entanglement_error, identity_channel
     from .verify import _random_channel
 
+    if args.pairs < 0:
+        return _usage_error("--pairs must be non-negative")
     rng = np.random.default_rng(args.seed)
     worst_gap = 0.0
     for p in (0.1, 0.4, 0.8):
@@ -354,8 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--only", type=str, default=None,
                           help="restrict to one module (rep, refframe, channels, sdp, codes, protocol, bounds)")
-    p_verify.add_argument("--inject-fault", dest="inject_fault", action="store_true",
-                          help=argparse.SUPPRESS)  # test hook
     p_verify.set_defaults(func=cmd_verify)
 
     p_sdp = sub.add_parser("sdp-check", help="quick SDP cross-validation battery")
@@ -372,7 +368,10 @@ def main(argv=None) -> int:
     if args.config:
         # the file becomes the subcommand's defaults, so every flag given on
         # the command line still wins; keys the subcommand lacks are ignored
-        cfg = _load_config(args.config)
+        try:
+            cfg = _load_config(args.config)
+        except OSError as exc:
+            return _usage_error(f"cannot read --config: {exc}")
         args.subparser.set_defaults(**{k: v for k, v in cfg.items() if k in vars(args)})
         args = parser.parse_args(argv)
     try:

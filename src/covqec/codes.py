@@ -110,8 +110,8 @@ def erased_restriction_kraus(code: CodeSpec, pattern) -> list[np.ndarray]:
 
 
 def recovery_parts(code: CodeSpec, pattern) -> tuple[list[np.ndarray], np.ndarray]:
-    """Data Kraus operators and the output-support projector of the
-    survivor-space recovery.
+    """Data Kraus operators of the survivor-space recovery, and an
+    orthonormal basis (columns) of the survivor space off their support.
 
     The data Kraus are the transpose channel of the erased restriction at
     the maximally mixed logical input, R_b = M_b^dag rho_out^{-1/2}/sqrt(d)
@@ -124,31 +124,23 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[list[np.ndarray], np.ndarra
     w, u = np.linalg.eigh(rho_out)
     keep = w > 1e-12
     inv_half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
-    support = (u[:, keep]) @ u[:, keep].conj().T
     kraus = [(m.conj().T @ inv_half) / np.sqrt(d) for m in ms]
-    return kraus, support
+    return kraus, u[:, ~keep]
 
 
 def recovery_on_survivors(code: CodeSpec, pattern) -> list[np.ndarray]:
     """Kraus operators of the recovery map (C^d)^(survivors) -> logical.
 
     Exact inverse of the erasure whenever |pattern| < distance; beyond
-    that a trace-preserving best effort.
+    that a trace-preserving best effort.  The completion is |l><v| / sqrt(d)
+    for each off-support basis vector v and logical level l.
     """
     d = code.d
-    data, support = recovery_parts(code, pattern)
-    dim_s = support.shape[0]
-    kraus = list(data)
-    comp = np.eye(dim_s) - support
-    wc, uc = np.linalg.eigh(comp)
-    for i in range(dim_s):
-        if wc[i] > 1e-12:
-            for out_level in range(d):
-                k = np.zeros((d, dim_s), dtype=complex)
-                k[out_level, :] = uc[:, i].conj() * np.sqrt(wc[i] / d)
-                kraus.append(k)
+    kraus, off_support = recovery_parts(code, pattern)
+    for v in off_support.T:
+        kraus += [np.outer(level, v.conj()) / np.sqrt(d) for level in np.eye(d)]
     total = sum(k.conj().T @ k for k in kraus)
-    assert np.max(np.abs(total - np.eye(dim_s))) < 1e-9
+    assert np.max(np.abs(total - np.eye(off_support.shape[0]))) < 1e-9
     return kraus
 
 

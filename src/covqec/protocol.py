@@ -224,8 +224,8 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     erased = sorted(set(erased))
     n_surv = code.n_p - len(erased)
     m_ops = erased_restriction_kraus(code, erased)
-    data_kraus, support = recovery_parts(code, erased)
-    dim_s = support.shape[0]
+    data_kraus, _ = recovery_parts(code, erased)
+    dim_s = m_ops[0].shape[0]
     # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
     # summed over the (alpha, gamma) plane
     w_grid = quad.weights.reshape(2 * quad.order, quad.order, 2 * quad.order)
@@ -474,12 +474,8 @@ def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
     return out
 
 
-def monte_carlo_epsilon(
-    config: ProtocolConfig,
-    logical_gate: np.ndarray | None = None,
-    force_total_loss: bool = False,
-    force_perfect_reference: bool = False,
-) -> tuple[float, float]:
+def monte_carlo_epsilon(config: ProtocolConfig,
+                        logical_gate: np.ndarray | None = None) -> tuple[float, float]:
     """Operational estimate of 1 - F_ent of the effective channel.
 
     Each shot draws the encoding rotation U, an erasure pattern and a
@@ -488,7 +484,9 @@ def monte_carlo_epsilon(
     F_ent = sum_K |Tr(V^dag K)|^2 / d^2 against the target gate V.  With
     `logical_gate` V the shot implements the covariant version of V (V
     applied transversally, V_L as the target); by covariance the estimate
-    must match the V-free run.
+    must match the V-free run.  The survivor counts and U' always come
+    from the configured erasure model and reference frame; strong s_r = 0
+    makes every shot a Haar guess.
 
     Shots are drawn in bulk: every U in one Haar batch, every erasure
     pattern in one vectorized draw, and the relative rotations U' by one
@@ -505,24 +503,19 @@ def monte_carlo_epsilon(
     v = np.eye(d, dtype=complex) if logical_gate is None else np.asarray(logical_gate, complex)
     us = haar_su2(rng, n_shots)
     phys, survivors = _sample_patterns(config, rng, n_shots)
-    if force_total_loss:
-        survivors[:] = 0
     u_rels = np.empty((n_shots, d, d), dtype=complex)
-    if force_perfect_reference:
-        u_rels[:] = np.eye(d)
-    else:
-        if config.model == "weak":
-            _, per_copy_spec = rf.weak_spec(d, config.m, code.n_p, config.n_e)
-        for s in np.flatnonzero(np.bincount(survivors)):
-            idx = np.flatnonzero(survivors == s)
-            if s == 0:
-                # Haar guess: U^ Haar-random, so the leftover U'^dag = U^dag V U
-                # is Haar as well
-                u_rels[idx] = haar_su2(rng, len(idx))
-            else:
-                # every weak-model survivor count measures the per-copy spec
-                spec = per_copy_spec if config.model == "weak" else rf.strong_combined_spec(d, int(s))
-                u_rels[idx] = rf.sample_relative_rotations(spec, len(idx), rng)
+    if config.model == "weak":
+        _, per_copy_spec = rf.weak_spec(d, config.m, code.n_p, config.n_e)
+    for s in np.flatnonzero(np.bincount(survivors)):
+        idx = np.flatnonzero(survivors == s)
+        if s == 0:
+            # Haar guess: U^ Haar-random, so the leftover U'^dag = U^dag V U
+            # is Haar as well
+            u_rels[idx] = haar_su2(rng, len(idx))
+        else:
+            # every weak-model survivor count measures the per-copy spec
+            spec = per_copy_spec if config.model == "weak" else rf.strong_combined_spec(d, int(s))
+            u_rels[idx] = rf.sample_relative_rotations(spec, len(idx), rng)
     fidelities = _score_shots(code, v, us, phys, u_rels)
     est = float(1.0 - fidelities.mean())
     stderr = float(fidelities.std(ddof=1) / np.sqrt(n_shots))
@@ -557,23 +550,20 @@ def scaling_sweep(
     d: int = 2,
     seed: int = 7,
     simulate: bool = False,
-    code: CodeSpec | None = None,
     timing: bool = False,
 ) -> list[SweepRow]:
     """Rows of (n, bounds, reference-frame error proxy) over a grid of n.
 
     The proxy column is 1 - min_overlap of the weak spec (weak model) or
     1 - F_{s'} at the no-loss survivor count (strong model); eps_cov is
-    simulated only on request (it needs full effective-channel runs).
+    simulated only on request (it needs full effective-channel runs), on
+    the code with n_p physical qudits (`_code_for_np`: 1 or 5).
     """
     import time
 
     from . import bounds as bounds_mod
 
-    if simulate and code is None:
-        code = _code_for_np(n_p)
-    if code is not None and code.n_p != n_p:
-        raise ValueError(f"code {code.name} has n_p={code.n_p}, but the sweep has n_p={n_p}")
+    code = _code_for_np(n_p) if simulate else None
     rows = []
     for n in n_grid:
         t0 = time.monotonic()

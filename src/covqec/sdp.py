@@ -129,7 +129,12 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 # interior-point solver
 # ---------------------------------------------------------------------------
 
-def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpResult:
+def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
+    """Solve to relative residuals below `tol` in at most 200 iterations.
+
+    Status "optimal", "infeasible" (the dual iterate diverged) or
+    "max_iterations" (also when a step cannot be computed).
+    """
     sizes = instance._sizes
     total = sum(sizes.values())
     ends = np.cumsum(list(sizes.values()))
@@ -172,7 +177,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8, max_iter: int = 200) -> SdpR
     status = "max_iterations"
     iters = 0
 
-    for it in range(max_iter):
+    for it in range(200):
         iters = it + 1
         rp = b - op_A(X)
         Rd = C - Z - op_At(y)
@@ -301,7 +306,7 @@ def _pick_im(n: int, r: int, c: int) -> np.ndarray:
 # worst-case fidelity program (square root)
 # ---------------------------------------------------------------------------
 
-def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> float:
+def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     """sqrt(F_wc(A, B)) between two channels given as (state-normalized) Chois.
 
     Solves the worst-case-fidelity program restricted to the supports of
@@ -347,7 +352,7 @@ def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> float
             inst.add_equality({"S": _pick_re(n, p, r_a + q), "rho": n_pq}, 0.0)
             inst.add_equality({"S": _pick_im(n, p, r_a + q), "rho": -1j * n_pq}, 0.0)
 
-    res = solve(inst, tol=tol)
+    res = solve(inst)
     if res.status != "optimal":
         raise RuntimeError(f"fidelity SDP did not converge: status {res.status}")
     return float(np.clip(res.value, 0.0, 1.0))

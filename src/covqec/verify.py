@@ -248,13 +248,12 @@ _REGISTRY = {
 }
 
 
-def run(only: str | None = None, inject_fault: bool = False) -> list[CheckResult]:
+def run(only: str | None = None) -> list[CheckResult]:
+    """Results of every registered module's checks, or of module `only`."""
     modules = [only] if only else list(_REGISTRY)
     if only and only not in _REGISTRY:
         raise SystemExit(f"unknown module {only!r}; choose from {sorted(_REGISTRY)}")
     results = []
     for mod in modules:
         results.extend(_REGISTRY[mod]())
-    if inject_fault:
-        results.append(CheckResult("hook", "injected fault", False, "requested via --inject-fault"))
     return results

@@ -114,6 +114,16 @@ def test_fisher_strong_value():
     assert bounds.fisher_upper_strong(20, 2.0, 0.5).value == pytest.approx(320.0)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_strong_bounds_reject_n_below_one(n):
+    # like prop1_lower; n = 0 used to divide by zero or give a Fisher bound of 0
+    for call in (lambda: bounds.prop2_lower(n, 0.2),
+                 lambda: bounds.theorem2_bound(2, 0.2, n, 0.1),
+                 lambda: bounds.fisher_upper_strong(n, 2.0, 0.2)):
+        with pytest.raises(ValueError, match="n must be positive"):
+            call()
+
+
 def test_algebraic_chain_weak():
     # lemma4(fisher_weak) reproduces prop1 exactly for max = -min Hamiltonians
     h = bounds.Hamiltonian.balanced_qubit()
@@ -167,6 +177,19 @@ def test_kraus_family_with_p0():
     h = bounds.Hamiltonian((1.0, -1.0))
     r0, _ = bounds.kraus_zero_check(2, 1, h, 0.3, p_0=0.3)
     assert r0 <= 1e-9
+
+
+@pytest.mark.parametrize("p_0", [-0.2, 1.5])
+def test_kraus_family_rejects_p0_outside_unit_interval(p_0):
+    with pytest.raises(ValueError, match="p_0"):
+        bounds.erasure_kraus_family(2, 1, bounds.Hamiltonian.balanced_qubit(), 0.3, p_0=p_0)
+
+
+def test_kraus_family_at_p0_one_is_the_rotation():
+    h = bounds.Hamiltonian.balanced_qubit()
+    kraus = bounds.erasure_kraus_family(2, 1, h, 0.3, p_0=1.0)
+    assert len(kraus) == 1
+    assert np.allclose(kraus[0].conj().T @ kraus[0], np.eye(9), atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

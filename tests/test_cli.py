@@ -192,11 +192,33 @@ def test_verify_only_rep():
     assert "[PASS] rep" in res.stdout
 
 
-def test_verify_injected_fault():
-    res = run_cli(["verify", "--only", "rep", "--inject-fault"])
-    assert res.returncode == 1
-    assert "FAIL" in res.stdout
-    assert "witness" in res.stdout
+def test_verify_injected_fault(monkeypatch, capsys):
+    from covqec import verify
+
+    failing = verify.CheckResult("rep", "injected fault", False, "w=1")
+    monkeypatch.setitem(verify._REGISTRY, "rep", lambda: [failing])
+    assert cli.main(["verify", "--only", "rep"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] rep: injected fault  (witness: w=1)" in out
+    assert "0/1 checks passed" in out
+
+
+@pytest.mark.parametrize("args,message", [
+    (["bounds", "--model", "weak", "--ne", "0", "--np", "5", "--nr", "1000"], "n_e must be positive"),
+    (["bounds", "--model", "weak", "--ne", "1", "--np", "5", "--nr", "7"], "n_r must be"),
+    (["bounds", "--model", "strong", "--pe", "0.7", "--n", "100"], "p_e must lie"),
+    (["bounds", "--model", "strong", "--pe", "0.2", "--n", "100", "--alpha", "0"], "alpha"),
+    (["bounds", "--model", "strong", "--pe", "0.2", "--n", "0"], "n must be positive"),
+    (["bounds", "--model", "weak", "--config", "/nonexistent/run.cfg"], "--config"),
+    (["sdp-check", "--pairs", "-3"], "--pairs"),
+    (["sweep", "--model", "weak", "--n-grid", "201,297", "--ne", "1", "--format", "csv+svg"], "--out"),
+], ids=["weak-ne0", "weak-odd-nr", "strong-pe", "alpha0", "strong-n0", "missing-config",
+        "negative-pairs", "svg-without-out"])
+def test_usage_errors_exit_2(capsys, args, message):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
 
 
 def test_config_file_precedence(tmp_path):

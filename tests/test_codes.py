@@ -178,6 +178,20 @@ def test_five_qubit_corrects_double_erasures(pattern):
     assert ch.entanglement_fidelity(comp, ch.identity_channel(2)) == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
+def test_recovery_parts_off_support_basis(pattern):
+    # orthonormal columns that every data Kraus annihilates, completing the
+    # data support to the whole survivor space
+    code = codes.five_qubit_code()
+    data, off = codes.recovery_parts(code, pattern)
+    dim_s = 2 ** (5 - len(pattern))
+    assert off.shape[0] == dim_s
+    assert np.allclose(off.conj().T @ off, np.eye(off.shape[1]), atol=1e-12)
+    assert max(np.abs(r @ off).max(initial=0.0) for r in data) < 1e-12
+    support = sum(r.conj().T @ r for r in data)
+    assert np.allclose(support + off @ off.conj().T, np.eye(dim_s), atol=1e-10)
+
+
 def test_recovery_trace_preserving_beyond_distance():
     code = codes.five_qubit_code()
     rec = codes.recovery_on_survivors(code, {0, 1, 2})
