@@ -130,8 +130,9 @@ def identity_channel(d: int) -> KrausChannel:
     return KrausChannel(d, d, [np.eye(d, dtype=complex)])
 
 
-def depolarizing_channel(p: float, d: int = 2) -> KrausChannel:
-    """rho -> (1-p) rho + p I/d."""
+def depolarizing_channel(p: float) -> KrausChannel:
+    """The qubit channel rho -> (1-p) rho + p I/2."""
+    d = 2
     kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
     for i in range(d):
         for j in range(d):

@@ -217,8 +217,11 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
                - (1/d) sum <X_{f-2m,k+2m}, X_{f,k}> + delta_{m0}] / d^2,
 
     and G_{-m} = conj G_m.  Nothing is formed on the alpha or gamma axes.
-    A weak five-qubit m = 8 effective channel (six patterns) takes ~19 ms
-    on one core, about half of it in the diamond SDP.
+    A weak five-qubit m = 8 effective channel (six patterns) takes 10-19 ms
+    cold on one core (best of 30; the host's speed drifts), about half of
+    it in the diamond SDP.  Once `inner_channel` holds its six spectra, as
+    it does for every `sweep --simulate` row after the first, it takes
+    5-9 ms, ~90% of it the SDP.
     """
     d = code.d
     erased = sorted(set(erased))
@@ -260,6 +263,12 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     return np.einsum("n,njm,nm->j", w_grid.sum(axis=(0, 2)), table, g) / d**2
 
 
+# Phi+ spectra by (d, n_p, encoder dtype and bytes, erased set), oldest
+# first; a spectrum depends on nothing else
+_SPECTRA: dict = {}
+_SPECTRA_CAP = 256
+
+
 def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     """a[i, j] = 1 - F_ent(M_j, I) of erasure pattern j under reference
     frame i, plus diagnostics.
@@ -271,20 +280,41 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     pattern.  The patterns of one survivor count share one
     `haar_quadrature_su2` of their spectrum order, whose Gauss-Legendre beta
     nodes and weights carry the spectrum.  The diagnostics are the largest
-    spectrum order ("quad_order") and the frame mass C_0 = sum q farthest
-    from one ("normalization").
+    spectrum order ("quad_order"), the frame mass C_0 = sum q farthest
+    from one ("normalization") and the number of spectra this call
+    integrated ("spectra_computed").
+
+    A spectrum depends on the code and the erased set only, never on the
+    frame, so spectra are memoized across calls: keyed on the encoder's
+    bytes (a CodeSpec compares and hashes equal whatever its encoder), in
+    a module memo of at most `_SPECTRA_CAP` read-only rows that drops its
+    oldest entry first.  Quadratures are built only for the orders of the
+    patterns the memo lacks, and a reused row is the same numbers, so
+    results do not depend on what ran before.  The rows of a
+    `sweep --simulate` after its first reuse every spectrum; a single
+    call pays the full cost.
     """
     n_p = code.n_p
-    orders = [_spectrum_order(n_p - len(set(p))) for p in patterns]
-    quads = {order: haar_quadrature_su2(order) for order in sorted(set(orders))}
+    code_key = (code.d, n_p, code.encoder.dtype.str, code.encoder.tobytes())
+    keys = [code_key + (frozenset(p),) for p in patterns]
+    orders = {key: _spectrum_order(n_p - len(key[-1])) for key in keys}
+    found = {key: _SPECTRA.get(key) for key in keys}
+    missing = [key for key, c in found.items() if c is None]
+    quads = {order: haar_quadrature_su2(order) for order in sorted({orders[key] for key in missing})}
+    for key in missing:
+        c = _phi_spectrum(code, key[-1], quads[orders[key]])
+        c.setflags(write=False)
+        if len(_SPECTRA) >= _SPECTRA_CAP:
+            del _SPECTRA[next(iter(_SPECTRA))]
+        found[key] = _SPECTRA[key] = c
     spectra = np.zeros((len(patterns), n_p + 2))
-    for j, pattern in enumerate(patterns):
-        c = _phi_spectrum(code, pattern, quads[orders[j]])
-        spectra[j, :len(c)] = c
+    for j, key in enumerate(keys):
+        spectra[j, :len(found[key])] = found[key]
     coeffs = np.array([rf.class_coefficients(spec, 2 * n_p + 2)[::2] for spec in specs])
     a = np.clip(1.0 - coeffs @ spectra.T / coeffs[:, :1], 0.0, 1.0)
-    diag = {"quad_order": max(orders),
-            "normalization": float(max(coeffs[:, 0], key=lambda c0: abs(c0 - 1.0)))}
+    diag = {"quad_order": max(orders.values()),
+            "normalization": float(max(coeffs[:, 0], key=lambda c0: abs(c0 - 1.0))),
+            "spectra_computed": len(missing)}
     return a, diag
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "min_overlap",
     "appendix_e_sum",
     "appendix_e_closed_form",
-    "reference_fidelity_hand_sum",
     "strong_fidelity_form",
     "f_strong",
     "cost_set",
@@ -335,52 +334,6 @@ def appendix_e_closed_form(big_m: int, delta: int, n_lo: int) -> float:
     th = pi / (big_m + 1)
     ratio = 0.0 if n_lo == 0 else sin(2 * n_lo * th) / sin(th)
     return cos(delta * th) / (big_m + 1) * (big_m - 2 * n_lo + 1 + ratio)
-
-
-def reference_fidelity_hand_sum(spec: RefFrameSpec, n_p: int) -> float:
-    """Exact-character oracle for F_ent(int dU' p(U') U'_P (x) U'*_L, I).
-
-    Expands the entanglement fidelity into Haar integrals of character
-    products and counts them with Littlewood-Richardson combinatorics,
-    fully independently of the quadrature path:
-
-        F = 4^-(n_p+1) sum_{lam lam'} sqrt(q q') Int chi_lam chi_lam'
-                                                     |chi_fund|^{2(n_p+1)}.
-    """
-    d = spec.d
-    if d != 2:
-        raise ValueError("hand sum wired for d = 2")
-
-    def fund_power_decomp(k):
-        dec = {(): 1}
-        for _ in range(k):
-            nxt: dict = {}
-            for lam, mult in dec.items():
-                for nu, c in young.tensor_decompose(lam, (1,), d).items():
-                    nxt[nu] = nxt.get(nu, 0) + mult * c
-            dec = nxt
-        return dec
-
-    # chi of U'_P (x) U'*_L = chi_fund^{n_p} chi_fund* ; |.|^2 gives
-    # fund^{n_p+1} against its dual, and for SU(2) dual = fund
-    dec = fund_power_decomp(n_p + 1)
-    total = 0.0
-    dim = 2 ** (n_p + 1)
-    for lam, q in spec.weights.items():
-        for lam2, q2 in spec.weights.items():
-            # Int chi_lam chi_lam2* |chi_fund|^{2(n_p+1)}
-            #   = sum_nu mult_nu(lam (x) fund^{n_p+1}) mult_nu(lam2 (x) fund^{n_p+1})
-            acc = 0
-            left: dict = {}
-            for mu, m1 in dec.items():
-                for nu, c in young.tensor_decompose(lam, mu, d).items():
-                    left[nu] = left.get(nu, 0) + m1 * c
-            for mu, m2 in dec.items():
-                for nu, c in young.tensor_decompose(lam2, mu, d).items():
-                    if nu in left:
-                        acc += left[nu] * m2 * c
-            total += np.sqrt(q * q2) * acc
-    return float(total / dim**2)
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,13 @@ def boxes(rows: Iterable[int]) -> int:
     return sum(normalize(rows))
 
 
-def is_diagram(rows: Iterable[int], d: int | None = None) -> bool:
+def is_diagram(rows: Iterable[int], d: int) -> bool:
     t = tuple(int(r) for r in rows)
     if any(r < 0 for r in t):
         return False
     if any(t[i] < t[i + 1] for i in range(len(t) - 1)):
         return False
-    return d is None or len(normalize(t)) <= d
+    return len(normalize(t)) <= d
 
 
 def enumerate_diagrams(n_boxes: int, d: int) -> list[tuple[int, ...]]:

@@ -76,14 +76,18 @@ def test_sweep_csv_shape(tmp_path):
 
 
 def test_sweep_simulate_reports_eps_cov_slope(tmp_path):
+    args = ["sweep", "--model", "weak", "--n-grid", "37,53,69", "--ne", "1", "--np", "5",
+            "--seed", "3", "--simulate"]
     outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
     for out in outs:
-        res = run_cli([
-            "sweep", "--model", "weak", "--n-grid", "37,53,69", "--ne", "1", "--np", "5",
-            "--seed", "3", "--simulate", "--out", str(out),
-        ])
+        res = run_cli([*args, "--out", str(out)])
         assert res.returncode == 0, res.stderr
     assert outs[0].read_bytes() == outs[1].read_bytes()
+    # in one process the rows after the first, and every row of a rerun,
+    # reuse memoized spectra: the bytes match the cold subprocess runs
+    for name in ("c.csv", "d.csv"):
+        assert cli.main([*args, "--out", str(tmp_path / name)]) == 0
+        assert (tmp_path / name).read_bytes() == outs[0].read_bytes()
     lines = outs[0].read_text().splitlines()
     assert len(lines) == 1 + 3 + 2
     assert lines[-2].startswith("# eps_cov_slope=")

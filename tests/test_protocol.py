@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -96,6 +97,52 @@ def _quadrature_a(code, spec, pattern):
     return min(1.0, max(0.0, 1.0 - f_ent))
 
 
+def _reference_fidelity_hand_sum(spec, n_p):
+    """Exact-character oracle for F_ent(int dU' p(U') U'_P (x) U'*_L, I).
+
+    Expands the entanglement fidelity into Haar integrals of character
+    products and counts them with Littlewood-Richardson combinatorics,
+    fully independently of the quadrature path:
+
+        F = 4^-(n_p+1) sum_{lam lam'} sqrt(q q') Int chi_lam chi_lam'
+                                                     |chi_fund|^{2(n_p+1)}.
+    """
+    d = spec.d
+    if d != 2:
+        raise ValueError("hand sum wired for d = 2")
+
+    def fund_power_decomp(k):
+        dec = {(): 1}
+        for _ in range(k):
+            nxt: dict = {}
+            for lam, mult in dec.items():
+                for nu, c in young.tensor_decompose(lam, (1,), d).items():
+                    nxt[nu] = nxt.get(nu, 0) + mult * c
+            dec = nxt
+        return dec
+
+    # chi of U'_P (x) U'*_L = chi_fund^{n_p} chi_fund* ; |.|^2 gives
+    # fund^{n_p+1} against its dual, and for SU(2) dual = fund
+    dec = fund_power_decomp(n_p + 1)
+    total = 0.0
+    dim = 2 ** (n_p + 1)
+    for lam, q in spec.weights.items():
+        for lam2, q2 in spec.weights.items():
+            # Int chi_lam chi_lam2* |chi_fund|^{2(n_p+1)}
+            #   = sum_nu mult_nu(lam (x) fund^{n_p+1}) mult_nu(lam2 (x) fund^{n_p+1})
+            acc = 0
+            left: dict = {}
+            for mu, m1 in dec.items():
+                for nu, c in young.tensor_decompose(lam, mu, d).items():
+                    left[nu] = left.get(nu, 0) + m1 * c
+            for mu, m2 in dec.items():
+                for nu, c in young.tensor_decompose(lam2, mu, d).items():
+                    if nu in left:
+                        acc += left[nu] * m2 * c
+            total += np.sqrt(q * q2) * acc
+    return float(total / dim**2)
+
+
 _ORACLE_CACHE: dict = {}
 
 
@@ -168,7 +215,7 @@ def test_inner_hand_sum_oracle():
     # build the channel W on 2 qubits explicitly on the quadrature grid
     spec = rf.strong_combined_spec(2, 1)
     n_p = 1
-    hand = rf.reference_fidelity_hand_sum(spec, n_p)
+    hand = _reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(6)
     us = quad.matrices()
     dens = _density_su2(spec, ch.su2_eigenphase(us))
@@ -184,7 +231,7 @@ def test_inner_hand_sum_oracle():
 def test_inner_hand_sum_oracle_weak_spec():
     _, spec = rf.weak_spec(2, 4, 1)
     n_p = 1
-    hand = rf.reference_fidelity_hand_sum(spec, n_p)
+    hand = _reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(12)
     us = quad.matrices()
     dens = _density_su2(spec, ch.su2_eigenphase(us))
@@ -211,7 +258,7 @@ def test_class_integrals_hand_sum_oracle(spec, n_p):
     overlaps = rf.class_coefficients(spec, 2 * k)[::2]
     total = overlaps[0]
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert spectrum @ overlaps == pytest.approx(rf.reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
+    assert spectrum @ overlaps == pytest.approx(_reference_fidelity_hand_sum(spec, n_p), abs=1e-12)
 
 
 def test_haar_guess_channel_is_heavily_depolarizing():
@@ -332,18 +379,31 @@ def test_wigner_diagonals_sum_to_the_character():
 
 
 def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
-    built = []
-    real = pr.haar_quadrature_su2
+    built, integrated = [], []
+    real_quad, real_spectrum = pr.haar_quadrature_su2, pr._phi_spectrum
 
-    def counted(order):
+    def counted_quad(order):
         built.append(order)
-        return real(order)
+        return real_quad(order)
 
-    monkeypatch.setattr(pr, "haar_quadrature_su2", counted)
+    def counted_spectrum(*args):
+        integrated.append(args)
+        return real_spectrum(*args)
+
+    monkeypatch.setattr(pr, "_SPECTRA", {})
+    monkeypatch.setattr(pr, "haar_quadrature_su2", counted_quad)
+    monkeypatch.setattr(pr, "_phi_spectrum", counted_spectrum)
     code = codes.five_qubit_code()
     patterns = [frozenset(p) for k in range(6) for p in itertools.combinations(range(5), k)]
-    pr.inner_channel(code, [FLAT], patterns)
+    _, diag = pr.inner_channel(code, [FLAT], patterns)
     assert sorted(built) == [pr._spectrum_order(s) for s in range(6)]
+    assert diag["spectra_computed"] == len(integrated) == 32
+    # a repeat call, here under another frame, takes every spectrum from the memo
+    built.clear()
+    integrated.clear()
+    _, diag = pr.inner_channel(code, [rf.strong_combined_spec(2, 2)], patterns)
+    assert built == [] and integrated == [] and diag["spectra_computed"] == 0
+    assert diag["quad_order"] == pr._spectrum_order(5)
 
 
 def test_inner_channel_table_matches_quadrature():
@@ -399,6 +459,42 @@ def test_inner_channel_follows_the_encoder():
     for c, a in zip((code, rotated, code), got):
         assert abs(a - _quadrature_a(c, spec, (1,))) < 1e-13
     assert abs(got[0] - got[1]) > 1e-3
+
+
+_MEMO_CONFIGS = [
+    pr.ProtocolConfig(2, "weak", codes.five_qubit_code(), n_e=1, m=m, pattern_dist=dist)
+    for m in (4, 8) for dist in ("exact_ne", "uniform_le")
+] + [pr.ProtocolConfig(2, "strong", codes.five_qubit_code(), p_e=0.2, s_r=3)]
+
+
+@pytest.mark.parametrize("cfg", _MEMO_CONFIGS, ids=["weak4e", "weak4u", "weak8e", "weak8u", "strong3"])
+def test_memoized_spectra_are_bit_identical(monkeypatch, cfg):
+    monkeypatch.setattr(pr, "_SPECTRA", {})
+    cold = pr.effective_channel(cfg)
+    # warm the memo under another frame of the same code and patterns
+    monkeypatch.setattr(pr, "_SPECTRA", {})
+    other = dataclasses.replace(cfg, m=cfg.m + 2) if cfg.model == "weak" else dataclasses.replace(cfg, s_r=5)
+    pr.effective_channel(other)
+    monkeypatch.setattr(pr, "_phi_spectrum", None)  # a warm call integrates nothing
+    warm = pr.effective_channel(cfg)
+    assert [t.params.a for t in warm.terms] == [t.params.a for t in cold.terms]
+    assert warm.mixture.a == cold.mixture.a and warm.eps_cov == cold.eps_cov
+
+
+def test_spectrum_memo_is_bounded(monkeypatch):
+    # more distinct codes than the memo holds: trivial codes under random encoders
+    monkeypatch.setattr(pr, "_SPECTRA", {})
+    us = ch.haar_su2(np.random.default_rng(5), pr._SPECTRA_CAP + 10)
+    trivial = [codes.CodeSpec(2, 1, u, "trivial", 1) for u in us]
+    for code in trivial:
+        _, diag = pr.inner_channel(code, [FLAT], [()])
+        assert diag["spectra_computed"] == 1
+        assert len(pr._SPECTRA) <= pr._SPECTRA_CAP
+    assert len(pr._SPECTRA) == pr._SPECTRA_CAP
+    assert not any(c.flags.writeable for c in pr._SPECTRA.values())
+    # the newest spectrum is served from the memo, the oldest was dropped
+    assert pr.inner_channel(trivial[-1], [FLAT], [()])[1]["spectra_computed"] == 0
+    assert pr.inner_channel(trivial[0], [FLAT], [()])[1]["spectra_computed"] == 1
 
 
 # ---------------------------------------------------------------------------
