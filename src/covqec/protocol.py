@@ -145,12 +145,21 @@ class EffectiveChannelReport:
 # ---------------------------------------------------------------------------
 
 def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
-    """U^{(x) k} for each U of a batch, by broadcast products."""
+    """U^{(x) k} for each U of a batch, by broadcast products.
+
+    Each step writes U^{(x) j} (x) U one column of the new factor at a time,
+    so numpy's inner loop runs along U^{(x) j}'s long contiguous axis, not
+    over the d entries of U; the products are np.kron's left fold, bit for
+    bit.
+    """
     n, d = us.shape[:2]
     out = np.ones((n, 1, 1), dtype=complex)
     for _ in range(k):
-        dim = out.shape[1] * d
-        out = (out[:, :, None, :, None] * us[:, None, :, None, :]).reshape(n, dim, dim)
+        dim = out.shape[1]
+        nxt = np.empty((n, dim, d, dim, d), dtype=complex)
+        for e in range(d):
+            np.multiply(out[:, :, None, :], us[:, None, :, None, e], out=nxt[..., e])
+        out = nxt.reshape(n, dim * d, dim * d)
     return out
 
 
@@ -217,11 +226,11 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
                - (1/d) sum <X_{f-2m,k+2m}, X_{f,k}> + delta_{m0}] / d^2,
 
     and G_{-m} = conj G_m.  Nothing is formed on the alpha or gamma axes.
-    A weak five-qubit m = 8 effective channel (six patterns) takes 10-19 ms
-    cold on one core (best of 30; the host's speed drifts), about half of
+    A weak five-qubit m = 8 effective channel (six patterns) takes 13-17 ms
+    cold on one core (best of 30; the host's speed drifts), about 40% of
     it in the diamond SDP.  Once `inner_channel` holds its six spectra, as
     it does for every `sweep --simulate` row after the first, it takes
-    5-9 ms, ~90% of it the SDP.
+    4-6 ms, ~90% of it the SDP.
     """
     d = code.d
     erased = sorted(set(erased))

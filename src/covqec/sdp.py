@@ -1,8 +1,8 @@
 """Small dense semidefinite programming over Hermitian blocks.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd
-scaling, infeasible start and a Mehrotra-style centering heuristic,
-operating directly on complex Hermitian blocks:
+scaling, infeasible start and Mehrotra's predictor-corrector, operating
+directly on complex Hermitian blocks:
 
     minimize    sum_j <C_j, X_j>
     subject to  sum_j <A_kj, X_j> = b_k,   X_j >= 0,
@@ -11,11 +11,18 @@ with <A, X> = Re Tr(A X).  The blocks sit on the diagonal of one Hermitian
 matrix of size total = sum_j s_j, so the primal X and dual Z are one
 block-diagonal iterate each and the constraints one complex (m, total^2)
 matrix, whose row k is vec(A_k): the constraint map, its adjoint and the
-Schur complement are matrix products against it.  Each iterate is factored
-by one eigendecomposition per iteration, which gives the scaling point,
-Z^{-1} and every step-length search, and each Schur solve is one LU solve
-plus one refinement step.  Problems stay at qubit/qutrit scale; the total
-variable dimension is capped (default 256) and larger requests fail fast.
+Schur complement are matrix products against it.  Each iterate pair is
+factored once, into the Nesterov-Todd frame F = Z^{-1/2} U D^{1/2} with
+Z^{1/2} X Z^{1/2} = U D^2 U^H, which maps X and Z both to the diagonal D:
+two eigendecompositions (Z, then Z^{1/2} X Z^{1/2}; X needs none) give the
+scaling point W = F F^H, Z^{-1} = F D^{-1} F^H and every step-length test.
+The corrector subtracts Mehrotra's second-order term, the product of the
+predictor directions, solved in that frame, and the predictor's and the
+corrector's step-length tests are one batched eigvalsh each.  Each Schur
+solve is one LU solve plus one refinement step (Todd, Toh and Tutuncu,
+SIAM J. Optim. 8, 769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).
+Problems stay at qubit/qutrit scale; the total variable dimension is
+capped (default 256) and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators
@@ -132,6 +139,13 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     """Solve to relative residuals below `tol` in at most 200 iterations.
 
+    Each iteration builds the Nesterov-Todd frame of (X, Z) from two
+    eigendecompositions, takes a predictor (affine) step and a corrector
+    step centred at sigma mu, sigma = (mu_aff / mu)^3, whose right-hand side
+    carries Mehrotra's second-order term, and caps each step at 0.98 of the
+    way to the boundary; the two step-length tests are one batched eigvalsh
+    each.
+
     Status "optimal", "infeasible" (the dual iterate diverged) or
     "max_iterations" (also when a step cannot be computed).
     """
@@ -157,8 +171,9 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     for k, (row, _) in enumerate(instance._constraints):
         embed(row, A3[k])
     A = A3.reshape(m, -1)
-    # 0/1 block pattern: masking X^{-1/2}, Z^{+-1/2} and W keeps every
-    # iterate exactly block-diagonal, the zeros off the blocks propagating
+    # 0/1 block pattern: masking Z^{+-1/2}, W and the corrector's right-hand
+    # side keeps every iterate exactly block-diagonal, the zeros off the
+    # blocks propagating
     mask = embed({n: 1.0 for n in spans}, np.zeros((total, total)))
 
     def op_A(X):
@@ -194,14 +209,27 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             status = "infeasible"
             break
 
-        # one eigendecomposition per iterate: X^{-1/2}, Z^{+-1/2}
-        x_ihalf = mask * _half_powers(X)[1]
-        z_half, z_ihalf = (mask * p for p in _half_powers(Z))
-        # Nesterov-Todd scaling point: W Z W = X
-        W = mask * _nt_scaling(X, z_half, z_ihalf)
+        # Nesterov-Todd frame F = Z^{-1/2} U D^{1/2}, Z^{1/2} X Z^{1/2} = U D^2 U^H:
+        # F^{-1} X F^{-H} = F^H Z F = D, W = F F^H and Z^{-1} = F D^{-1} F^H.
+        # X + alpha dX >= 0 iff I + alpha D^{-1/2} (F^{-1} dX F^{-H}) D^{-1/2} >= 0,
+        # which conjugates dX by gx = F^{-H} D^{-1/2} = Z^{1/2} U D^{-1}; the
+        # dual test likewise conjugates dZ by gz = F D^{-1/2} = Z^{-1/2} U.
+        # g holds [gx, gz], so W = gz D gz^H and Z^{-1} = gz gz^H
+        lam, v = np.linalg.eigh(Z)
+        r = np.sqrt(np.maximum(lam, 1e-300))
+        vh = v.conj().T
+        z_half = mask * ((v * r) @ vh)
+        z_ihalf = mask * ((v / r) @ vh)
+        d2, u = np.linalg.eigh(z_half @ X @ z_half)
+        d = np.sqrt(np.maximum(d2, 1e-300))
+        g = np.stack([z_half @ (u / d), z_ihalf @ u])
+        g_h = g.conj().swapaxes(-1, -2)
+        W = mask * ((g[1] * d) @ g_h[1])
 
-        # Schur complement  M[k,l] = <A_k, W A_l W>
-        M = np.real(A @ (W @ A3 @ W).reshape(m, -1).conj().T)
+        # Schur complement  M[k,l] = <A_k, W A_l W> = Re Tr(P_k P_l), P_k = A_k W:
+        # one product gives every P_k, one more pairs them with their transposes
+        P = (A3.reshape(-1, total) @ W).reshape(m, total, total)
+        M = np.real(P.reshape(m, -1) @ P.transpose(0, 2, 1).reshape(m, -1).T)
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
         M_reg = M + jitter * np.eye(m)
@@ -215,33 +243,39 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             # one step of iterative refinement against the unjittered M
             return s + np.linalg.solve(M_reg, rhs - M @ s)
 
-        z_inv = _hermitize(z_ihalf @ z_ihalf)
         wrw = W @ Rd @ W
 
-        def solve_dirs(sigma_mu):
-            # NT linearization: dX + W dZ W = sigma_mu Z^{-1} - X
-            rhs = sigma_mu * z_inv - X
+        def solve_dirs(rhs):
+            # NT linearization: dX + W dZ W = rhs; returns [dX, dZ], dy and
+            # the step-length matrices D^{-1/2} (F^{-1} dX F^{-H}) D^{-1/2},
+            # D^{-1/2} (F^H dZ F) D^{-1/2}
             dy = schur_solve(rp + op_A(wrw - rhs))
-            dZ = _hermitize(Rd - op_At(dy))
-            dX = _hermitize(rhs - W @ dZ @ W)
-            return dX, dZ, dy
+            dirs = np.empty_like(g)
+            dirs[1] = _hermitize(Rd - op_At(dy))
+            dirs[0] = _hermitize(rhs - W @ dirs[1] @ W)
+            return dirs, dy, g_h @ dirs @ g
 
         try:
             # predictor
-            dX_a, dZ_a, _ = solve_dirs(0.0)
-            ap = min(1.0, 0.98 * _max_step(x_ihalf, dX_a))
-            ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ_a))
-            mu_aff = np.real(np.vdot(X + ap * dX_a, Z + ad * dZ_a)) / total
+            (dX, dZ), _, scaled = solve_dirs(-X)
+            ap, ad = _max_steps(scaled)
+            mu_aff = np.real(np.vdot(X + ap * dX, Z + ad * dZ)) / total
             sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.9))
 
-            # corrector
-            dX, dZ, dy = solve_dirs(sigma * mu)
+            # corrector: right-hand side sigma mu Z^{-1} - X less Mehrotra's
+            # second-order term F [sym(dX~ dZ~) o 2 / (d_i + d_j)] F^H, where
+            # dX~ = D^{1/2} sx D^{1/2} and dZ~ = D^{1/2} sz D^{1/2} are the
+            # scaled predictor directions; with F = gz D^{1/2} that is
+            # -gz (sym(sx D sz) o 2 d_i d_j / (d_i + d_j) - sigma mu I) gz^H - X
+            sx, sz = scaled
+            second = _hermitize((sx * d) @ sz) * (2.0 / np.add.outer(1.0 / d, 1.0 / d))
+            second.flat[::total + 1] -= sigma * mu
+            (dX, dZ), dy, scaled = solve_dirs(-mask * (g[1] @ second @ g_h[1] + X))
         except np.linalg.LinAlgError:
             break
         if not (np.isfinite(dX).all() and np.isfinite(dZ).all() and np.isfinite(dy).all()):
             break
-        ap = min(1.0, 0.98 * _max_step(x_ihalf, dX))
-        ad = min(1.0, 0.98 * _max_step(z_ihalf, dZ))
+        ap, ad = _max_steps(scaled)
         X = _hermitize(X + ap * dX)
         Z = _hermitize(Z + ad * dZ)
         y = y + ad * dy
@@ -259,26 +293,13 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     )
 
 
-def _half_powers(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A^{1/2} and A^{-1/2} of a Hermitian positive definite A, from one eigh."""
-    w, v = np.linalg.eigh(a)
-    r = np.sqrt(np.clip(w, 1e-300, None))
-    return (v * r) @ v.conj().T, (v / r) @ v.conj().T
-
-
-def _nt_scaling(X: np.ndarray, z_half: np.ndarray, z_ihalf: np.ndarray) -> np.ndarray:
-    """W with W Z W = X, for Hermitian positive definite X, Z, given Z^{+-1/2}."""
-    inner_half = _half_powers(_hermitize(z_half @ X @ z_half))[0]
-    return _hermitize(z_ihalf @ inner_half @ z_ihalf)
-
-
-def _max_step(x_ihalf: np.ndarray, dX: np.ndarray) -> float:
-    """Largest alpha <= 1e8 with X + alpha dX psd, given X^{-1/2}."""
-    mat = _hermitize(x_ihalf @ dX @ x_ihalf.conj().T)
-    if not np.isfinite(mat).all():
-        return 0.0
-    lo = np.linalg.eigvalsh(mat).min()
-    return float(min(-1.0 / lo if lo < 0 else np.inf, 1e8))
+def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
+    """min(1, 0.98 alpha) for each Hermitian S of a stack, alpha <= 1e8 the
+    largest step with I + alpha S psd."""
+    if not np.isfinite(mats).all():
+        return (0.0,) * len(mats)
+    lo = np.linalg.eigvalsh(mats).min(axis=-1)
+    return tuple(min(1.0, 0.98 * min(-1.0 / x if x < 0 else np.inf, 1e8)) for x in lo)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ def test_closed_pipe_exits_without_traceback():
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     proc.stdout.close()
-    err = proc.stderr.read()
+    with proc.stderr:
+        err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 

@@ -831,6 +831,20 @@ def test_eps_cov_strong_slope_on_the_real_channel():
     assert -1.3 <= slope <= -0.7
 
 
+def test_eps_cov_is_a_to_solver_accuracy():
+    # the mixture is covariant, so its diamond error is its parameter a: the
+    # README weak grid (n = 201..1161) and the strong five-qubit grid at
+    # p_e = 0.1 hold the SDP's eps_cov to 5e-8 relative
+    code = codes.five_qubit_code()
+    cfgs = [pr.ProtocolConfig(2, "weak", code, n_e=1, m=(n - 5) // 4, pattern_dist="exact_ne")
+            for n in (201, 297, 393, 585, 777, 1161)]
+    cfgs += [pr.ProtocolConfig(2, "strong", code, p_e=0.1, s_r=(n - 5) // 2)
+             for n in (13, 37, 69, 133, 261)]
+    for cfg in cfgs:
+        rep = pr.effective_channel(cfg)
+        assert abs(rep.eps_cov - rep.mixture.a) <= 5e-8 * rep.mixture.a, cfg
+
+
 def _capture_configs(monkeypatch):
     seen = []
 

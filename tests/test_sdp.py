@@ -262,7 +262,7 @@ def test_diamond_bit_flip(monkeypatch):
             scan = max(scan, 0.5 * ch.trace_norm(diff))
         assert scan == pytest.approx(p, abs=1e-4)
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)
-    assert runs == [("optimal", 10), ("optimal", 9)]
+    assert runs == [("optimal", 8), ("optimal", 9)]
 
 
 def test_diamond_random_pairs_pin_iterations(monkeypatch):
@@ -271,7 +271,17 @@ def test_diamond_random_pairs_pin_iterations(monkeypatch):
     for _ in range(2):
         a, b = random_channel(rng, 2), random_channel(rng, 2)
         sdp.diamond_error(a.choi(), b.choi())
-    assert runs == [("optimal", 19), ("optimal", 18)]
+    assert runs == [("optimal", 11), ("optimal", 10)]
+
+
+def test_sqrt_fwc_pin_iterations(monkeypatch):
+    # the two criterion-9 instances of the benchmark: blocks [1, 2] with
+    # weight w_0 on the trivial block
+    runs = _recorded_solves(monkeypatch)
+    ident = ch.identity_channel(3).choi()
+    for w0 in (1 / 3, 2 / 3):
+        sdp.sqrt_fwc(ident, block_covariant_choi([1, 2], {0: w0, 1: 1 - w0}))
+    assert runs == [("optimal", 10), ("optimal", 11)]
 
 
 def test_diamond_of_covariant_channel_is_a():
