@@ -108,17 +108,13 @@ def _load_config(path: str) -> dict:
 
 
 def _coerce(raw: str):
+    """A boolean word as a bool (for switches such as simulate=true); any
+    other value stays a string, which argparse converts or rejects by the
+    option's type, as it does a command-line value."""
     low = raw.lower()
     if low in ("true", "false", "yes", "no"):
         return low in ("true", "yes")
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        return raw
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +226,7 @@ def cmd_simulate(args) -> int:
         model_args = dict(p_e=args.pe, s_r=args.sr)
     try:
         cfg = pr.ProtocolConfig(
-            args.d, args.model, pr._code_for_np(args.np_), mc_samples=args.mc_samples,
+            2, args.model, pr._code_for_np(args.np_), mc_samples=args.mc_samples,
             seed=args.seed, **model_args,
         )
         rep = pr.effective_channel(cfg)
@@ -251,8 +247,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    results = verify_mod.run(only=args.only)
+def _report(results) -> int:
     failures = [r for r in results if not r.passed]
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -264,31 +259,18 @@ def cmd_verify(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_sdp_check(args) -> int:
-    from . import sdp
-    from .channels import depolarizing_channel, entanglement_error, identity_channel
-    from .verify import _random_channel
+def cmd_verify(args) -> int:
+    try:
+        results = verify_mod.run(only=args.only)
+    except ValueError as exc:
+        return _usage_error(str(exc))
+    return _report(results)
 
+
+def cmd_sdp_check(args) -> int:
     if args.pairs < 0:
         return _usage_error("--pairs must be non-negative")
-    rng = np.random.default_rng(args.seed)
-    worst_gap = 0.0
-    for p in (0.1, 0.4, 0.8):
-        f = sdp.sqrt_fwc(identity_channel(2).choi(), depolarizing_channel(p).choi())
-        print(f"sqrt_fwc(identity, depolarizing {p}) = {f:.10f}  (closed form {np.sqrt(1-3*p/4):.10f})")
-        worst_gap = max(worst_gap, abs(f - np.sqrt(1 - 3 * p / 4)))
-    if worst_gap > 1e-6:
-        print(f"FIDELITY GAP {worst_gap:.2e} exceeds 1e-6")
-        return 1
-    for _ in range(args.pairs):
-        a, b = _random_channel(rng, 2), _random_channel(rng, 2)
-        eps = sdp.diamond_error(a.choi(), b.choi())
-        lo = entanglement_error(a, b)
-        if not (lo - 1e-6 <= eps <= 2 * lo + 1e-6):
-            print(f"BRACKET VIOLATION: eps={eps} eps_ent={lo}")
-            return 1
-    print(f"diamond brackets verified on {args.pairs} random pairs; worst fidelity gap {worst_gap:.2e}")
-    return 0
+    return _report(verify_mod.sdp_checks(args.pairs, args.seed))
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--d", type=int, default=2)
-        p.add_argument("--seed", type=int, default=7)
         p.add_argument("--config", type=str, default=None, help="key=value config file")
         p.set_defaults(subparser=p)
 
+    # --d and --seed only on the subcommands that read them
     p_bounds = sub.add_parser("bounds", help="print every applicable analytic bound")
     common(p_bounds)
+    p_bounds.add_argument("--d", type=int, default=2)
     p_bounds.add_argument("--model", choices=["weak", "strong"], required=True)
     p_bounds.add_argument("--ne", type=int, default=None)
     p_bounds.add_argument("--np", dest="np_", type=int, default=None)
@@ -322,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="bounds and reference-error proxy over a grid of n")
     common(p_sweep)
+    p_sweep.add_argument("--d", type=int, default=2)
+    p_sweep.add_argument("--seed", type=int, default=7)
     p_sweep.add_argument("--model", choices=["weak", "strong"], required=True)
     p_sweep.add_argument("--n-grid", dest="n_grid", type=str, required=True)
     p_sweep.add_argument("--ne", type=int, default=None)
@@ -334,16 +318,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="record wall-clock runtimes (breaks byte determinism)")
     p_sweep.set_defaults(func=cmd_sweep)
 
-    p_sim = sub.add_parser("simulate", help="effective channel of one configuration")
+    p_sim = sub.add_parser("simulate", help="effective channel of one configuration (d = 2)")
     common(p_sim)
+    p_sim.add_argument("--seed", type=int, default=7)
     p_sim.add_argument("--model", choices=["weak", "strong"], required=True)
-    p_sim.add_argument("--ne", type=int, default=None)
+    p_sim.add_argument("--ne", type=int, default=None, help="erasures; 0 is the erasure-free channel")
     p_sim.add_argument("--m", type=int, default=None)
     p_sim.add_argument("--pe", type=float, default=None)
     p_sim.add_argument("--sr", type=int, default=None)
     p_sim.add_argument("--np", dest="np_", type=int, default=5)
     p_sim.add_argument("--pattern-dist", dest="pattern_dist", default="uniform_le",
-                       choices=["uniform_le", "exact_ne", "none"])
+                       choices=["uniform_le", "exact_ne"])
     p_sim.add_argument("--mc", action="store_true", help="run the Monte Carlo cross-check")
     p_sim.add_argument("--mc-samples", dest="mc_samples", type=int, default=20000)
     p_sim.set_defaults(func=cmd_simulate)
@@ -354,8 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="restrict to one module (rep, refframe, channels, sdp, codes, protocol, bounds)")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_sdp = sub.add_parser("sdp-check", help="quick SDP cross-validation battery")
+    p_sdp = sub.add_parser("sdp-check", help="the verify SDP battery, on --pairs random pairs from --seed")
     common(p_sdp)
+    p_sdp.add_argument("--seed", type=int, default=7)
     p_sdp.add_argument("--pairs", type=int, default=20)
     p_sdp.set_defaults(func=cmd_sdp_check)
 

@@ -154,15 +154,15 @@ def corrected_channel(code: CodeSpec, pattern) -> KrausChannel:
     )
 
 
-def code_error(code: CodeSpec, pattern, tol: float = 1e-8) -> float:
+def code_error(code: CodeSpec, pattern) -> float:
     """Worst-case error of recover . erase . encode against the identity.
 
-    Below solver precision the certified bracket eps_wc <= d eps_ent gives
-    a tighter answer than the diamond-norm program, so it is used there.
+    Below the diamond-norm program's 1e-8 tolerance the certified bracket
+    eps_wc <= d eps_ent gives a tighter answer, so it is used there.
     """
     noisy = corrected_channel(code, pattern)
     ident = identity_channel(code.d)
     upper = code.d * entanglement_error(noisy, ident)
-    if upper < tol:
+    if upper < 1e-8:
         return upper
-    return sdp.diamond_error(noisy.choi(), ident.choi(), tol=tol)
+    return sdp.diamond_error(noisy.choi(), ident.choi())

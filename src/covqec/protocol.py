@@ -84,11 +84,11 @@ class ProtocolConfig:
     d: int
     model: str  # "weak" | "strong"
     code: CodeSpec
-    n_e: int | None = None            # weak model
+    n_e: int | None = None            # weak model; 0 is erasure-free
     p_e: float | None = None          # strong model
     m: int | None = None              # weak-model pairs per copy
     s_r: int | None = None            # strong-model copies
-    pattern_dist: str = "uniform_le"  # weak: "uniform_le" | "exact_ne" | "none"
+    pattern_dist: str = "uniform_le"  # weak: "uniform_le" | "exact_ne"
     mc_samples: int = 20000
     seed: int = 7
 
@@ -106,7 +106,7 @@ class ProtocolConfig:
                 raise ValueError(
                     f"n_e={self.n_e} exceeds what the {self.code.name} code corrects exactly"
                 )
-            if self.pattern_dist not in ("uniform_le", "exact_ne", "none"):
+            if self.pattern_dist not in ("uniform_le", "exact_ne"):
                 raise ValueError("unknown weak pattern distribution")
         elif self.model == "strong":
             if self.p_e is None or self.s_r is None:
@@ -347,9 +347,6 @@ def _weak_terms(config: ProtocolConfig):
     n_p = config.code.n_p
     n = config.n
     n_ref = n - n_p
-    if config.pattern_dist == "none":
-        yield "none", 1.0, frozenset()
-        return
     sizes = range(0, config.n_e + 1) if config.pattern_dist == "uniform_le" else [config.n_e]
     n_patterns = sum(comb(n, k) for k in sizes)
     weights: dict = {}
@@ -384,7 +381,7 @@ def _finish_report(config, terms) -> EffectiveChannelReport:
 
 
 def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
-    _, spec = rf.weak_spec(config.d, config.m, config.code.n_p, config.n_e)
+    spec = rf.weak_spec(config.d, config.m)
     classes = list(_weak_terms(config))
     a, _ = inner_channel(config.code, [spec], [phys for _, _, phys in classes])
     terms = [PatternTerm(label, prob, CovariantParams(config.d, float(a_j)))
@@ -451,8 +448,6 @@ def _sample_patterns(config: ProtocolConfig, rng, n_shots: int) -> tuple[np.ndar
             survivors[start:start + rows] = intact.sum(axis=1)
         return phys, survivors
     n_copies = config.n_e + 1
-    if config.pattern_dist == "none":
-        return np.zeros(n_shots, dtype=np.int64), np.full(n_shots, n_copies)
     n = config.n
     sizes = np.arange(n_copies) if config.pattern_dist == "uniform_le" else np.array([config.n_e])
     counts = np.array([comb(n, int(k)) for k in sizes], dtype=float)
@@ -544,7 +539,7 @@ def monte_carlo_epsilon(config: ProtocolConfig,
     phys, survivors = _sample_patterns(config, rng, n_shots)
     u_rels = np.empty((n_shots, d, d), dtype=complex)
     if config.model == "weak":
-        _, per_copy_spec = rf.weak_spec(d, config.m, code.n_p, config.n_e)
+        per_copy_spec = rf.weak_spec(d, config.m)
     for s in np.flatnonzero(np.bincount(survivors)):
         idx = np.flatnonzero(survivors == s)
         if s == 0:
@@ -613,8 +608,7 @@ def scaling_sweep(
                     f"n={n} incompatible with n_p={n_p}, n_e={n_e}: need n_r divisible by {2*(n_e+1)}"
                 )
             m = n_r // (2 * (n_e + 1))
-            layout, spec = rf.weak_spec(d, m, n_p, n_e)
-            proxy = 1.0 - rf.min_overlap(spec, layout.n_prime)
+            proxy = 1.0 - rf.min_overlap(rf.weak_spec(d, m), n_p + d - 1)
             upper = bounds_mod.theorem1_bound(d, n_e, n_p, n_r).value
             lower = bounds_mod.prop1_lower(n, n_e).value
             noise = float(n_e)

@@ -15,9 +15,10 @@ At d = 2 its exact class coefficients C_g = int p chi_g feed both the
 effective channel and the outcome sampler's inverse CDF of the angle.
 
 Two families of weights are provided: the sine-squared product weights of
-the weak erasure model, supported on an explicit viable set of diagrams,
-and the Schur-Weyl weights describing s' jointly measured maximally
-entangled pairs in the strong model.
+the weak erasure model, supported on an explicit viable set of diagrams
+and fixed by d and m alone (`weak_spec`), and the Schur-Weyl weights
+describing s' jointly measured maximally entangled pairs in the strong
+model (`strong_combined_spec`, which the strong fidelity floor reads too).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .sdp import _min_quadratic_on_simplex
 
 __all__ = [
     "RefFrameSpec",
-    "WeakModelLayout",
     "ConfigurationError",
     "g_weight",
     "weak_spec",
@@ -86,27 +86,6 @@ class RefFrameSpec:
         return np.array([(lam + (0, 0))[0] - (lam + (0, 0))[1] for lam in self.support()])
 
 
-@dataclass(frozen=True)
-class WeakModelLayout:
-    d: int
-    n: int
-    n_p: int
-    n_e: int
-    m: int
-    big_m: int
-    m0: int
-    mu_tilde: tuple[int, ...]
-    labels: dict = field(compare=False)  # diagram -> coordinate tuple in {0..M}^(d-1)
-
-    @property
-    def n_r(self) -> int:
-        return self.n - self.n_p
-
-    @property
-    def n_prime(self) -> int:
-        return self.n_p + self.d - 1
-
-
 # ---------------------------------------------------------------------------
 # weight families
 # ---------------------------------------------------------------------------
@@ -122,21 +101,9 @@ def g_weight(k: int, big_m: int) -> float:
     return 2.0 / (big_m + 1) * sin(pi * (2 * k + 1) / (2 * (big_m + 1))) ** 2
 
 
-def weak_spec(d: int, m: int, n_p: int, n_e: int = 1) -> tuple[WeakModelLayout, RefFrameSpec]:
-    """Weak-model reference frame on 2m qudits.
-
-    The viable support is an affine lattice of diagrams indexed by
-    coordinates lt in {0..M}^(d-1):
-
-        lam_i = mu~_i + (2d - i - 1) M + (d - i) + lt_i   (i < d)
-        lam_d = mu~_d + (d - 1) M - sum(lt)
-
-    with M = floor((2m/(d(d-1)) - 1)/3), m0 = m - d(d-1)(3M+1)/2 and mu~
-    the flattest diagram with m0 boxes.  Every coordinate in the box gives
-    a valid partition of m; consecutive-row gaps are at least M+1 apart in
-    their base values so shifted diagrams decode uniquely.  Weights are
-    independent products of g-weights per coordinate.
-    """
+def _weak_lattice(d: int, m: int) -> tuple[int, int]:
+    """M = floor((2m/(d(d-1)) - 1)/3) and m0 = m - d(d-1)(3M+1)/2 >= 0 of
+    the weak-model frame on 2m qudits."""
     if d < 2:
         raise ConfigurationError("the weak model needs d >= 2")
     big_m = (2 * m - d * (d - 1)) // (3 * d * (d - 1))
@@ -145,27 +112,37 @@ def weak_spec(d: int, m: int, n_p: int, n_e: int = 1) -> tuple[WeakModelLayout, 
         raise ConfigurationError(
             f"m={m} is too small for the weak model at d={d}; need m >= {m_min} (M >= 1)"
         )
-    m0 = m - d * (d - 1) * (3 * big_m + 1) // 2
-    if m0 < 0:
-        raise ConfigurationError("internal inconsistency: m0 < 0")
+    return big_m, m - d * (d - 1) * (3 * big_m + 1) // 2
+
+
+def weak_spec(d: int, m: int) -> RefFrameSpec:
+    """Weak-model reference frame on 2m qudits: the sine-squared lattice.
+
+    The viable support is an affine lattice of diagrams indexed by
+    coordinates lt in {0..M}^(d-1):
+
+        lam_i = mu~_i + (2d - i - 1) M + (d - i) + lt_i   (i < d)
+        lam_d = mu~_d + (d - 1) M - sum(lt)
+
+    with M and m0 from `_weak_lattice` and mu~ the flattest diagram with
+    m0 boxes.  Every coordinate in the box gives a valid partition of m;
+    consecutive-row gaps are at least M+1 apart in their base values so
+    shifted diagrams decode uniquely.  Weights are independent products of
+    g-weights per coordinate.  The spec depends on d and m alone: the
+    erasure count sets only how many copies the protocol keeps.
+    """
+    big_m, m0 = _weak_lattice(d, m)
     q, r = divmod(m0, d)
     mu_tilde = tuple([q + 1] * r + [q] * (d - r))
     weights: dict = {}
-    labels: dict = {}
     for lt in itertools.product(range(big_m + 1), repeat=d - 1):
         lam = [mu_tilde[i] + (2 * d - (i + 1) - 1) * big_m + (d - (i + 1)) + lt[i] for i in range(d - 1)]
         lam.append(mu_tilde[d - 1] + (d - 1) * big_m - sum(lt))
-        lam_t = young.normalize(lam)
-        if not young.is_diagram(lam_t, d) or young.boxes(lam_t) != m:
-            raise ConfigurationError(f"viable-set construction produced invalid diagram {lam}")
         w = 1.0
         for i in range(d - 1):
             w *= g_weight(lt[i], big_m)
-        weights[lam_t] = w
-        labels[lam_t] = lt
-    n_r = 2 * m * (n_e + 1)
-    layout = WeakModelLayout(d, n_p + n_r, n_p, n_e, m, big_m, m0, mu_tilde, labels)
-    return layout, RefFrameSpec(d, m, weights)
+        weights[young.normalize(lam)] = w
+    return RefFrameSpec(d, m, weights)
 
 
 def strong_combined_spec(d: int, s_survivors: int) -> RefFrameSpec:
@@ -363,7 +340,7 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
 
     Q_{mu mu'} = sum_nu T_mu(nu) T_mu'(nu) / (dim_mu dim_mu') with
     T_mu(nu) = sum_lam sqrt(p_lam) c^nu_{lam mu} and p the Schur-Weyl
-    weights of s' survivors.
+    weights of s' >= 1 survivors (`strong_combined_spec`).
     """
     if d not in (2, 3):
         raise ValueError("the strong fidelity form is wired up for d = 2 or 3")
@@ -373,7 +350,7 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
     cost = cost_set(d, n_p)
     if len(cost) > _COST_CAP:
         raise ValueError(f"cost set of size {len(cost)} exceeds the cap {_COST_CAP}")
-    p = {lam: float(young.schur_weyl_prob(lam, s_survivors, d)) for lam in young.enumerate_diagrams(s_survivors, d)}
+    p = strong_combined_spec(d, s_survivors).weights
     dims = np.array([young.weyl_dimension(mu, d) for mu in cost], dtype=float)
     nus = young.enumerate_diagrams(s_survivors + (d - 1) + n_p, d)
     t_mat = np.zeros((len(cost), len(nus)))

@@ -78,23 +78,20 @@ class SdpSizeError(ValueError):
 class SdpResult:
     value: float
     blocks: dict
-    dual: np.ndarray
     gap: float
     status: str
     iterations: int
 
 
 class SdpInstance:
-    """Equality-form SDP with named Hermitian PSD blocks.
-
-    Objective sense is 'min' or 'max' (max is solved as min of the
-    negation); an inequality row takes an explicit scalar slack block.
+    """Equality-form SDP with named Hermitian PSD blocks, minimized; a
+    maximization is the minimization of the negated objective, and an
+    inequality row takes an explicit scalar slack block.
     """
 
     def __init__(self):
         self._sizes: dict[str, int] = {}
         self._obj: dict[str, np.ndarray] = {}
-        self._sense = "min"
         self._constraints: list[tuple[dict[str, np.ndarray], float]] = []
 
     def add_block(self, name: str, size: int) -> None:
@@ -106,10 +103,7 @@ class SdpInstance:
             )
         self._sizes[name] = size
 
-    def set_objective(self, coeffs: dict[str, np.ndarray], sense: str = "min") -> None:
-        if sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-        self._sense = sense
+    def set_objective(self, coeffs: dict[str, np.ndarray]) -> None:
         self._obj = self._checked(coeffs)
 
     def add_equality(self, coeffs: dict[str, np.ndarray], rhs: float) -> None:
@@ -159,8 +153,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             out[spans[n], spans[n]] = a
         return out
 
-    sgn = 1.0 if instance._sense == "min" else -1.0
-    C = sgn * embed(instance._obj, np.zeros((total, total), dtype=complex))
+    C = embed(instance._obj, np.zeros((total, total), dtype=complex))
     m = len(instance._constraints)
     if m == 0:
         raise ValueError("instance has no constraints")
@@ -282,11 +275,10 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
 
     pobj = np.real(np.vdot(C, X))
     dobj = float(b @ y)
-    value = sgn * 0.5 * (pobj + dobj) if status == "optimal" else sgn * pobj
+    value = 0.5 * (pobj + dobj) if status == "optimal" else pobj
     return SdpResult(
         value=float(value),
         blocks={n: X[sl, sl] for n, sl in spans.items()},
-        dual=y,
         gap=float(abs(pobj - dobj)),
         status=status,
         iterations=iters,
@@ -358,7 +350,7 @@ def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     inst.add_block("S", n)
     inst.add_block("rho", din)
 
-    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))}, "min")
+    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))})
 
     inst.add_equality({"rho": np.eye(din, dtype=complex)}, 1.0)
     # S[p, r_a+q] + Tr(rho N_pq) = 0 with N_pq = x_q^T conj(y_p), where y_p,
@@ -394,7 +386,7 @@ def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # diamond-norm error program
 # ---------------------------------------------------------------------------
 
-def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> float:
+def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     """eps_wc(A, B) = 1/2 ||A - B||_diamond from state-normalized Chois."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
@@ -408,7 +400,7 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> 
     inst.add_block("T", din)  # mu I - Tr_out Y
     inst.add_block("mu", 1)
 
-    inst.set_objective({"mu": np.eye(1, dtype=complex)}, "min")
+    inst.set_objective({"mu": np.eye(1, dtype=complex)})
 
     # Q - P = 2 J
     for r in range(D):
@@ -438,7 +430,7 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix, tol: float = 1e-8) -> 
                     coeffs["mu"] = -np.eye(1, dtype=complex)
                 inst.add_equality(coeffs, 0.0)
 
-    res = solve(inst, tol=tol)
+    res = solve(inst)
     if res.status != "optimal":
         raise RuntimeError(f"diamond SDP did not converge: status {res.status}")
     # min ||Tr_out Y||_inf over Y >= +-J equals the full diamond norm of A - B

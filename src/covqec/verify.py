@@ -15,7 +15,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import channels as ch
 from . import refframe as rf
-from . import young
+from . import sdp, young
 
 
 @dataclass
@@ -83,14 +83,14 @@ def _refframe_checks():
     out = []
     ok, witness = True, ""
     for d, m in ((2, 10), (2, 22), (3, 30)):
-        layout, spec = rf.weak_spec(d, m, 5)
-        if len(spec.weights) != (layout.big_m + 1) ** (d - 1):
+        spec = rf.weak_spec(d, m)
+        if len(spec.weights) != (rf._weak_lattice(d, m)[0] + 1) ** (d - 1):
             ok, witness = False, f"support size at d={d}, m={m}"
         if abs(sum(spec.weights.values()) - 1) > 1e-12:
             ok, witness = False, f"normalization at d={d}, m={m}"
     out.append(_check("refframe", "weak spec support and normalization", ok, witness))
 
-    _, spec = rf.weak_spec(2, 10, 5)
+    spec = rf.weak_spec(2, 10)
     g_max = 2 * int(spec.gaps().max())
     quad = ch.haar_quadrature_su2(g_max + 2)  # exact for p chi_g, g <= g_max
     theta = ch.su2_eigenphase(quad.matrices())
@@ -111,7 +111,7 @@ def _refframe_checks():
                 worst = max(worst, diff)
     out.append(_check("refframe", "g-sum closed form", worst < 1e-12, f"worst={worst:.2e}"))
 
-    vals = [rf.min_overlap(rf.weak_spec(2, m, 5)[1], 6) for m in (49, 97)]
+    vals = [rf.min_overlap(rf.weak_spec(2, m), 6) for m in (49, 97)]
     out.append(_check("refframe", "min_overlap improves with m", vals[1] > vals[0], f"{vals}"))
     return out
 
@@ -155,25 +155,25 @@ def _channels_checks():
     return out
 
 
-def _sdp_checks():
-    from . import sdp
-
-    rng = np.random.default_rng(5)
+def sdp_checks(pairs: int = 15, seed: int = 5):
+    """The SDP battery of `verify` and `sdp-check`: sqrt(F_wc) against the
+    depolarizing closed form, and the diamond bracket on `pairs` random pairs."""
+    rng = np.random.default_rng(seed)
     out = []
     worst = 0.0
-    for p in (0.2, 0.6):
+    for p in (0.1, 0.2, 0.4, 0.6, 0.8):
         f = sdp.sqrt_fwc(ch.identity_channel(2).choi(), ch.depolarizing_channel(p).choi())
-        worst = max(worst, abs(f**2 - (1 - 3 * p / 4)))
-    out.append(_check("sdp", "fidelity SDP vs covariant closed form", worst < 1e-5, f"worst={worst:.2e}"))
+        worst = max(worst, abs(f - np.sqrt(1 - 3 * p / 4)))
+    out.append(_check("sdp", "fidelity SDP vs covariant closed form", worst < 1e-6, f"worst={worst:.2e}"))
 
     ok, witness = True, ""
-    for _ in range(15):
+    for _ in range(pairs):
         a, b = _random_channel(rng, 2), _random_channel(rng, 2)
         lo = ch.entanglement_error(a, b)
         eps = sdp.diamond_error(a.choi(), b.choi())
         if not (lo - 1e-6 <= eps <= 2 * lo + 1e-6):
             ok, witness = False, f"eps={eps}, eps_ent={lo}"
-    out.append(_check("sdp", "diamond error brackets", ok, witness))
+    out.append(_check("sdp", f"diamond error brackets on {pairs} random pairs", ok, witness))
     return out
 
 
@@ -199,7 +199,7 @@ def _protocol_checks():
 
     out = []
     code = codes.five_qubit_code()
-    _, spec = rf.weak_spec(2, 8, 5)
+    spec = rf.weak_spec(2, 8)
     mass = pr.inner_channel(code, [spec], [set()])[1]["normalization"]
     out.append(_check("protocol", "inner frame mass C_0 = sum q", abs(mass - 1) < 1e-10, f"mass={mass}"))
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
@@ -241,7 +241,7 @@ _REGISTRY = {
     "rep": _rep_checks,
     "refframe": _refframe_checks,
     "channels": _channels_checks,
-    "sdp": _sdp_checks,
+    "sdp": sdp_checks,
     "codes": _codes_checks,
     "protocol": _protocol_checks,
     "bounds": _bounds_checks,
@@ -252,7 +252,7 @@ def run(only: str | None = None) -> list[CheckResult]:
     """Results of every registered module's checks, or of module `only`."""
     modules = [only] if only else list(_REGISTRY)
     if only and only not in _REGISTRY:
-        raise SystemExit(f"unknown module {only!r}; choose from {sorted(_REGISTRY)}")
+        raise ValueError(f"unknown module {only!r}; choose from {sorted(_REGISTRY)}")
     results = []
     for mod in modules:
         results.extend(_REGISTRY[mod]())

@@ -89,7 +89,7 @@ def test_criterion_03_schur_weyl_normalization():
 # 4 ------------------------------------------------------------------------
 
 def test_criterion_04_povm_completeness():
-    specs = [rf.weak_spec(2, m, 5)[1] for m in (4, 10, 22)]
+    specs = [rf.weak_spec(2, m) for m in (4, 10, 22)]
     specs += [rf.strong_combined_spec(2, s) for s in range(1, 7)]
     worst = 0.0
     for spec in specs:
@@ -128,7 +128,7 @@ def test_criterion_06_weak_heisenberg_slope():
     ms = {big_m: 3 * big_m + 1 for big_m in (16, 24, 32, 48, 64, 96)}
     errs = []
     for big_m, m in ms.items():
-        _, spec = rf.weak_spec(2, m, 5)
+        spec = rf.weak_spec(2, m)
         errs.append(1.0 - rf.min_overlap(spec, n_prime))
     slope = pr.loglog_slope(list(ms.keys()), errs)
     elapsed = time.monotonic() - t0
@@ -212,7 +212,7 @@ def test_criterion_09_sdp_cross_validation():
         c = 0.5 * (a + a.conj().T)
         inst = sdp.SdpInstance()
         inst.add_block("X", 4)
-        inst.set_objective({"X": c}, "min")
+        inst.set_objective({"X": c})
         inst.add_equality({"X": np.eye(4)}, 1.0)
         res = sdp.solve(inst, tol=1e-9)
         assert res.status == "optimal"

@@ -217,8 +217,9 @@ def test_verify_injected_fault(monkeypatch, capsys):
     (["bounds", "--model", "weak", "--config", "/nonexistent/run.cfg"], "--config"),
     (["sdp-check", "--pairs", "-3"], "--pairs"),
     (["sweep", "--model", "weak", "--n-grid", "201,297", "--ne", "1", "--format", "csv+svg"], "--out"),
+    (["verify", "--only", "foo"], "unknown module 'foo'"),
 ], ids=["weak-ne0", "weak-odd-nr", "strong-pe", "alpha0", "strong-n0", "missing-config",
-        "negative-pairs", "svg-without-out"])
+        "negative-pairs", "svg-without-out", "verify-unknown-module"])
 def test_usage_errors_exit_2(capsys, args, message):
     assert cli.main(args) == 2
     captured = capsys.readouterr()
@@ -254,7 +255,9 @@ def test_explicit_flag_at_its_default_beats_config(tmp_path, capsys):
 def test_sdp_check_command():
     res = run_cli(["sdp-check", "--pairs", "3"])
     assert res.returncode == 0
-    assert "verified" in res.stdout
+    assert res.stdout == ("[PASS] sdp: fidelity SDP vs covariant closed form\n"
+                          "[PASS] sdp: diamond error brackets on 3 random pairs\n"
+                          "2/2 checks passed\n")
 
 
 def test_sdp_check_fails_on_fidelity_gap(monkeypatch, capsys):
@@ -262,4 +265,58 @@ def test_sdp_check_fails_on_fidelity_gap(monkeypatch, capsys):
 
     monkeypatch.setattr(sdp, "sqrt_fwc", lambda a, b: 0.5)
     assert cli.main(["sdp-check", "--pairs", "0"]) == 1
-    assert "FIDELITY GAP" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "[FAIL] sdp: fidelity SDP vs covariant closed form  (witness: worst=" in out
+    assert "1/2 checks passed" in out
+
+
+def test_sdp_check_runs_the_verify_battery(capsys):
+    # same check names as `verify --only sdp`, on the flags' pairs and seed
+    assert cli.main(["verify", "--only", "sdp"]) == 0
+    verify_out = capsys.readouterr().out
+    assert "[PASS] sdp: diamond error brackets on 15 random pairs" in verify_out
+    assert cli.main(["sdp-check", "--pairs", "15", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == verify_out
+
+
+@pytest.mark.parametrize("base,flag,value", [
+    (["bounds", "--model", "strong", "--pe", "0.2", "--n", "101"], "seed", "3"),
+    (["verify", "--only", "bounds"], "d", "5"),
+    (["verify", "--only", "bounds"], "seed", "99"),
+    (["sdp-check", "--pairs", "1"], "d", "3"),
+    (["simulate", "--model", "strong", "--pe", "0.2", "--sr", "2", "--np", "1"], "d", "3"),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(tmp_path, capsys, base, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(base + [f"--{flag}", value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --{flag} {value}" in capsys.readouterr().err
+    # a --config file may still carry the key: a subcommand ignores keys it lacks
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d=5\nseed=99\n")
+    assert cli.main(base + ["--config", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args,text,message", [
+    (["simulate", "--model", "weak"], "m=8.5\nne=1\n", "argument --m: invalid int value: '8.5'"),
+    (["sdp-check"], "pairs=1e3\n", "argument --pairs: invalid int value: '1e3'"),
+], ids=["float-m", "float-pairs"])
+def test_config_values_are_checked_like_flags(tmp_path, capsys, args, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args + ["--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_switch_and_flag_precedence(tmp_path, capsys):
+    # simulate=true turns the switch on; --seed on the command line beats seed=
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("simulate=true\nne=1\nseed=4\n")
+    args = ["sweep", "--model", "weak", "--n-grid", "37,53", "--config", str(cfg)]
+    assert cli.main(args + ["--seed", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("37,5,32,weak,1,0.29") and lines[1].endswith(",3")
+    assert lines[-2].startswith("# eps_cov_slope=")

@@ -222,7 +222,7 @@ def test_code_error_three_erasures_vs_scan_oracle():
     code = codes.five_qubit_code()
     pattern = {0, 1, 2}
     comp = codes.corrected_channel(code, pattern)
-    err = codes.code_error(code, pattern, tol=1e-9)
+    err = codes.code_error(code, pattern)
     scan = 0.0
     for t in np.linspace(0, np.pi, 41):
         for p in np.linspace(0, 2 * np.pi, 41):

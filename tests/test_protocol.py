@@ -168,7 +168,7 @@ def _oracle_for_term(code, label, weak_spec=None):
 def test_inner_trivial_code_is_identity():
     # for a single-qudit trivial code the physical and logical rotations
     # cancel exactly, whatever the reference does
-    for spec in (rf.strong_combined_spec(2, 1), rf.weak_spec(2, 4, 1)[1]):
+    for spec in (rf.strong_combined_spec(2, 1), rf.weak_spec(2, 4)):
         a, diag = pr.inner_channel(codes.trivial_code(2), [spec], [set()])
         assert 1 - a[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert abs(diag["normalization"] - 1.0) < 1e-10
@@ -204,7 +204,7 @@ def test_phi_weight_matches_explicit_kraus(pattern):
 
 def test_inner_feels_the_reference_error_and_improves_with_m():
     code = codes.five_qubit_code()
-    a, _ = pr.inner_channel(code, [rf.weak_spec(2, m, 5)[1] for m in (4, 10, 16)], [set()])
+    a, _ = pr.inner_channel(code, [rf.weak_spec(2, m) for m in (4, 10, 16)], [set()])
     vals = 1 - a[:, 0]
     assert vals[0] < vals[1] < vals[2] < 1.0
 
@@ -229,7 +229,7 @@ def test_inner_hand_sum_oracle():
 
 
 def test_inner_hand_sum_oracle_weak_spec():
-    _, spec = rf.weak_spec(2, 4, 1)
+    spec = rf.weak_spec(2, 4)
     n_p = 1
     hand = _reference_fidelity_hand_sum(spec, n_p)
     quad = ch.haar_quadrature_su2(12)
@@ -243,8 +243,8 @@ def test_inner_hand_sum_oracle_weak_spec():
 
 @pytest.mark.parametrize("spec,n_p", [
     (rf.strong_combined_spec(2, 1), 1),
-    (rf.weak_spec(2, 4, 1)[1], 1),
-    (rf.weak_spec(2, 8, 3)[1], 3),
+    (rf.weak_spec(2, 4), 1),
+    (rf.weak_spec(2, 8), 3),
 ])
 def test_class_integrals_hand_sum_oracle(spec, n_p):
     # F_0(U') = |Tr U'|^{2(n_p+1)} / 4^{n_p+1} is the Phi+ weight of
@@ -274,7 +274,7 @@ def test_haar_guess_channel_is_heavily_depolarizing():
 @pytest.mark.parametrize("m", [4, 8, 12])
 def test_spectral_inner_matches_quadrature_weak(m):
     code = codes.five_qubit_code()
-    _, spec = rf.weak_spec(2, m, 5)
+    spec = rf.weak_spec(2, m)
     rep = pr.effective_channel(pr.ProtocolConfig(2, "weak", code, n_e=1, m=m,
                                                  pattern_dist="uniform_le"))
     assert len(rep.terms) == 6
@@ -410,7 +410,7 @@ def test_inner_channel_table_matches_quadrature():
     # rows are reference frames, columns erasure patterns of different
     # survivor counts, all against the frames' class coefficients
     code = codes.five_qubit_code()
-    specs = [FLAT, rf.strong_combined_spec(2, 3), rf.weak_spec(2, 8, 5)[1]]
+    specs = [FLAT, rf.strong_combined_spec(2, 3), rf.weak_spec(2, 8)]
     patterns = [(), (0,), (0, 1, 2)]
     a, diag = pr.inner_channel(code, specs, patterns)
     assert a.shape == (3, 3)
@@ -454,7 +454,7 @@ def test_inner_channel_follows_the_encoder():
     code = codes.five_qubit_code()
     rotated = _rotated_five_qubit_code()
     assert rotated == code and hash(rotated) == hash(code)
-    _, spec = rf.weak_spec(2, 4, 5)
+    spec = rf.weak_spec(2, 4)
     got = [pr.inner_channel(c, [spec], [(1,)])[0][0, 0] for c in (code, rotated, code)]
     for c, a in zip((code, rotated, code), got):
         assert abs(a - _quadrature_a(c, spec, (1,))) < 1e-13
@@ -505,7 +505,7 @@ def test_effective_weak_no_error_distribution_decreasing_in_m():
     code = codes.five_qubit_code()
     eps = []
     for m in (8, 12, 16):
-        cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="none")
+        cfg = pr.ProtocolConfig(2, "weak", code, n_e=0, m=m)
         rep = pr.effective_channel(cfg)
         eps.append(rep.eps_cov)
     assert eps[0] > eps[1] > eps[2]

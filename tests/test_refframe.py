@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import cos, pi, sin
 
 import numpy as np
@@ -38,46 +39,64 @@ def test_g_weight_range_error():
 # weak-model spec
 # ---------------------------------------------------------------------------
 
+def paper_lattice(d, m):
+    """Oracle: M = floor((2m/(d(d-1)) - 1)/3), m0 = m - d(d-1)(3M+1)/2 and the
+    coordinate lt in {0..M}^(d-1) of each support diagram, from the paper's
+    formulas in exact rationals."""
+    big_m = int((Fraction(2 * m, d * (d - 1)) - 1) / 3)
+    m0 = m - Fraction(d * (d - 1) * (3 * big_m + 1), 2)
+    mu = [int(m0) // d + (i < int(m0) % d) for i in range(d)]
+    labels = {}
+    for lt in itertools.product(range(big_m + 1), repeat=d - 1):
+        rows = [mu[i] + (2 * d - i - 2) * big_m + (d - i - 1) + lt[i] for i in range(d - 1)]
+        labels[young.normalize(rows + [mu[-1] + (d - 1) * big_m - sum(lt)])] = lt
+    return big_m, m0, labels
+
+
 def test_weak_spec_m10():
-    layout, spec = rf.weak_spec(2, 10, 5)
-    assert layout.big_m == 3
-    assert layout.m0 == 0
+    spec = rf.weak_spec(2, 10)
+    assert rf._weak_lattice(2, 10) == (3, 0) == paper_lattice(2, 10)[:2]
     assert len(spec.weights) == 4
 
 
 def test_weak_spec_m4():
-    layout, spec = rf.weak_spec(2, 4, 5)
-    assert layout.big_m == 1
-    assert layout.m0 == 0
+    spec = rf.weak_spec(2, 4)
+    assert rf._weak_lattice(2, 4) == (1, 0) == paper_lattice(2, 4)[:2]
     assert len(spec.weights) == 2
 
 
 def test_weak_spec_too_small():
     with pytest.raises(rf.ConfigurationError):
-        rf.weak_spec(2, 1, 5)
+        rf.weak_spec(2, 1)
 
 
 @pytest.mark.parametrize("d,m", [(2, 4), (2, 10), (2, 22), (2, 49), (3, 30), (3, 100)])
 def test_weak_spec_support_and_normalization(d, m):
-    layout, spec = rf.weak_spec(d, m, 5)
-    assert len(spec.weights) == (layout.big_m + 1) ** (d - 1)
+    spec = rf.weak_spec(d, m)
+    big_m, m0, labels = paper_lattice(d, m)
+    assert rf._weak_lattice(d, m) == (big_m, m0)
+    assert len(spec.weights) == (big_m + 1) ** (d - 1)
     assert sum(spec.weights.values()) == pytest.approx(1.0, abs=1e-12)
     # unique decode to the coordinate box
-    labels = set(layout.labels.values())
-    assert len(labels) == len(spec.weights)
-    for lam, lt in layout.labels.items():
-        assert all(0 <= x <= layout.big_m for x in lt)
+    assert set(labels) == set(spec.weights)
+    for lam, lt in labels.items():
         assert young.boxes(lam) == m
         assert spec.weights[lam] == pytest.approx(
-            np.prod([rf.g_weight(x, layout.big_m) for x in lt]), abs=1e-15
+            np.prod([rf.g_weight(x, big_m) for x in lt]), abs=1e-15
         )
 
 
 def test_weak_spec_relation_n_r():
-    layout, _ = rf.weak_spec(2, 10, 5, n_e=2)
-    assert layout.n_r == 2 * 10 * 3
-    assert layout.n == 5 + layout.n_r
-    assert layout.n_prime == 6
+    # n_e = 2 keeps three copies of 2m qudits, and the sweep's overlap proxy
+    # takes n' = n_p + d - 1; the spec itself depends on d and m only
+    from covqec import codes
+    from covqec import protocol as pr
+
+    cfg = pr.ProtocolConfig(2, "weak", codes.five_qubit_code(), n_e=2, m=10)
+    assert cfg.n == 5 + 2 * 10 * 3
+    row = pr.scaling_sweep("weak", [cfg.n, cfg.n + 6], n_p=5, n_e=2)[0]
+    assert row.n_r == 60
+    assert row.one_minus_fwc == 1.0 - rf.min_overlap(rf.weak_spec(2, 10), 6)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +135,15 @@ def test_density_single_pair_orthogonal():
 
 
 def test_density_phase_negation_symmetry():
-    _, spec = rf.weak_spec(2, 10, 5)
+    spec = rf.weak_spec(2, 10)
     for t in (0.3, 1.2, 2.9):
         plus, minus = _density_su2(spec, np.array([t, -t]))
         assert plus == minus
 
 
 @pytest.mark.parametrize("make", [
-    lambda: rf.weak_spec(2, 4, 5)[1],
-    lambda: rf.weak_spec(2, 10, 5)[1],
+    lambda: rf.weak_spec(2, 4),
+    lambda: rf.weak_spec(2, 10),
     lambda: rf.strong_combined_spec(2, 4),
 ])
 def test_density_normalization_by_quadrature(make):
@@ -141,7 +160,7 @@ def test_density_normalization_by_quadrature(make):
 # ---------------------------------------------------------------------------
 
 _COEFF_SPECS = {
-    **{f"weak-m{m}": (lambda m=m: rf.weak_spec(2, m, 5)[1]) for m in (4, 8, 32, 128)},
+    **{f"weak-m{m}": (lambda m=m: rf.weak_spec(2, m)) for m in (4, 8, 32, 128)},
     **{f"strong-s{s}": (lambda s=s: rf.strong_combined_spec(2, s)) for s in (1, 6, 64, 256)},
     "flat": lambda: FLAT,
 }
@@ -183,7 +202,7 @@ def test_class_coefficients_reconstruct_the_density(name):
 
 
 def test_gaps_match_padded_rows():
-    for spec in (FLAT, rf.strong_combined_spec(2, 5), rf.weak_spec(2, 22, 5)[1]):
+    for spec in (FLAT, rf.strong_combined_spec(2, 5), rf.weak_spec(2, 22)):
         rows = [young.pad(lam, 2) for lam in spec.support()]
         assert spec.gaps().tolist() == [r[0] - r[1] for r in rows]
     assert rf.strong_combined_spec(2, 5).gaps().tolist() == [5, 3, 1]
@@ -216,8 +235,8 @@ def _angle_cdf_oracle(spec, n_grid=2**16):
 
 
 @pytest.mark.parametrize("make", [
-    lambda: rf.weak_spec(2, 8, 5)[1],
-    lambda: rf.weak_spec(2, 32, 5)[1],
+    lambda: rf.weak_spec(2, 8),
+    lambda: rf.weak_spec(2, 32),
     lambda: rf.strong_combined_spec(2, 6),
 ], ids=["weak-m8", "weak-m32", "strong-s6"])
 def test_sampler_angle_ks(make):
@@ -238,12 +257,12 @@ def test_sampler_flat_spec_is_haar():
 
 
 def test_sampler_zero_samples():
-    us = rf.sample_relative_rotations(rf.weak_spec(2, 8, 5)[1], 0, np.random.default_rng(0))
+    us = rf.sample_relative_rotations(rf.weak_spec(2, 8), 0, np.random.default_rng(0))
     assert us.shape == (0, 2, 2)
 
 
 def test_sampler_returns_su2():
-    us = rf.sample_relative_rotations(rf.weak_spec(2, 12, 5)[1], 500, np.random.default_rng(5))
+    us = rf.sample_relative_rotations(rf.weak_spec(2, 12), 500, np.random.default_rng(5))
     assert np.allclose(us @ us.conj().transpose(0, 2, 1), np.eye(2), atol=1e-12)
     assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
@@ -278,7 +297,7 @@ def test_sampler_mean_angle_concentrates_with_m():
     rng = np.random.default_rng(3)
     mean_angles = []
     for m in (4, 10, 22):
-        _, spec = rf.weak_spec(2, m, 5)
+        spec = rf.weak_spec(2, m)
         us = rf.sample_relative_rotations(spec, 2000, rng)
         theta = ch.su2_eigenphase(us)
         mean_angles.append(float(np.minimum(theta, pi - theta).mean()))
@@ -298,9 +317,9 @@ def test_interior_single_diagram():
 def test_interior_weak_spec_gap_rule():
     # m=40: M=13, support gaps are 14 + 2*coord, so the 4n' = 24 cut keeps
     # exactly the coordinates >= 5
-    layout, spec = rf.weak_spec(2, 40, 5)
+    spec = rf.weak_spec(2, 40)
     got = rf.interior_set(spec, 6)
-    want = {lam for lam, lt in layout.labels.items() if lt[0] >= 5}
+    want = {lam for lam, lt in paper_lattice(2, 40)[2].items() if lt[0] >= 5}
     assert got == want
 
 
@@ -310,14 +329,14 @@ def test_min_overlap_single_diagram_interior():
 
 
 def test_min_overlap_at_most_interior_mass():
-    _, spec = rf.weak_spec(2, 22, 5)
+    spec = rf.weak_spec(2, 22)
     interior = rf.interior_set(spec, 2)
     mass = sum(spec.weights[l] for l in interior)
     assert rf.min_overlap(spec, 2) <= mass + 1e-15
 
 
 def test_min_overlap_monotone_in_n_prime():
-    _, spec = rf.weak_spec(2, 49, 5)
+    spec = rf.weak_spec(2, 49)
     vals = [rf.min_overlap(spec, np_) for np_ in (1, 2, 3, 4, 6)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
@@ -328,10 +347,11 @@ def test_min_overlap_eq30_shape():
     n_prime = 6
     worst_c = 0.0
     for m in (49, 73, 97, 145):
-        layout, spec = rf.weak_spec(2, m, 5)
+        spec = rf.weak_spec(2, m)
+        big_m = paper_lattice(2, m)[0]
         eps = 1.0 - rf.min_overlap(spec, n_prime)
-        main = (pi * n_prime / (layout.big_m + 1)) ** 2  # d/2 = 1
-        worst_c = max(worst_c, (eps - main) * (layout.big_m**3))
+        main = (pi * n_prime / (big_m + 1)) ** 2  # d/2 = 1
+        worst_c = max(worst_c, (eps - main) * (big_m**3))
     assert worst_c < 50.0
 
 
@@ -467,8 +487,8 @@ def test_min_overlap_eq30_shape_d3():
     fits = []
     for big_m in (12, 16, 24):
         m = 3 * (3 * big_m + 1)
-        layout, spec = rf.weak_spec(3, m, 1)
-        assert layout.big_m == big_m
+        spec = rf.weak_spec(3, m)
+        assert paper_lattice(3, m)[0] == big_m
         eps = 1.0 - rf.min_overlap(spec, n_prime)
         main = 1.5 * (pi * n_prime / (big_m + 1)) ** 2
         fits.append((eps - main) * big_m**3)
@@ -478,7 +498,7 @@ def test_min_overlap_eq30_shape_d3():
 def test_min_overlap_vacuous_below_interior_regime():
     # at small M the interior band and the extreme shift are incompatible
     # and the lower bound gives exactly zero: vacuous but honest
-    _, spec = rf.weak_spec(3, 75, 1)
+    spec = rf.weak_spec(3, 75)
     assert rf.min_overlap(spec, 3) == 0.0
 
 

@@ -24,7 +24,7 @@ def test_solve_scalar_lower_bound():
     inst = sdp.SdpInstance()
     inst.add_block("x", 1)
     inst.add_block("s", 1)
-    inst.set_objective({"x": np.eye(1)}, "min")
+    inst.set_objective({"x": np.eye(1)})
     inst.add_equality({"x": np.eye(1), "s": -np.eye(1)}, 1.0)
     res = sdp.solve(inst)
     assert res.status == "optimal"
@@ -40,7 +40,7 @@ def test_solve_min_eigenvalue():
         c = 0.5 * (a + a.conj().T)
         inst = sdp.SdpInstance()
         inst.add_block("X", 4)
-        inst.set_objective({"X": c}, "min")
+        inst.set_objective({"X": c})
         inst.add_equality({"X": np.eye(4)}, 1.0)
         res = sdp.solve(inst)
         assert res.status == "optimal"
@@ -52,7 +52,7 @@ def test_solve_two_block_toy_vs_grid():
     inst = sdp.SdpInstance()
     inst.add_block("x", 1)
     inst.add_block("y", 1)
-    inst.set_objective({"x": np.eye(1), "y": 2 * np.eye(1)}, "min")
+    inst.set_objective({"x": np.eye(1), "y": 2 * np.eye(1)})
     inst.add_equality({"x": np.eye(1), "y": np.eye(1)}, 1.0)
     res = sdp.solve(inst)
     grid = min(x + 2 * (1 - x) for x in np.linspace(0, 1, 100001))
@@ -60,13 +60,14 @@ def test_solve_two_block_toy_vs_grid():
 
 
 def test_solve_max_sense():
+    # max x s.t. x + s = 2 is minus the minimum of -x
     inst = sdp.SdpInstance()
     inst.add_block("x", 1)
     inst.add_block("s", 1)
-    inst.set_objective({"x": np.eye(1)}, "max")
+    inst.set_objective({"x": -np.eye(1)})
     inst.add_equality({"x": np.eye(1), "s": np.eye(1)}, 2.0)
     res = sdp.solve(inst)
-    assert res.value == pytest.approx(2.0, abs=1e-7)
+    assert -res.value == pytest.approx(2.0, abs=1e-7)
 
 
 def test_size_cap():
@@ -81,7 +82,7 @@ def test_duality_on_optimal_exit():
     c = 0.5 * (a + a.T).astype(complex)
     inst = sdp.SdpInstance()
     inst.add_block("X", 3)
-    inst.set_objective({"X": c}, "min")
+    inst.set_objective({"X": c})
     inst.add_equality({"X": np.eye(3)}, 1.0)
     res = sdp.solve(inst, tol=1e-9)
     assert res.status == "optimal"
@@ -92,22 +93,22 @@ def test_duality_on_optimal_exit():
 
 def test_solve_unequal_blocks():
     # min Tr(C1 X1) + Tr(C2 X2) s.t. Tr X1 + Tr X2 = 1: the smallest
-    # eigenvalue over both blocks (and the largest for sense="max")
+    # eigenvalue over both blocks (and, for the negated objective, minus the
+    # largest)
     rng = np.random.default_rng(13)
     cs = []
     for s in (3, 2):
         a = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
         cs.append(0.5 * (a + a.conj().T))
-    for sense, pick in (("min", min), ("max", max)):
+    w = [np.linalg.eigvalsh(c) for c in cs]
+    for sign, ref in ((1, min(w[0].min(), w[1].min())), (-1, -max(w[0].max(), w[1].max()))):
         inst = sdp.SdpInstance()
         inst.add_block("X1", 3)
         inst.add_block("X2", 2)
-        inst.set_objective({"X1": cs[0], "X2": cs[1]}, sense)
+        inst.set_objective({"X1": sign * cs[0], "X2": sign * cs[1]})
         inst.add_equality({"X1": np.eye(3), "X2": np.eye(2)}, 1.0)
         res = sdp.solve(inst)
         assert res.status == "optimal"
-        w = [np.linalg.eigvalsh(c) for c in cs]
-        ref = pick(w[0].min(), w[1].min()) if sense == "min" else pick(w[0].max(), w[1].max())
         assert res.value == pytest.approx(ref, abs=1e-7)
         x1, x2 = res.blocks["X1"], res.blocks["X2"]
         assert x1.shape == (3, 3) and x2.shape == (2, 2)
@@ -120,7 +121,7 @@ def test_unknown_block_name_raises():
     inst.add_block("x", 1)
     inst.add_block("s", 1)
     with pytest.raises(ValueError, match="unknown block 'X'"):
-        inst.set_objective({"X": np.eye(1)}, "min")
+        inst.set_objective({"X": np.eye(1)})
     with pytest.raises(ValueError, match="unknown block 'S'"):
         inst.add_equality({"x": np.eye(1), "S": -np.eye(1)}, 1.0)
     assert inst._constraints == []
@@ -130,7 +131,7 @@ def test_wrong_coefficient_shape_raises():
     inst = sdp.SdpInstance()
     inst.add_block("X", 3)
     with pytest.raises(ValueError, match="shape"):
-        inst.set_objective({"X": np.eye(2)}, "min")
+        inst.set_objective({"X": np.eye(2)})
     with pytest.raises(ValueError, match="shape"):
         inst.add_equality({"X": np.ones(3)}, 1.0)
 
