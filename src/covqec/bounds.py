@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import ceil, comb, factorial, log, pi
 
 import numpy as np
@@ -218,8 +219,8 @@ def fisher_upper_strong(n: int, delta_h: float, p_e: float) -> BoundReport:
 # Kraus-family Fisher machinery
 # ---------------------------------------------------------------------------
 
-def erasure_kraus_family(n: int, n_e: int, h: Hamiltonian, theta: float, p_0: float = 0.0):
-    """Kraus operators of C . U_theta^(x)n on the flagged space (C^{d+1})^n.
+def erasure_kraus_family(n: int, n_e: int, h: Hamiltonian, theta: float, p_0: float = 0.0) -> np.ndarray:
+    """Kraus stack of C . U_theta^(x)n on the flagged space (C^{d+1})^n.
 
     C erases each exactly-n_e subset s with the uniform probability
     p_s = (1 - p_0) / binom(n, n_e), plus an identity branch of weight
@@ -237,18 +238,10 @@ def erasure_kraus_family(n: int, n_e: int, h: Hamiltonian, theta: float, p_0: fl
     h_ext = np.array(list(h.eigenvalues) + [0.0])
     u_slot = np.diag(np.exp(-1j * theta * h_ext))
 
-    def embed(ops):
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return out
-
-    u_all = embed([u_slot] * n)
-    kraus = []
-    if p_0 > 0:
-        kraus.append(np.sqrt(p_0) * u_all)
+    u_all = reduce(np.kron, [u_slot] * n)
+    kraus = [np.sqrt(p_0) * u_all] if p_0 > 0 else []
     if ps == 0:
-        return kraus  # p_0 = 1: the identity branch alone
+        return np.array(kraus)  # p_0 = 1: the identity branch alone
     binom = comb(n - 1, n_e - 1)
     for s in subsets:
         slots = sorted(s)
@@ -258,8 +251,8 @@ def erasure_kraus_family(n: int, n_e: int, h: Hamiltonian, theta: float, p_0: fl
                 e = np.zeros((dd, dd), dtype=complex)
                 e[d, lvl] = np.exp(1j * theta * h_ext[lvl] / (binom * ps))
                 ops[slot] = e
-            kraus.append(np.sqrt(ps) * embed(ops) @ u_all)
-    return kraus
+            kraus.append(np.sqrt(ps) * reduce(np.kron, ops) @ u_all)
+    return np.array(kraus)
 
 
 def kraus_zero_check(n: int, n_e: int, h: Hamiltonian, theta: float,
@@ -284,34 +277,25 @@ def kraus_zero_check(n: int, n_e: int, h: Hamiltonian, theta: float,
     def family(t):
         return erasure_kraus_family(n, n_e, h, t, p_0=p_0)
 
-    k0 = family(theta)
-    # trace preservation
-    tp = sum(k.conj().T @ k for k in k0)
-    assert np.max(np.abs(tp - np.eye(dd**n))) < 1e-10
+    k0 = family(theta).reshape(-1, dd**n)  # the stack, operators row-stacked
+    if not np.max(np.abs(k0.conj().T @ k0 - np.eye(dd**n))) < 1e-10:
+        raise RuntimeError("erasure Kraus family is not trace preserving")
 
-    def deriv(t, eps):
-        kp, km = family(t + eps), family(t - eps)
-        return [(a - b) / (2 * eps) for a, b in zip(kp, km)]
+    def deriv(eps):
+        return (family(theta + eps) - family(theta - eps)).reshape(k0.shape) / (2 * eps)
 
     step = 1e-5
-    d1 = deriv(theta, step)
-    d2 = deriv(theta, step / 2)
-    dk = [(4 * b - a) / 3 for a, b in zip(d1, d2)]  # Richardson: O(step^4)
+    dk = (4 * deriv(step / 2) - deriv(step)) / 3  # Richardson: O(step^4)
 
-    zero_op = sum(kd.conj().T @ k for kd, k in zip(dk, k0))
-    res_zero = float(np.linalg.norm(zero_op, 2))
-
-    dd_op = sum(kd.conj().T @ kd for kd in dk)
+    res_zero = float(np.linalg.norm(dk.conj().T @ k0, 2))  # sum dK^dag K
+    dd_op = dk.conj().T @ dk
     h_ext = np.array(list(h.eigenvalues) + [0.0])
     h_slot = np.diag(h_ext).astype(complex)
 
     def embed_at(op, slot):
         ops = [np.eye(dd, dtype=complex)] * n
         ops[slot] = op
-        out = ops[0]
-        for o in ops[1:]:
-            out = np.kron(out, o)
-        return out
+        return reduce(np.kron, ops)
 
     h_total = sum(embed_at(h_slot, l) for l in range(n))
     subsets = [frozenset(s) for s in itertools.combinations(range(n), n_e)]

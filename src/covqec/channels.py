@@ -1,9 +1,11 @@
 """Dense finite-dimensional channel algebra and SU(2) Haar quadrature.
 
-Channels are kept small and explicit: Kraus lists or Choi matrices as numpy
-arrays.  Choi matrices are state-normalized throughout, J = (N (x) I)(Phi+),
-indexed (out, in) against (out, in); the unnormalized convention needed by
-the fidelity SDP is produced at that call site only.
+Channels are kept small and explicit.  A Kraus family is one complex
+(K, d_out, d_in) array, so composition, the trace-preservation check and
+the Choi matrix are each one numpy product over the whole stack.  Choi
+matrices are state-normalized throughout, J = (N (x) I)(Phi+), indexed
+(out, in) against (out, in); the unnormalized convention needed by the
+fidelity SDP is produced at that call site only.
 
 Matrix square roots go through Hermitian eigendecompositions with negative
 eigenvalues clipped at -1e-12.
@@ -58,26 +60,24 @@ class CovarianceViolationError(ValueError):
 
 @dataclass
 class KrausChannel:
+    """A channel by its Kraus operators, held as one complex (K, dim_out,
+    dim_in) stack; a list of operators is stacked once, here (numpy raises
+    ValueError on a ragged list)."""
     dim_in: int
     dim_out: int
-    kraus: list[np.ndarray]
+    kraus: np.ndarray
 
     def __post_init__(self) -> None:
-        self.kraus = [np.asarray(k, dtype=complex) for k in self.kraus]
-        for k in self.kraus:
-            if k.shape != (self.dim_out, self.dim_in):
-                raise ValueError(f"Kraus operator shape {k.shape} != ({self.dim_out}, {self.dim_in})")
-        acc = sum(k.conj().T @ k for k in self.kraus)
-        if np.max(np.abs(acc - np.eye(self.dim_in))) > _HERM_TOL:
+        self.kraus = np.asarray(self.kraus, dtype=complex)
+        if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.dim_out, self.dim_in):
+            raise ValueError(f"Kraus stack shape {self.kraus.shape} != (K, {self.dim_out}, {self.dim_in})")
+        flat = self.kraus.reshape(-1, self.dim_in)  # sum_k K^dag K = flat^dag flat
+        if np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) > _HERM_TOL:
             raise ValueError("Kraus operators are not trace preserving")
 
     def choi(self) -> "ChoiMatrix":
-        d = self.dim_in
-        mat = np.zeros((self.dim_out * d, self.dim_out * d), dtype=complex)
-        for k in self.kraus:
-            v = k.reshape(-1)
-            mat += np.outer(v, v.conj())
-        return ChoiMatrix(d, self.dim_out, mat / d)
+        v = self.kraus.reshape(len(self.kraus), -1)
+        return ChoiMatrix(self.dim_in, self.dim_out, (v.T @ v.conj()) / self.dim_in)
 
 
 @dataclass
@@ -127,26 +127,22 @@ def max_entangled_state(d: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def identity_channel(d: int) -> KrausChannel:
-    return KrausChannel(d, d, [np.eye(d, dtype=complex)])
+    return KrausChannel(d, d, np.eye(d, dtype=complex)[None])
 
 
 def depolarizing_channel(p: float) -> KrausChannel:
-    """The qubit channel rho -> (1-p) rho + p I/2."""
+    """The qubit channel rho -> (1-p) rho + p I/2: sqrt(1-p) I and the
+    sqrt(p/2) |i><j|."""
     d = 2
-    kraus = [np.sqrt(1 - p) * np.eye(d, dtype=complex)]
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = np.sqrt(p / d)
-            kraus.append(e)
-    return KrausChannel(d, d, kraus)
+    units = np.eye(d * d).reshape(d * d, d, d)  # |i><j| at index i d + j
+    return KrausChannel(d, d, np.concatenate([[np.sqrt(1 - p) * np.eye(d)], np.sqrt(p / d) * units]))
 
 
 def compose(outer: KrausChannel, inner: KrausChannel) -> KrausChannel:
-    """outer . inner (inner acts first)."""
+    """outer . inner (inner acts first); Kraus A_a B_b at index a K_inner + b."""
     if inner.dim_out != outer.dim_in:
         raise ValueError("channel dimensions do not compose")
-    kraus = [a @ b for a in outer.kraus for b in inner.kraus]
+    kraus = (outer.kraus[:, None] @ inner.kraus[None]).reshape(-1, outer.dim_out, inner.dim_in)
     return KrausChannel(inner.dim_in, outer.dim_out, kraus)
 
 

@@ -126,6 +126,14 @@ def _usage_error(message: str) -> int:
     return 2
 
 
+# the destinations of the flags that only one --model reads, per subcommand
+_MODEL_ONLY = {
+    "bounds": {"weak": ("ne", "np_", "nr"), "strong": ("pe", "n", "alpha")},
+    "sweep": {"weak": ("ne",), "strong": ("pe",)},
+    "simulate": {"weak": ("ne", "m", "pattern_dist"), "strong": ("pe", "sr")},
+}
+
+
 def cmd_bounds(args) -> int:
     d = args.d
     if args.model == "weak" and None in (args.ne, args.np_, args.nr):
@@ -143,7 +151,8 @@ def cmd_bounds(args) -> int:
             ]
         else:
             lines = [
-                ("theorem2_upper", bounds_mod.theorem2_bound(d, args.pe, args.n, args.alpha)),
+                ("theorem2_upper", bounds_mod.theorem2_bound(
+                    d, args.pe, args.n, 0.1 if args.alpha is None else args.alpha)),
                 ("prop2_lower", bounds_mod.prop2_lower(args.n, args.pe)),
                 ("fisher_upper_strong", bounds_mod.fisher_upper_strong(args.n, 2.0, args.pe)),
             ]
@@ -219,7 +228,7 @@ def cmd_simulate(args) -> int:
     if args.model == "weak":
         if args.ne is None or args.m is None:
             return _usage_error("simulate weak needs --ne and --m")
-        model_args = dict(n_e=args.ne, m=args.m, pattern_dist=args.pattern_dist)
+        model_args = dict(n_e=args.ne, m=args.m, pattern_dist=args.pattern_dist or "uniform_le")
     else:
         if args.pe is None or args.sr is None:
             return _usage_error("simulate strong needs --pe and --sr")
@@ -298,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--nr", type=int, default=None)
     p_bounds.add_argument("--pe", type=float, default=None)
     p_bounds.add_argument("--n", type=int, default=None)
-    p_bounds.add_argument("--alpha", type=float, default=0.1)
+    p_bounds.add_argument("--alpha", type=float, default=None, help="theorem 2's alpha (default 0.1)")
     p_bounds.add_argument("--out", type=str, default=None)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -327,8 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--pe", type=float, default=None)
     p_sim.add_argument("--sr", type=int, default=None)
     p_sim.add_argument("--np", dest="np_", type=int, default=5)
-    p_sim.add_argument("--pattern-dist", dest="pattern_dist", default="uniform_le",
-                       choices=["uniform_le", "exact_ne"])
+    p_sim.add_argument("--pattern-dist", dest="pattern_dist", default=None,
+                       choices=["uniform_le", "exact_ne"], help="weak erasure law (default uniform_le)")
     p_sim.add_argument("--mc", action="store_true", help="run the Monte Carlo cross-check")
     p_sim.add_argument("--mc-samples", dest="mc_samples", type=int, default=20000)
     p_sim.set_defaults(func=cmd_simulate)
@@ -351,6 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # checked before --config is read: one file may hold both models' keys
+    for model, dests in _MODEL_ONLY.get(args.command, {}).items():
+        given = [dest for dest in dests if model != args.model and getattr(args, dest) is not None]
+        if given:
+            flag = "--" + given[0].rstrip("_").replace("_", "-")
+            return _usage_error(f"{flag} is not read by --model {args.model}")
     if args.config:
         # the file becomes the subcommand's defaults, so every flag given on
         # the command line still wins; keys the subcommand lacks are ignored

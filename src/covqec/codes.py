@@ -2,7 +2,8 @@
 
 Erasure locations are known, so erasure is modelled on the surviving
 qudits: the erased ones are traced out, and the noise output lives on
-(C^d)^{(x) survivors} (`erased_restriction_kraus`).
+(C^d)^{(x) survivors} (`erased_restriction_kraus`).  Every Kraus family
+here is one complex (K, d_out, d_in) array, as `KrausChannel` holds it.
 
 Recovery for a known erasure pattern goes through the transpose (Petz)
 channel of the erased-restriction map taken at the maximally mixed code
@@ -78,9 +79,9 @@ def five_qubit_code() -> CodeSpec:
     one = _pauli_string("xxxxx") @ zero
     encoder = np.stack([zero, one], axis=1)
     code = CodeSpec(2, 5, encoder, name="five_qubit", distance=3)
-    for g in gens:
-        assert np.max(np.abs(_pauli_string(g) @ encoder - encoder)) < 1e-12
-    assert np.max(np.abs(_pauli_string("zzzzz") @ encoder - encoder @ _PAULI["z"])) < 1e-12
+    checks = [(_pauli_string(g), _PAULI["i"]) for g in gens] + [(_pauli_string("zzzzz"), _PAULI["z"])]
+    if not all(np.max(np.abs(op @ encoder - encoder @ logical)) < 1e-12 for op, logical in checks):
+        raise RuntimeError("five-qubit encoder fails a stabilizer or its logical-Z check")
     return code
 
 
@@ -93,8 +94,9 @@ def trivial_code(d: int) -> CodeSpec:
 # recovery
 # ---------------------------------------------------------------------------
 
-def erased_restriction_kraus(code: CodeSpec, pattern) -> list[np.ndarray]:
-    """Kraus operators of the logical -> survivors map after erasing `pattern`.
+def erased_restriction_kraus(code: CodeSpec, pattern) -> np.ndarray:
+    """Kraus stack (d^|pattern|, d^survivors, d) of the logical -> survivors
+    map after erasing `pattern`.
 
     M_b = (<b|_erased (x) I_survivors) V for each erased-slot basis vector b.
     """
@@ -105,13 +107,12 @@ def erased_restriction_kraus(code: CodeSpec, pattern) -> list[np.ndarray]:
     v = code.encoder.reshape((d,) * n + (d,))
     survivors = [i for i in range(n) if i not in erased]
     perm = erased + survivors + [n]
-    v = np.transpose(v, perm).reshape(d ** len(erased), d ** len(survivors), d)
-    return [np.array(v[b]) for b in range(d ** len(erased))]
+    return np.array(np.transpose(v, perm).reshape(d ** len(erased), d ** len(survivors), d))
 
 
-def recovery_parts(code: CodeSpec, pattern) -> tuple[list[np.ndarray], np.ndarray]:
-    """Data Kraus operators of the survivor-space recovery, and an
-    orthonormal basis (columns) of the survivor space off their support.
+def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
+    """Data Kraus stack of the survivor-space recovery, and an orthonormal
+    basis (columns) of the survivor space off their support.
 
     The data Kraus are the transpose channel of the erased restriction at
     the maximally mixed logical input, R_b = M_b^dag rho_out^{-1/2}/sqrt(d)
@@ -120,34 +121,36 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[list[np.ndarray], np.ndarra
     """
     d = code.d
     ms = erased_restriction_kraus(code, pattern)
-    rho_out = sum(m @ m.conj().T for m in ms) / d
+    ms_dag = ms.conj().transpose(0, 2, 1)
+    rho_out = np.sum(ms @ ms_dag, axis=0) / d
     w, u = np.linalg.eigh(rho_out)
     keep = w > 1e-12
     inv_half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
-    kraus = [(m.conj().T @ inv_half) / np.sqrt(d) for m in ms]
-    return kraus, u[:, ~keep]
+    return (ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep]
 
 
-def recovery_on_survivors(code: CodeSpec, pattern) -> list[np.ndarray]:
-    """Kraus operators of the recovery map (C^d)^(survivors) -> logical.
+def recovery_on_survivors(code: CodeSpec, pattern) -> np.ndarray:
+    """Kraus stack of the recovery map (C^d)^(survivors) -> logical.
 
     Exact inverse of the erasure whenever |pattern| < distance; beyond
     that a trace-preserving best effort.  The completion is |l><v| / sqrt(d)
-    for each off-support basis vector v and logical level l.
+    for each off-support basis vector v and logical level l, at index
+    (v, l) after the data Kraus.
     """
     d = code.d
-    kraus, off_support = recovery_parts(code, pattern)
-    for v in off_support.T:
-        kraus += [np.outer(level, v.conj()) / np.sqrt(d) for level in np.eye(d)]
-    total = sum(k.conj().T @ k for k in kraus)
-    assert np.max(np.abs(total - np.eye(off_support.shape[0]))) < 1e-9
+    data, off = recovery_parts(code, pattern)
+    junk = np.eye(d)[None, :, :, None] * off.T.conj()[:, None, None, :] / np.sqrt(d)
+    kraus = np.concatenate([data, junk.reshape(-1, d, len(off))])
+    flat = kraus.reshape(-1, len(off))  # sum_k K^dag K = flat^dag flat
+    if not np.max(np.abs(flat.conj().T @ flat - np.eye(len(off)))) < 1e-9:
+        raise RuntimeError("survivor-space recovery is not trace preserving")
     return kraus
 
 
 def corrected_channel(code: CodeSpec, pattern) -> KrausChannel:
     """recover . erase . encode for a known pattern, as a map logical -> logical."""
     erase = erased_restriction_kraus(code, pattern)
-    dim_s = erase[0].shape[0]
+    dim_s = erase.shape[1]
     return compose(
         KrausChannel(dim_s, code.d, recovery_on_survivors(code, pattern)),
         KrausChannel(code.d, dim_s, erase),
@@ -160,9 +163,9 @@ def code_error(code: CodeSpec, pattern) -> float:
     Below the diamond-norm program's 1e-8 tolerance the certified bracket
     eps_wc <= d eps_ent gives a tighter answer, so it is used there.
     """
-    noisy = corrected_channel(code, pattern)
-    ident = identity_channel(code.d)
+    noisy = corrected_channel(code, pattern).choi()
+    ident = identity_channel(code.d).choi()
     upper = code.d * entanglement_error(noisy, ident)
     if upper < 1e-8:
         return upper
-    return sdp.diamond_error(noisy.choi(), ident.choi())
+    return sdp.diamond_error(noisy, ident)

@@ -237,7 +237,7 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     n_surv = code.n_p - len(erased)
     m_ops = erased_restriction_kraus(code, erased)
     data_kraus, _ = recovery_parts(code, erased)
-    dim_s = m_ops[0].shape[0]
+    dim_s = m_ops.shape[1]
     # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
     # summed over the (alpha, gamma) plane
     w_grid = quad.weights.reshape(2 * quad.order, quad.order, 2 * quad.order)
@@ -247,8 +247,8 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     s_z = sigma[np.indices((d,) * n_surv).reshape(n_surv, dim_s)].sum(axis=0)  # S_i of basis state i
     fs = np.arange(-n_surv - 1, n_surv + 2, 2)
     ks = np.arange(-n_surv, n_surv + 1, 2)
-    r_f = np.stack(data_kraus) * (sigma[:, None] - s_z == fs[:, None, None, None])
-    m_k = np.stack(m_ops, axis=1).reshape(dim_s, -1) * (s_z == ks[:, None])[:, :, None]
+    r_f = data_kraus * (sigma[:, None] - s_z == fs[:, None, None, None])
+    m_k = m_ops.transpose(1, 0, 2).reshape(dim_s, -1) * (s_z == ks[:, None])[:, :, None]
     # X_{f,k} by two GEMMs, on axes (f, r, x, beta, k, b, y)
     ry_s = _kron_power_batch(ry, n_surv).transpose(1, 0, 2).reshape(dim_s, -1)
     x = (r_f.reshape(-1, dim_s) @ ry_s).reshape(-1, dim_s) @ m_k.transpose(1, 0, 2).reshape(dim_s, -1)
@@ -493,9 +493,9 @@ def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
     for mask in np.flatnonzero(np.bincount(phys)):
         erased = [i for i in range(code.n_p) if mask >> i & 1]
         m_ops = erased_restriction_kraus(code, erased)
-        dim_s, n_b = m_ops[0].shape[0], len(m_ops)
-        r_flat = np.stack(recovery_on_survivors(code, erased)).reshape(-1, d * dim_s)
-        m_cat = np.stack(m_ops, axis=1).reshape(dim_s, n_b * d)
+        n_b, dim_s = m_ops.shape[:2]
+        r_flat = recovery_on_survivors(code, erased).reshape(-1, d * dim_s)
+        m_cat = m_ops.transpose(1, 0, 2).reshape(dim_s, n_b * d)
         idx = np.flatnonzero(phys == mask)
         chunk = max(1, _SCORE_CHUNK_ENTRIES // (dim_s * dim_s + 2 * m_cat.size + n_b * len(r_flat)))
         for start in range(0, len(idx), chunk):

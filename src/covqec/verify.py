@@ -29,7 +29,7 @@ class CheckResult:
 def _random_channel(rng, d, n_kraus=3):
     a = rng.standard_normal((n_kraus * d, d)) + 1j * rng.standard_normal((n_kraus * d, d))
     q, _ = np.linalg.qr(a)
-    return ch.KrausChannel(d, d, [q[i * d:(i + 1) * d, :] for i in range(n_kraus)])
+    return ch.KrausChannel(d, d, q.reshape(n_kraus, d, d))
 
 
 def _check(module, name, passed, witness=""):

@@ -70,6 +70,50 @@ def test_kraus_rejects_non_trace_preserving():
         ch.KrausChannel(2, 2, kraus)
 
 
+def random_map(rng, d_in, d_out, n_kraus):
+    """Random CPTP map d_in -> d_out, its Kraus operators as a list."""
+    a = rng.standard_normal((n_kraus * d_out, d_in)) + 1j * rng.standard_normal((n_kraus * d_out, d_in))
+    q, _ = np.linalg.qr(a)
+    return [q[i * d_out:(i + 1) * d_out] for i in range(n_kraus)]
+
+
+def test_kraus_list_is_held_as_one_stack():
+    ops = random_map(RNG, 2, 3, 4)
+    chan = ch.KrausChannel(2, 3, ops)
+    assert chan.kraus.shape == (4, 3, 2) and chan.kraus.dtype == complex
+    assert len(chan.kraus) == 4
+    assert all(np.array_equal(k, op) for k, op in zip(chan.kraus, ops))
+
+
+def test_compose_matches_pairwise_products():
+    outer_ops, inner_ops = random_map(RNG, 3, 2, 3), random_map(RNG, 2, 3, 4)
+    got = ch.compose(ch.KrausChannel(3, 2, outer_ops), ch.KrausChannel(2, 3, inner_ops))
+    expect = [a @ b for a in outer_ops for b in inner_ops]
+    assert (got.dim_in, got.dim_out) == (2, 2) and got.kraus.shape == (12, 2, 2)
+    assert np.max(np.abs(got.kraus - np.array(expect))) < 1e-15
+
+
+@pytest.mark.parametrize("d_in,d_out,n_kraus", [(2, 2, 1), (2, 3, 4), (3, 2, 5)])
+def test_choi_matches_sum_of_outer_products(d_in, d_out, n_kraus):
+    ops = random_map(RNG, d_in, d_out, n_kraus)
+    expect = sum(np.outer(k.reshape(-1), k.reshape(-1).conj()) for k in ops) / d_in
+    got = ch.KrausChannel(d_in, d_out, ops).choi()
+    assert (got.dim_in, got.dim_out) == (d_in, d_out)
+    assert np.max(np.abs(got.mat - expect)) < 1e-15
+
+
+@pytest.mark.parametrize("kraus,message", [
+    ([np.eye(2), np.eye(3)], "sequence"),                              # ragged list
+    (np.eye(2), "shape"),                                               # one operator, not a stack
+    (np.eye(2).reshape(1, 1, 2, 2), "shape"),                           # a stack of stacks
+    (np.zeros((0, 2, 2)), "trace preserving"),                          # empty stack
+    (np.stack([np.eye(2), np.eye(2)]) / np.sqrt(1.9), "trace preserving"),
+], ids=["ragged", "2d", "4d", "empty", "non-tp"])
+def test_kraus_stack_validation(kraus, message):
+    with pytest.raises(ValueError, match=message):
+        ch.KrausChannel(2, 2, kraus)
+
+
 # ---------------------------------------------------------------------------
 # fidelities and errors
 # ---------------------------------------------------------------------------

@@ -320,3 +320,31 @@ def test_config_switch_and_flag_precedence(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[1].startswith("37,5,32,weak,1,0.29") and lines[1].endswith(",3")
     assert lines[-2].startswith("# eps_cov_slope=")
+
+
+@pytest.mark.parametrize("args,flag,model", [
+    (["sweep", "--model", "weak", "--n-grid", "37,53", "--ne", "1", "--pe", "0.4"], "--pe", "weak"),
+    (["simulate", "--model", "strong", "--pe", "0.2", "--sr", "2", "--np", "1",
+      "--m", "4", "--pattern-dist", "exact_ne"], "--m", "strong"),
+    (["simulate", "--model", "weak", "--ne", "1", "--m", "4", "--pattern-dist", "exact_ne",
+      "--sr", "3"], "--sr", "weak"),
+    (["bounds", "--model", "weak", "--ne", "1", "--np", "5", "--nr", "1000", "--alpha", "0.2"],
+     "--alpha", "weak"),
+    (["bounds", "--model", "strong", "--pe", "0.2", "--n", "101", "--np", "5"], "--np", "strong"),
+], ids=["sweep-pe-weak", "simulate-m-strong", "simulate-sr-weak", "bounds-alpha-weak",
+        "bounds-np-strong"])
+def test_other_models_flags_are_usage_errors(capsys, args, flag, model):
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} is not read by --model {model}\n"
+    assert captured.out == ""
+
+
+def test_config_file_may_hold_both_models_keys(tmp_path, capsys):
+    # the other model's keys in a --config file are ignored, not rejected
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("ne=1\nnp=5\nnr=1000\npe=0.2\nn=101\nalpha=0.5\n")
+    assert cli.main(["bounds", "--model", "weak", "--config", str(cfg)]) == 0
+    assert "theorem1_upper = 0.92095" in capsys.readouterr().out
+    assert cli.main(["bounds", "--model", "strong", "--config", str(cfg)]) == 0
+    assert "theorem2_upper = 101.493793401" in capsys.readouterr().out

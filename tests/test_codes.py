@@ -199,6 +199,47 @@ def test_recovery_trace_preserving_beyond_distance():
     assert np.allclose(acc, np.eye(2**2), atol=1e-9)
 
 
+@pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2), (1, 3, 4)])
+def test_recovery_stack_is_data_then_outer_product_completion(pattern):
+    # the stack is the data Kraus followed by |l><v| / sqrt(d) for each
+    # off-support column v (outer) and logical level l (inner), bit for bit
+    code = codes.five_qubit_code()
+    data, off = codes.recovery_parts(code, pattern)
+    oracle = list(data) + [np.outer(level, v.conj()) / np.sqrt(code.d)
+                           for v in off.T for level in np.eye(code.d)]
+    rec = codes.recovery_on_survivors(code, pattern)
+    assert rec.shape == (len(oracle), code.d, 2 ** (5 - len(pattern)))
+    assert np.array_equal(rec, np.array(oracle))
+
+
+def test_recovery_stack_shapes():
+    code = codes.five_qubit_code()
+    ms = codes.erased_restriction_kraus(code, (1, 3))
+    assert ms.shape == (4, 8, 2) and ms.flags.c_contiguous
+    assert not np.shares_memory(codes.erased_restriction_kraus(code, ()), code.encoder)
+    data, off = codes.recovery_parts(code, (1, 3))
+    assert data.shape == (4, 2, 8) and off.shape == (8, 0)
+    assert len(codes.corrected_channel(code, (1, 3)).kraus) == 16
+
+
+def test_recovery_rejects_a_non_trace_preserving_completion(monkeypatch):
+    # drop one data Kraus operator: the recovery check must fire, also under -O
+    parts = codes.recovery_parts
+    monkeypatch.setattr(codes, "recovery_parts", lambda code, pattern: (
+        parts(code, pattern)[0][1:], parts(code, pattern)[1]))
+    with pytest.raises(RuntimeError, match="not trace preserving"):
+        codes.recovery_on_survivors(codes.five_qubit_code(), (0,))
+
+
+def test_code_error_builds_each_choi_once(monkeypatch):
+    # the corrected channel's Choi and the identity's, for both eps_ent and the SDP
+    calls = []
+    choi = ch.KrausChannel.choi
+    monkeypatch.setattr(ch.KrausChannel, "choi", lambda self: calls.append(len(self.kraus)) or choi(self))
+    assert codes.code_error(codes.five_qubit_code(), (0, 1, 2)) > 0.1
+    assert sorted(calls) == [1, 64]
+
+
 @pytest.mark.parametrize(
     "pattern",
     [p for k in (0, 1, 2) for p in itertools.combinations(range(5), k)] + [(0, 1, 2), (0, 2, 4)],
