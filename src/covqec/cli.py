@@ -13,6 +13,7 @@ Precedence for options: command-line flags beat the key=value config file
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -45,24 +46,7 @@ def _fmt(x) -> str:
 def rows_to_csv(rows, slope: float | None = None, eps_cov_slope: float | None = None) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.n,
-                    r.n_p,
-                    r.n_r,
-                    r.model,
-                    r.noise,
-                    r.eps_cov,
-                    r.upper_bound,
-                    r.lower_bound,
-                    r.one_minus_fwc,
-                    r.runtime_ms,
-                    r.seed,
-                )
-            )
-        )
+        lines.append(",".join(_fmt(v) for v in dataclasses.astuple(r)))
     if eps_cov_slope is not None:
         lines.append(f"# eps_cov_slope={eps_cov_slope:.12g}")
     if slope is not None:
@@ -207,7 +191,7 @@ def cmd_sweep(args) -> int:
             fh.write(csv_text)
         print(f"wrote {args.out}  (slope={slope:.4f})")
         if args.format == "csv+svg":
-            svg_path = args.out.rsplit(".", 1)[0] + ".svg"
+            svg_path = os.path.splitext(args.out)[0] + ".svg"
             with open(svg_path, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(
                     svg_loglog(

@@ -341,6 +341,13 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
     Q_{mu mu'} = sum_nu T_mu(nu) T_mu'(nu) / (dim_mu dim_mu') with
     T_mu(nu) = sum_lam sqrt(p_lam) c^nu_{lam mu} and p the Schur-Weyl
     weights of s' >= 1 survivors (`strong_combined_spec`).
+
+    T is built from the frame side: for each frame diagram lam, in the
+    spec's order, and each cost diagram mu, sqrt(p_lam) c is added to the
+    column of every nu in lam (x) mu (`young.tensor_decompose`), so only
+    the nu that occur are visited.  The cost is |support| * |cost| tensor
+    decompositions of at most dim(mu) summands each: linear in the
+    frame's support.
     """
     if d not in (2, 3):
         raise ValueError("the strong fidelity form is wired up for d = 2 or 3")
@@ -352,16 +359,13 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
         raise ValueError(f"cost set of size {len(cost)} exceeds the cap {_COST_CAP}")
     p = strong_combined_spec(d, s_survivors).weights
     dims = np.array([young.weyl_dimension(mu, d) for mu in cost], dtype=float)
-    nus = young.enumerate_diagrams(s_survivors + (d - 1) + n_p, d)
-    t_mat = np.zeros((len(cost), len(nus)))
-    for a, mu in enumerate(cost):
-        for b, nu in enumerate(nus):
-            acc = 0.0
-            for lam, pl in p.items():
-                c = young.lr_coefficient(lam, mu, nu)
-                if c:
-                    acc += np.sqrt(pl) * c
-            t_mat[a, b] = acc
+    col = {nu: b for b, nu in enumerate(young.enumerate_diagrams(s_survivors + (d - 1) + n_p, d))}
+    t_mat = np.zeros((len(cost), len(col)))
+    for lam, pl in p.items():
+        amp = np.sqrt(pl)
+        for a, mu in enumerate(cost):
+            for nu, c in young.tensor_decompose(lam, mu, d).items():
+                t_mat[a, col[nu]] += amp * c
     q_mat = (t_mat / dims[:, None]) @ (t_mat / dims[:, None]).T
     return cost, q_mat
 

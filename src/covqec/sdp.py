@@ -22,7 +22,7 @@ corrector's step-length tests are one batched eigvalsh each.  Each Schur
 solve is one LU solve plus one refinement step (Todd, Toh and Tutuncu,
 SIAM J. Optim. 8, 769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).
 Problems stay at qubit/qutrit scale; the total variable dimension is
-capped (default 256) and larger requests fail fast.
+capped at the constant DEFAULT_SIZE_CAP = 256, and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators

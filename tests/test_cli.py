@@ -1,10 +1,12 @@
 import subprocess
 import sys
 import types
+from dataclasses import fields
 
 import pytest
 
 from covqec import cli
+from covqec.protocol import SweepRow
 
 
 def run_cli(args, **kw):
@@ -74,6 +76,22 @@ def test_sweep_csv_shape(tmp_path):
     assert len(lines) == 1 + 3 + 1
     assert lines[-1].startswith("# slope=")
     assert (tmp_path / "s.svg").read_text().startswith("<svg")
+
+
+def test_sweep_svg_beside_csv_in_dotted_directory(tmp_path):
+    # the extension is cut from the file name, not at a dot in a directory
+    (tmp_path / "res.d").mkdir()
+    out = tmp_path / "res.d" / "strong"
+    args = ["sweep", "--model", "strong", "--n-grid", "9,13,21", "--np", "1", "--pe", "0.2",
+            "--out", str(out), "--format", "csv+svg"]
+    assert cli.main(args) == 0
+    assert (tmp_path / "res.d" / "strong.svg").read_text().startswith("<svg")
+    assert not (tmp_path / "res.svg").exists()
+
+
+def test_csv_columns_follow_sweep_row_fields():
+    # rows_to_csv writes each row as dataclasses.astuple(row)
+    assert [c.lower() for c in cli.CSV_COLUMNS] == [f.name for f in fields(SweepRow)]
 
 
 def test_sweep_simulate_reports_eps_cov_slope(tmp_path):

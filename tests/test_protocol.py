@@ -771,6 +771,15 @@ def test_sweep_strong_rows():
     assert rows[0].one_minus_fwc > rows[-1].one_minus_fwc
 
 
+def test_sweep_strong_proxy_one_over_n_at_large_n():
+    # criterion 7 reaches s' = 30; here s' = 256..1024 on the five-qubit
+    # grid of the large-n sweep (slope -0.988)
+    rows = pr.scaling_sweep("strong", [517, 1029, 2053], n_p=5, p_e=0.1)
+    errs = [r.one_minus_fwc for r in rows]
+    assert errs[0] > errs[1] > errs[2]
+    assert -1.3 <= pr.loglog_slope([r.n for r in rows], errs) <= -0.7
+
+
 def test_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         pr.scaling_sweep("weak", [6], n_p=5, n_e=1)  # n_r = 1 not divisible by 4

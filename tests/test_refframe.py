@@ -480,6 +480,65 @@ def test_f_strong_cost_cap():
         rf.f_strong(2, 1, 48)
 
 
+def _strong_form_triple_loop(d, s, n_prime):
+    # oracle: the Littlewood-Richardson test on every (mu, nu, lam) triple,
+    # each entry summed over lam in the spec's order
+    cost = rf.cost_set(d, n_prime - d + 1)
+    p = rf.strong_combined_spec(d, s).weights
+    dims = np.array([young.weyl_dimension(mu, d) for mu in cost], dtype=float)
+    nus = young.enumerate_diagrams(s + n_prime, d)
+    t_mat = np.zeros((len(cost), len(nus)))
+    for a, mu in enumerate(cost):
+        for b, nu in enumerate(nus):
+            acc = 0.0
+            for lam, pl in p.items():
+                c = young.lr_coefficient(lam, mu, nu)
+                if c:
+                    acc += np.sqrt(pl) * c
+            t_mat[a, b] = acc
+    return cost, (t_mat / dims[:, None]) @ (t_mat / dims[:, None]).T
+
+
+def _gap(lam):
+    lam = young.pad(lam, 2)
+    return lam[0] - lam[1]
+
+
+def _strong_form_triangle_rule(s, n_prime):
+    # independent d = 2 oracle: c^nu_{lam mu} is the SU(2) triangle rule
+    # |g_mu - g_lam| <= g_nu <= g_mu + g_lam on row gaps g
+    cost = rf.cost_set(2, n_prime - 1)
+    p = rf.strong_combined_spec(2, s).weights
+    g_nu = np.array([_gap(nu) for nu in young.enumerate_diagrams(s + n_prime, 2)])
+    t_mat = np.zeros((len(cost), len(g_nu)))
+    for lam, pl in p.items():
+        for a, mu in enumerate(cost):
+            lo, hi = abs(_gap(mu) - _gap(lam)), _gap(mu) + _gap(lam)
+            t_mat[a] += np.sqrt(pl) * ((lo <= g_nu) & (g_nu <= hi))
+    dims = np.array([_gap(mu) + 1 for mu in cost], dtype=float)
+    return cost, (t_mat / dims[:, None]) @ (t_mat / dims[:, None]).T
+
+
+@pytest.mark.parametrize(
+    "d, s, n_prime",
+    [(2, s, n) for s in (1, 5, 16, 64) for n in (2, 6)]
+    + [(3, s, n) for s in (4, 12) for n in (2, 3, 4)],
+)
+def test_strong_form_bit_equal_to_triple_loop(d, s, n_prime):
+    cost, q = rf.strong_fidelity_form(d, s, n_prime)
+    cost_o, q_o = _strong_form_triple_loop(d, s, n_prime)
+    assert cost == cost_o
+    assert q.tobytes() == q_o.tobytes()
+
+
+@pytest.mark.parametrize("s, n_prime", [(s, n) for s in (1, 2, 5, 16, 64) for n in (1, 2, 6)])
+def test_strong_form_matches_su2_triangle_rule(s, n_prime):
+    cost, q = rf.strong_fidelity_form(2, s, n_prime)
+    cost_o, q_o = _strong_form_triangle_rule(s, n_prime)
+    assert cost == cost_o
+    assert np.abs(q - q_o).max() == 0.0
+
+
 def test_min_overlap_eq30_shape_d3():
     # same bound shape at d=3 (factor d/2 = 3/2), in the regime M >= 4n'
     # where the interior set supports every shift
