@@ -359,6 +359,10 @@ def main(argv=None) -> int:
             return _usage_error(f"cannot read --config: {exc}")
         args.subparser.set_defaults(**{k: v for k, v in cfg.items() if k in vars(args)})
         args = parser.parse_args(argv)
+    # checked before the work, so that a sweep does not run only to fail on its write
+    folder = os.path.dirname(getattr(args, "out", None) or "")
+    if folder and not os.path.isdir(folder):
+        return _usage_error(f"--out: directory {folder} does not exist")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -15,6 +15,10 @@ Conventions
 * The SU(2) character ``su2_character(gap, t)`` is evaluated on the
   eigenphases (t, -t) of a special-unitary matrix, i.e. at
   diag(exp(i t), exp(-i t)).
+* Tensor products follow one Littlewood-Richardson rule
+  (``tensor_decompose``): the rows of mu are added to lam one label at a
+  time, each as a horizontal strip that keeps the reading word a lattice
+  word, so one enumeration gives every c^nu_{lam,mu} at once.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ __all__ = [
     "enumerate_diagrams",
     "weyl_dimension",
     "su2_character",
-    "lr_coefficient",
     "tensor_decompose",
     "dualize",
     "correlation_count",
@@ -107,7 +110,8 @@ def _weyl_dimension(lam: tuple[int, ...], d: int) -> int:
     for i in range(d):
         for j in range(i + 1, d):
             val *= Fraction(lam[i] - lam[j] + j - i, j - i)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise RuntimeError(f"Weyl dimension of {lam} at d={d} is not an integer")
     return int(val)
 
 
@@ -140,94 +144,46 @@ def su2_character(gap: int, theta: float | np.ndarray) -> float | np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def lr_coefficient(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
-    """Littlewood-Richardson coefficient c^nu_{lam, mu}.
-
-    Counts LR skew tableaux of shape nu/lam and content mu: semistandard
-    fillings whose reverse reading word is a lattice word.  Zero whenever
-    the box counts do not match or nu does not contain lam.
-    """
-    lam, mu, nu = normalize(lam), normalize(mu), normalize(nu)
-    if boxes(lam) + boxes(mu) != boxes(nu):
-        return 0
-    rows = len(nu)
-    lam_p = lam + (0,) * (rows - len(lam))
-    if len(lam) > rows or any(nu[i] < lam_p[i] for i in range(rows)):
-        return 0
-    if not mu:
-        return 1
-    n_mu = len(mu)
-    # reverse reading order: rows top to bottom, cells right to left
-    cells = [(r, c) for r in range(rows) for c in range(nu[r] - 1, lam_p[r] - 1, -1)]
-    filling: dict[tuple[int, int], int] = {}
-    counts = [0] * (n_mu + 1)
-    total = 0
-
-    def rec(i: int) -> None:
-        nonlocal total
-        if i == len(cells):
-            total += 1
-            return
-        r, c = cells[i]
-        hi = filling.get((r, c + 1), n_mu)            # row weakly increasing
-        above = filling.get((r - 1, c))               # column strictly increasing
-        lo = 1 if above is None else above + 1
-        for v in range(lo, hi + 1):
-            if counts[v] >= mu[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:  # lattice word condition
-                continue
-            filling[(r, c)] = v
-            counts[v] += 1
-            rec(i + 1)
-            counts[v] -= 1
-            del filling[(r, c)]
-
-    rec(0)
-    return total
-
-
 def tensor_decompose(lam: Sequence[int], mu: Sequence[int], d: int) -> dict[tuple[int, ...], int]:
     """Irrep content of lam (x) mu over SU(d): {nu: c^nu_{lam,mu}}.
 
-    Only nu with at most d rows are kept (deeper LR summands have zero
-    SU(d) dimension); box counts are preserved, so full columns are not
-    stripped.  Satisfies sum_nu c^nu * dim(nu) = dim(lam) * dim(mu).
+    Counts Littlewood-Richardson tableaux directly.  Starting from lam
+    padded to d rows, the mu_i boxes labelled i are added as a horizontal
+    strip, k_r to row r with new row r <= old row r - 1, and for i >= 2
+    the strip keeps the reverse reading word a lattice word:
+    k_1 + ... + k_r <= (label i - 1's boxes in rows above r).  Each
+    completed filling adds 1 to the count of its shape.  Only nu with at
+    most d rows arise (deeper LR summands have zero SU(d) dimension); box
+    counts are preserved, so full columns are not stripped.  Satisfies
+    sum_nu c^nu * dim(nu) = dim(lam) * dim(mu).
     """
     lam, mu = normalize(lam), normalize(mu)
     if len(lam) > d or len(mu) > d:
         raise ValueError("diagram has more than d rows")
+    if not mu:
+        return {lam: 1}
     out: dict[tuple[int, ...], int] = {}
-    for nu in _candidate_supershapes(lam, boxes(mu), d):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out[nu] = c
-    return out
 
-
-def _candidate_supershapes(lam: tuple[int, ...], extra: int, d: int) -> list[tuple[int, ...]]:
-    """Partitions nu ⊇ lam with |nu| = |lam| + extra and at most d rows."""
-    lam_p = pad(lam, d)
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, rem: int, prev: int, prefix: list[int]) -> None:
-        if i == d:
-            if rem == 0:
-                out.append(normalize(prefix))
+    def fill(i, r, shape, prev, strip, left, slack):
+        # label i's strip has `strip` boxes in rows < r of `shape` and
+        # `left` still to place; label i - 1 had `prev`, and `slack` more
+        # of label i fit in row r before the reading word stops being lattice
+        if r == d:
+            if left:
+                return
+            nu = tuple(a + k for a, k in zip(shape, strip))
+            if i + 1 < len(mu):
+                fill(i + 1, 0, nu, strip, (), mu[i + 1], 0)
+            else:
+                nu = normalize(nu)
+                out[nu] = out.get(nu, 0) + 1
             return
-        lo = lam_p[i]
-        hi = min(prev, lam_p[i] + extra)
-        # remaining rows must absorb at least sum of lam tail
-        tail = sum(lam_p[i + 1:])
-        for v in range(hi, lo - 1, -1):
-            r = rem - (v - lam_p[i])
-            if 0 <= r <= (d - i - 1) * extra and tail <= sum(min(v, lam_p[j] + extra) for j in range(i + 1, d)):
-                prefix.append(v)
-                rec(i + 1, r, v, prefix)
-                prefix.pop()
+        top = min(left, slack) if r == 0 else min(left, slack, shape[r - 1] - shape[r])
+        for k in range(top + 1):
+            fill(i, r + 1, shape, prev, strip + (k,), left - k, slack - k + prev[r])
 
-    rec(0, extra, lam_p[0] + extra, [])
+    # label 1 has no lattice bound: its slack is all of mu_1 in every row
+    fill(0, 0, pad(lam, d), (0,) * d, (), mu[0], mu[0])
     return out
 
 
@@ -248,11 +204,8 @@ def correlation_count(
 
     Zero unless the total box counts agree.
     """
-    lam, lam2, mu, mu2 = map(normalize, (lam, lam2, mu, mu2))
-    if boxes(lam) + boxes(mu) != boxes(lam2) + boxes(mu2):
-        return 0
-    dec = tensor_decompose(lam, mu, d)
-    return sum(c * lr_coefficient(lam2, mu2, nu) for nu, c in dec.items())
+    dec2 = tensor_decompose(lam2, mu2, d)
+    return sum(c * dec2.get(nu, 0) for nu, c in tensor_decompose(lam, mu, d).items())
 
 
 def schur_weyl_prob(lam: Sequence[int], s: int, d: int) -> Fraction:
@@ -275,5 +228,6 @@ def schur_weyl_prob(lam: Sequence[int], s: int, d: int) -> Fraction:
         for i in range(j):
             num *= (lt[i] - lt[j]) ** 2
     q, r = divmod(num, den)
-    assert r == 0
+    if r:
+        raise RuntimeError(f"Schur-Weyl numerator of {normalize(lam)} is not divisible")
     return Fraction(q, d**s)

@@ -120,6 +120,18 @@ def test_sweep_bad_grid_exits_nonzero():
     assert "n=6 incompatible" in res.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["sweep", "--model", "strong", "--n-grid", "9,13", "--np", "1", "--pe", "0.2"],
+    ["bounds", "--model", "strong", "--pe", "0.2", "--n", "101"],
+], ids=["sweep", "bounds"])
+def test_out_in_missing_directory_exits_2(tmp_path, args):
+    # rejected before the work, not by a traceback from the final write
+    res = run_cli([*args, "--out", str(tmp_path / "nodir" / "x.csv")])
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: --out") and "nodir" in res.stderr
+    assert res.stdout == ""
+
+
 @pytest.mark.parametrize("grid", ["201", "201,201"])
 def test_sweep_one_point_grid_exits_2(capsys, grid):
     # a slope needs two distinct n; one point used to give 0/0 and nan slopes

@@ -10,6 +10,7 @@ from covqec import refframe as rf
 from covqec import young
 
 from conftest import _density_su2
+import lr_oracle
 
 # the outcome density of a Haar guess: identically one
 FLAT = rf.RefFrameSpec(2, 0, {(): 1.0})
@@ -481,8 +482,8 @@ def test_f_strong_cost_cap():
 
 
 def _strong_form_triple_loop(d, s, n_prime):
-    # oracle: the Littlewood-Richardson test on every (mu, nu, lam) triple,
-    # each entry summed over lam in the spec's order
+    # oracle: the backtracking tableau count of `lr_oracle` on every
+    # (mu, nu, lam) triple, each entry summed over lam in the spec's order
     cost = rf.cost_set(d, n_prime - d + 1)
     p = rf.strong_combined_spec(d, s).weights
     dims = np.array([young.weyl_dimension(mu, d) for mu in cost], dtype=float)
@@ -492,7 +493,7 @@ def _strong_form_triple_loop(d, s, n_prime):
         for b, nu in enumerate(nus):
             acc = 0.0
             for lam, pl in p.items():
-                c = young.lr_coefficient(lam, mu, nu)
+                c = lr_oracle.lr_coefficient(lam, mu, nu)
                 if c:
                     acc += np.sqrt(pl) * c
             t_mat[a, b] = acc

@@ -6,6 +6,8 @@ import pytest
 
 from covqec import young
 
+import lr_oracle
+
 
 # ---------------------------------------------------------------------------
 # brute-force oracles, independent of the implementation paths they check
@@ -241,28 +243,50 @@ def test_character_bounded_by_dimension():
 
 
 # ---------------------------------------------------------------------------
-# lr_coefficient / tensor_decompose
+# tensor_decompose, against the backtracking tableau counter `lr_oracle`
 # ---------------------------------------------------------------------------
 
 def test_lr_squares_of_fundamental():
-    assert young.lr_coefficient((1,), (1,), (2,)) == 1
-    assert young.lr_coefficient((1,), (1,), (1, 1)) == 1
+    assert lr_oracle.lr_coefficient((1,), (1,), (2,)) == 1
+    assert lr_oracle.lr_coefficient((1,), (1,), (1, 1)) == 1
+    assert young.tensor_decompose((1,), (1,), 3) == {(2,): 1, (1, 1): 1}
 
 
 def test_lr_known_multiplicity_two():
-    assert young.lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert lr_oracle.lr_coefficient((2, 1), (2, 1), (3, 2, 1)) == 2
+    assert young.tensor_decompose((2, 1), (2, 1), 3)[(3, 2, 1)] == 2
 
 
 def test_lr_symmetry():
     shapes = [((2, 1), (3, 1)), ((2,), (2, 2)), ((3, 1), (1, 1))]
     for lam, mu in shapes:
-        n = young.boxes(lam) + young.boxes(mu)
-        for nu in young.enumerate_diagrams(n, 4):
-            assert young.lr_coefficient(lam, mu, nu) == young.lr_coefficient(mu, lam, nu)
+        assert young.tensor_decompose(lam, mu, 4) == young.tensor_decompose(mu, lam, 4)
 
 
 def test_lr_box_mismatch_is_zero():
-    assert young.lr_coefficient((2,), (1,), (2,)) == 0
+    assert lr_oracle.lr_coefficient((2,), (1,), (2,)) == 0
+    assert all(young.boxes(nu) == 3 for nu in young.tensor_decompose((2,), (1,), 2))
+
+
+def _decompose_cases():
+    # every lam of <= 7 boxes with every mu of <= 5 at d = 2 and 3 (<= 5
+    # and <= 4 at d = 4): 952 pairs; then wide lam with every mu of <= 5
+    for d, n_lam, n_mu in ((2, 7, 5), (3, 7, 5), (4, 5, 4)):
+        lams = [lam for n in range(n_lam + 1) for lam in young.enumerate_diagrams(n, d)]
+        mus = [mu for n in range(n_mu + 1) for mu in young.enumerate_diagrams(n, d)]
+        yield d, lams, mus
+    for lam, d in (((3000, 1000), 2), ((40, 40), 2), ((100, 60, 25), 3)):
+        yield d, [lam], [mu for n in range(6) for mu in young.enumerate_diagrams(n, d)]
+
+
+def test_tensor_decompose_equals_tableau_counter():
+    pairs = 0
+    for d, lams, mus in _decompose_cases():
+        for lam in lams:
+            for mu in mus:
+                assert young.tensor_decompose(lam, mu, d) == lr_oracle.decompose(lam, mu, d), (lam, mu, d)
+                pairs += 1
+    assert pairs == 952 + 2 * 12 + 16
 
 
 @pytest.mark.parametrize("d", [2, 3])
