@@ -280,12 +280,12 @@ def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
 class HaarQuadrature:
     """Product rule for Haar integration over SU(2).
 
-    Gauss-Legendre in cos(beta) (`order` nodes) and uniform grids in alpha
-    over [0, 2pi) and gamma over [0, 4pi) (2 * order nodes each; the 4pi
-    range covers both sheets of SU(2), so half-integer-spin harmonics cancel
-    exactly).  Weights sum to one.  Integrates any product of matrix
-    coefficients with per-axis frequency at most order - 1 exactly, in
-    particular every chi_lam chi_mu* with |lam|, |mu| <= order - 1.
+    Gauss-Legendre in cos(beta) (`order` nodes, from `_gauss_legendre`) and
+    uniform grids in alpha over [0, 2pi) and gamma over [0, 4pi) (2 * order
+    nodes each; the 4pi range covers both sheets of SU(2), so half-integer-
+    spin harmonics cancel exactly).  Weights sum to one.  Integrates any
+    product of matrix coefficients with per-axis frequency at most order - 1
+    exactly, in particular every chi_lam chi_mu* with |lam|, |mu| <= order - 1.
     """
     order: int
     euler: np.ndarray = field(repr=False)  # (n_nodes, 3)
@@ -303,13 +303,39 @@ class HaarQuadrature:
         return complex(np.sum(self.weights * values))
 
 
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-point Gauss-Legendre rule on [-1, 1], n >= 2, by the arithmetic of
+    numpy.polynomial.legendre.leggauss without importing numpy.polynomial:
+    the eigenvalues of the symmetric Jacobi matrix (Golub and Welsch, Math.
+    Comp. 23, 221 (1969)) after one Newton step, and weights 1 / (P_{n-1} P_n')
+    symmetrized to sum 2, P_n' = sum (2j + 1) P_j over j = n-1, n-3, ...; the
+    series are summed in the operation order of legval's Clenshaw recurrence."""
+    def series(x, c):
+        c0, c1 = c[-2], c[-1]
+        for nd in range(len(c) - 1, 1, -1):
+            c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+        return c0 + c1 * x
+
+    k = np.arange(n)
+    scl = 1.0 / np.sqrt(2 * k + 1)
+    off = k[1:] * scl[:-1] * scl[1:]
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+    p_n = np.eye(n + 1)[n]
+    df = series(x, (2.0 * k + 1) * ((n - 1 - k) % 2 == 0))
+    x -= series(x, p_n) / df
+    fm = series(x, p_n[1:])
+    w = 1 / (fm / np.abs(fm).max() * (df / np.abs(df).max()))
+    w = (w + w[::-1]) / 2
+    return (x - x[::-1]) / 2, w * (2.0 / w.sum())
+
+
 def haar_quadrature_su2(order: int) -> HaarQuadrature:
     if order < 2:
         raise ValueError("order must be at least 2")
     n_phase = 2 * order
     alphas = 2 * np.pi * np.arange(n_phase) / n_phase
     gammas = 4 * np.pi * np.arange(n_phase) / n_phase
-    t, gl_w = np.polynomial.legendre.leggauss(order)
+    t, gl_w = _gauss_legendre(order)
     betas = np.arccos(t)
     a, b, g = np.meshgrid(alphas, betas, gammas, indexing="ij")
     euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)

@@ -199,13 +199,17 @@ def _wigner_diagonals(betas: np.ndarray, j_max: int) -> np.ndarray:
     return np.where((m <= j)[..., None], table, 0.0).transpose(2, 0, 1)
 
 
-def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
-    """Character spectrum c_g = int dU' F(U') chi_g(U') of the Phi+ weight
-    F(U') = F_ent(M_{U'}, I), exact on the Euler quadrature `quad` of order
+def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
+    """Character spectra c_g = int dU' F(U') chi_g(U') of the Phi+ weight
+    F(U') = F_ent(M_{U'}, I), one row per erased set of `erased_sets` (all
+    of one size), exact on the Euler quadrature `quad` of order
     `_spectrum_order(n_surv)`, of which only the `order` Gauss-Legendre beta
     nodes are used: alpha and gamma are integrated in closed form.
 
-    Only even g <= 2 (n_surv + 1) occur; entry j holds c_{2j}.
+    Only even g <= 2 (n_surv + 1) occur; entry j of a row holds c_{2j}.  The
+    sets share the beta nodes, Ry^{(x) n_surv}, the z-weights and the Wigner
+    table, and the pattern axis runs through the GEMMs (one pair per
+    pattern) and the lag einsums, so a row is its set's one-pattern call.
 
     With W_b = U'_surv M_b, the Kraus operators of M_{U'} are U'^dag R_r W_b
     plus the off-support completion (junk -> maximally mixed), and F =
@@ -228,18 +232,16 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
                - (1/d) sum <X_{f-2m,k+2m}, X_{f,k}> + delta_{m0}] / d^2,
 
     and G_{-m} = conj G_m.  Nothing is formed on the alpha or gamma axes.
-    A weak five-qubit m = 8 effective channel (six patterns) takes 13-17 ms
-    cold on one core (best of 30; the host's speed drifts), about 40% of
-    it in the diamond SDP.  Once `inner_channel` holds its six spectra, as
-    it does for every `sweep --simulate` row after the first, it takes
-    4-6 ms, ~90% of it the SDP.
+    A weak five-qubit m = 8 effective channel (six patterns, two calls)
+    takes 6-10 ms cold on one core (best of 40; the host's speed drifts),
+    about 45% of it in the diamond SDP; with its spectra memoized, as for
+    every `sweep --simulate` row after the first, 3-4 ms, ~90% the SDP.
     """
     d = code.d
-    erased = sorted(set(erased))
-    n_surv = code.n_p - len(erased)
-    m_ops = erased_restriction_kraus(code, erased)
-    data_kraus, _ = recovery_parts(code, erased)
-    dim_s = m_ops.shape[1]
+    n_surv = code.n_p - len(set(erased_sets[0]))
+    m_ops = np.stack([erased_restriction_kraus(code, e) for e in erased_sets])
+    data_kraus = np.stack([recovery_parts(code, e)[0] for e in erased_sets])
+    n_pat, n_b, dim_s = m_ops.shape[:3]
     # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
     # summed over the (alpha, gamma) plane
     w_grid = quad.weights.reshape(2 * quad.order, quad.order, 2 * quad.order)
@@ -249,29 +251,30 @@ def _phi_spectrum(code: CodeSpec, erased, quad) -> np.ndarray:
     s_z = sigma[np.indices((d,) * n_surv).reshape(n_surv, dim_s)].sum(axis=0)  # S_i of basis state i
     fs = np.arange(-n_surv - 1, n_surv + 2, 2)
     ks = np.arange(-n_surv, n_surv + 1, 2)
-    r_f = data_kraus * (sigma[:, None] - s_z == fs[:, None, None, None])
-    m_k = m_ops.transpose(1, 0, 2).reshape(dim_s, -1) * (s_z == ks[:, None])[:, :, None]
-    # X_{f,k} by two GEMMs, on axes (f, r, x, beta, k, b, y)
+    r_f = data_kraus[:, None] * (sigma[:, None] - s_z == fs[:, None, None, None])
+    m_k = m_ops.transpose(0, 2, 1, 3).reshape(n_pat, 1, dim_s, -1) * (s_z == ks[:, None])[:, :, None]
+    # X_{f,k} by two GEMMs per pattern, on axes (pattern, f, r, x, beta, k, b, y)
     ry_s = _kron_power_batch(ry, n_surv).transpose(1, 0, 2).reshape(dim_s, -1)
-    x = (r_f.reshape(-1, dim_s) @ ry_s).reshape(-1, dim_s) @ m_k.transpose(1, 0, 2).reshape(dim_s, -1)
-    x = x.reshape(len(fs), len(data_kraus), d, len(betas), len(ks), len(m_ops), d)
-    # Ry^dag[y, x] X[x, y] on axes (f, r, beta, k, b, y); kappa = k - sigma_y
-    t = sum(x[:, :, i] * ry[:, i, None, None, :] for i in range(d))
-    tau = np.zeros(t.shape[:3] + (len(ks) + 1,) + t.shape[4:-1], dtype=complex)
-    tau[:, :, :, :-1] += t[..., 0]
-    tau[:, :, :, 1:] += t[..., 1]
+    x = ((r_f.reshape(n_pat, -1, dim_s) @ ry_s).reshape(n_pat, -1, dim_s)
+         @ m_k.transpose(0, 2, 1, 3).reshape(n_pat, dim_s, -1))
+    x = x.reshape(n_pat, len(fs), n_b, d, len(betas), len(ks), n_b, d)
+    # Ry^dag[y, x] X[x, y] on axes (pattern, f, r, beta, k, b, y); kappa = k - sigma_y
+    t = sum(x[:, :, :, i] * ry[:, i, None, None, :] for i in range(d))
+    tau = np.zeros(t.shape[:4] + (len(ks) + 1, n_b), dtype=complex)
+    tau[..., :-1, :] += t[..., 0]
+    tau[..., 1:, :] += t[..., 1]
     # G_m d^2 - delta_{m0}: Re sum v[f, k] conj v[f - 2m, k + 2m] over every axis
-    # but beta, by the real views (Re z conj w = re.re + im.im)
-    g = np.zeros((len(betas), len(fs)))
+    # but pattern and beta, by the real views (Re z conj w = re.re + im.im)
+    g = np.zeros((n_pat, len(betas), len(fs)))
     for m in range(len(fs)):
-        g[:, m] = (np.einsum("frnkb,frnkb->n", tau[m:, ..., :len(ks) + 1 - m, :].view(float),
-                             tau[:len(fs) - m, ..., m:, :].view(float))
-                   - np.einsum("frxnkby,frxnkby->n", x[m:, ..., :len(ks) - m, :, :].view(float),
-                               x[:len(fs) - m, ..., m:, :, :].view(float)) / d)
-    g[:, 0] += 1.0
-    g[:, 1:] *= 2.0  # G_m + G_{-m}
+        g[..., m] = (np.einsum("pfrnkb,pfrnkb->pn", tau[:, m:, ..., :len(ks) + 1 - m, :].view(float),
+                               tau[:, :len(fs) - m, ..., m:, :].view(float))
+                     - np.einsum("pfrxnkby,pfrxnkby->pn", x[:, m:, ..., :len(ks) - m, :, :].view(float),
+                                 x[:, :len(fs) - m, ..., m:, :, :].view(float)) / d)
+    g[..., 0] += 1.0
+    g[..., 1:] *= 2.0  # G_m + G_{-m}
     table = _wigner_diagonals(betas, n_surv + 1)
-    return np.einsum("n,njm,nm->j", w_grid.sum(axis=(0, 2)), table, g) / d**2
+    return np.einsum("n,njm,pnm->pj", w_grid.sum(axis=(0, 2)), table, g) / d**2
 
 
 # Phi+ spectra by (d, n_p, encoder dtype and bytes, erased set), oldest
@@ -290,10 +293,10 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     class coefficients C_i = (C_0, C_2, ..., C_{2 n_p + 2}), exact for every
     pattern.  The patterns of one survivor count share one
     `haar_quadrature_su2` of their spectrum order, whose Gauss-Legendre beta
-    nodes and weights carry the spectrum.  The diagnostics are the largest
-    spectrum order ("quad_order"), the frame mass C_0 = sum q farthest
-    from one ("normalization") and the number of spectra this call
-    integrated ("spectra_computed").
+    nodes and weights carry the spectra, and one `_phi_spectrum` call.  The
+    diagnostics are the largest spectrum order ("quad_order"), the frame
+    mass C_0 = sum q farthest from one ("normalization") and the number of
+    spectra this call integrated ("spectra_computed").
 
     A spectrum depends on the code and the erased set only, never on the
     frame, so spectra are memoized across calls: keyed on the encoder's
@@ -311,13 +314,14 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     orders = {key: _spectrum_order(n_p - len(key[-1])) for key in keys}
     found = {key: _SPECTRA.get(key) for key in keys}
     missing = [key for key, c in found.items() if c is None]
-    quads = {order: haar_quadrature_su2(order) for order in sorted({orders[key] for key in missing})}
-    for key in missing:
-        c = _phi_spectrum(code, key[-1], quads[orders[key]])
-        c.setflags(write=False)
-        if len(_SPECTRA) >= _SPECTRA_CAP:
-            del _SPECTRA[next(iter(_SPECTRA))]
-        found[key] = _SPECTRA[key] = c
+    for order in sorted({orders[key] for key in missing}):
+        group = [key for key in missing if orders[key] == order]
+        batch = _phi_spectrum(code, [key[-1] for key in group], haar_quadrature_su2(order))
+        batch.setflags(write=False)
+        for key, c in zip(group, batch):
+            if len(_SPECTRA) >= _SPECTRA_CAP:
+                del _SPECTRA[next(iter(_SPECTRA))]
+            found[key] = _SPECTRA[key] = c
     spectra = np.zeros((len(patterns), n_p + 2))
     for j, key in enumerate(keys):
         spectra[j, :len(found[key])] = found[key]

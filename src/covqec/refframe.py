@@ -32,7 +32,6 @@ from numpy.fft import rfft
 
 from . import young
 from .channels import haar_su2
-from .sdp import _min_quadratic_on_simplex
 
 __all__ = [
     "RefFrameSpec",
@@ -378,3 +377,39 @@ def f_strong(d: int, s_survivors: int, n_prime: int) -> float:
     """
     _, q_mat = strong_fidelity_form(d, s_survivors, n_prime)
     return _min_quadratic_on_simplex(q_mat)
+
+
+def _min_quadratic_on_simplex(q_mat: np.ndarray) -> float:
+    """min of w^T Q w over the probability simplex, Q positive semidefinite.
+
+    Primal active set (Lawson-Hanson) from the vertex of smallest Q_ii: free
+    the coordinate of most negative reduced gradient 2(Qw)_j - 2w^T Qw, move
+    to the minimizer on the free face (its KKT system solved by least squares,
+    as Q may be singular), and step back to the boundary, dropping a weight,
+    whenever a free weight would turn non-positive.
+    """
+    k = q_mat.shape[0]
+    tol = 1e-13 * np.abs(q_mat).max()
+    free = [int(np.argmin(np.diag(q_mat)))]
+    w = np.eye(k)[free[0]]
+    for _ in range(4 * k * k):
+        kkt = np.pad(2 * q_mat[np.ix_(free, free)], (0, 1), constant_values=1.0)
+        kkt[-1, -1] = 0.0
+        z = np.linalg.lstsq(kkt, np.eye(len(kkt))[-1], rcond=None)[0][:-1]
+        z = z / z.sum()
+        if (z > 0).all():
+            w[:] = 0.0
+            w[free] = z
+            f = float(w @ q_mat @ w)
+            grad = 2 * (q_mat @ w) - 2 * f
+            grad[free] = np.inf
+            if grad.min() >= -tol:
+                return max(0.0, min(1.0, f))
+            free.append(int(np.argmin(grad)))
+        else:
+            wf, out = w[free], z <= 0
+            ratios = wf[out] / (wf[out] - z[out])
+            w[free] = wf + ratios.min() * (z - wf)
+            w[np.array(free)[out][np.argmin(ratios)]] = 0.0
+            free = [i for i in free if w[i] > 0]
+    raise RuntimeError("active-set solve did not terminate")

@@ -41,8 +41,8 @@ Hermiticity-preserving differences
 
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
-exact active-set solve (_min_quadratic_on_simplex, which also gives the
-strong-model floor in refframe).
+exact active-set solve (refframe._min_quadratic_on_simplex, which also
+gives the strong-model floor).
 """
 
 from __future__ import annotations
@@ -159,46 +159,44 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         raise ValueError("instance has no constraints")
     b = np.array([rhs for _, rhs in instance._constraints], dtype=float)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
-    # A_k is Hermitian, so <A_k, X> = Re(A_k @ conj(vec X))
+    # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)
     A3 = np.zeros((m, total, total), dtype=complex)
     for k, (row, _) in enumerate(instance._constraints):
         embed(row, A3[k])
     A = A3.reshape(m, -1)
+    A_conj = A.conj()
     # 0/1 block pattern: masking Z^{+-1/2}, W and the corrector's right-hand
     # side keeps every iterate exactly block-diagonal, the zeros off the
     # blocks propagating
     mask = embed({n: 1.0 for n in spans}, np.zeros((total, total)))
 
     def op_A(X):
-        return np.real(A @ X.conj().reshape(-1))
+        return (A_conj @ X.reshape(-1)).real
 
     def op_At(y):
         return (y @ A).reshape(total, total)
 
     scale = 1.0 + np.max(np.abs(C)) + np.max(np.abs(b))
     X = np.eye(total, dtype=complex) * scale
-    Z = np.eye(total, dtype=complex) * scale
+    Z = X.copy()
     y = np.zeros(m)
 
-    bnorm = 1.0 + np.linalg.norm(b)
-    cnorm = 1.0 + np.linalg.norm(C)
+    tol_p = (tol * (1.0 + np.linalg.norm(b))) ** 2
+    tol_d = (tol * (1.0 + np.linalg.norm(C))) ** 2
     status = "max_iterations"
-    iters = 0
 
-    for it in range(200):
-        iters = it + 1
+    for iters in range(1, 201):
         rp = b - op_A(X)
         Rd = C - Z - op_At(y)
-        mu = np.real(np.vdot(X, Z)) / total
-        pobj = np.real(np.vdot(C, X))
+        mu = np.vdot(X, Z).real / total
+        pobj = np.vdot(C, X).real
         dobj = float(b @ y)
         gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        err_p = np.linalg.norm(rp) / bnorm
-        err_d = np.linalg.norm(Rd) / cnorm
-        if err_p < tol and err_d < tol and (mu * total < tol * (1 + abs(pobj)) or gap < tol):
+        if (rp @ rp < tol_p and np.vdot(Rd, Rd).real < tol_d
+                and (mu * total < tol * (1 + abs(pobj)) or gap < tol)):
             status = "optimal"
             break
-        if np.linalg.norm(y) > 1e12 * scale:
+        if y @ y > (1e12 * scale) ** 2:
             status = "infeasible"
             break
 
@@ -210,19 +208,17 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         # g holds [gx, gz], so W = gz D gz^H and Z^{-1} = gz gz^H
         lam, v = np.linalg.eigh(Z)
         r = np.sqrt(np.maximum(lam, 1e-300))
-        vh = v.conj().T
-        z_half = mask * ((v * r) @ vh)
-        z_ihalf = mask * ((v / r) @ vh)
-        d2, u = np.linalg.eigh(z_half @ X @ z_half)
+        z_pm = mask * (np.stack([v * r, v / r]) @ v.conj().T)  # Z^{1/2}, Z^{-1/2}
+        d2, u = np.linalg.eigh(z_pm[0] @ X @ z_pm[0])
         d = np.sqrt(np.maximum(d2, 1e-300))
-        g = np.stack([z_half @ (u / d), z_ihalf @ u])
+        g = z_pm @ np.stack([u / d, u])
         g_h = g.conj().swapaxes(-1, -2)
         W = mask * ((g[1] * d) @ g_h[1])
 
         # Schur complement  M[k,l] = <A_k, W A_l W> = Re Tr(P_k P_l), P_k = A_k W:
         # one product gives every P_k, one more pairs them with their transposes
         P = (A3.reshape(-1, total) @ W).reshape(m, total, total)
-        M = np.real(P.reshape(m, -1) @ P.transpose(0, 2, 1).reshape(m, -1).T)
+        M = (P.reshape(m, -1) @ P.transpose(0, 2, 1).reshape(m, -1).T).real
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
         M_reg = M + jitter * np.eye(m)
@@ -243,17 +239,16 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             # the step-length matrices D^{-1/2} (F^{-1} dX F^{-H}) D^{-1/2},
             # D^{-1/2} (F^H dZ F) D^{-1/2}
             dy = schur_solve(rp + op_A(wrw - rhs))
-            dirs = np.empty_like(g)
-            dirs[1] = _hermitize(Rd - op_At(dy))
-            dirs[0] = _hermitize(rhs - W @ dirs[1] @ W)
+            dz = _hermitize(Rd - op_At(dy))
+            dirs = np.stack([_hermitize(rhs - W @ dz @ W), dz])
             return dirs, dy, g_h @ dirs @ g
 
         try:
             # predictor
             (dX, dZ), _, scaled = solve_dirs(-X)
             ap, ad = _max_steps(scaled)
-            mu_aff = np.real(np.vdot(X + ap * dX, Z + ad * dZ)) / total
-            sigma = float(np.clip((max(mu_aff, 0.0) / mu) ** 3, 1e-4, 0.9))
+            mu_aff = np.vdot(X + ap * dX, Z + ad * dZ).real / total
+            sigma = min(max((max(mu_aff, 0.0) / mu) ** 3, 1e-4), 0.9)
 
             # corrector: right-hand side sigma mu Z^{-1} - X less Mehrotra's
             # second-order term F [sym(dX~ dZ~) o 2 / (d_i + d_j)] F^H, where
@@ -263,26 +258,19 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             sx, sz = scaled
             second = _hermitize((sx * d) @ sz) * (2.0 / np.add.outer(1.0 / d, 1.0 / d))
             second.flat[::total + 1] -= sigma * mu
-            (dX, dZ), dy, scaled = solve_dirs(-mask * (g[1] @ second @ g_h[1] + X))
+            dirs, dy, scaled = solve_dirs(-mask * (g[1] @ second @ g_h[1] + X))
         except np.linalg.LinAlgError:
             break
-        if not (np.isfinite(dX).all() and np.isfinite(dZ).all() and np.isfinite(dy).all()):
+        if not (np.isfinite(dirs).all() and np.isfinite(dy).all()):
             break
         ap, ad = _max_steps(scaled)
-        X = _hermitize(X + ap * dX)
-        Z = _hermitize(Z + ad * dZ)
-        y = y + ad * dy
+        X, Z, y = _hermitize(X + ap * dirs[0]), _hermitize(Z + ad * dirs[1]), y + ad * dy
 
     pobj = np.real(np.vdot(C, X))
     dobj = float(b @ y)
     value = 0.5 * (pobj + dobj) if status == "optimal" else pobj
-    return SdpResult(
-        value=float(value),
-        blocks={n: X[sl, sl] for n, sl in spans.items()},
-        gap=float(abs(pobj - dobj)),
-        status=status,
-        iterations=iters,
-    )
+    return SdpResult(value=float(value), blocks={n: X[sl, sl] for n, sl in spans.items()},
+                     gap=float(abs(pobj - dobj)), status=status, iterations=iters)
 
 
 def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
@@ -298,21 +286,11 @@ def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
 # Hermitian entry-picking functionals
 # ---------------------------------------------------------------------------
 
-def _pick_re(n: int, r: int, c: int) -> np.ndarray:
+def _pick(n: int, r: int, c: int, imag: bool = False) -> np.ndarray:
+    """The Hermitian A with <A, X> = Re X[r, c], or Im X[r, c] (r != c) if `imag`."""
     a = np.zeros((n, n), dtype=complex)
-    if r == c:
-        a[r, r] = 1.0
-    else:
-        a[r, c] = 0.5
-        a[c, r] = 0.5
-    return a
-
-
-def _pick_im(n: int, r: int, c: int) -> np.ndarray:
-    a = np.zeros((n, n), dtype=complex)
-    a[r, c] = 0.5j
-    a[c, r] = -0.5j
-    return a
+    a[r, c], a[c, r] = (0.5j, -0.5j) if imag else (0.5, 0.5)
+    return a if r != c else 2 * a
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +340,8 @@ def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     for p in range(r_a):
         for q in range(r_b):
             n_pq = x[q].T @ y[p].conj()
-            inst.add_equality({"S": _pick_re(n, p, r_a + q), "rho": n_pq}, 0.0)
-            inst.add_equality({"S": _pick_im(n, p, r_a + q), "rho": -1j * n_pq}, 0.0)
+            inst.add_equality({"S": _pick(n, p, r_a + q), "rho": n_pq}, 0.0)
+            inst.add_equality({"S": _pick(n, p, r_a + q, imag=True), "rho": -1j * n_pq}, 0.0)
 
     res = solve(inst)
     if res.status != "optimal":
@@ -405,28 +383,19 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     # Q - P = 2 J
     for r in range(D):
         for c in range(r, D):
-            picks = [(_pick_re, 2 * np.real(ju[r, c]))]
-            if c > r:
-                picks.append((_pick_im, 2 * np.imag(ju[r, c])))
-            for pick, rhs in picks:
-                inst.add_equality({"Q": pick(D, r, c), "P": -pick(D, r, c)}, rhs)
+            for imag in (False, True) if c > r else (False,):
+                rhs = 2 * (np.imag(ju[r, c]) if imag else np.real(ju[r, c]))
+                inst.add_equality({"Q": _pick(D, r, c, imag), "P": -_pick(D, r, c, imag)}, rhs)
 
     # T + Tr_out((P + Q)/2) - mu I = 0, i.e. T + Tr_out(Y) = mu I
     for i in range(din):
         for j in range(i, din):
-            picks = [(_pick_re, True)]
-            if j > i:
-                picks.append((_pick_im, False))
-            for pick, diag in picks:
+            for imag in (False, True) if j > i else (False,):
                 trace_pick = np.zeros((D, D), dtype=complex)
                 for a_out in range(dout):
-                    trace_pick += 0.5 * pick(D, a_out * din + i, a_out * din + j)
-                coeffs = {
-                    "T": pick(din, i, j),
-                    "P": trace_pick,
-                    "Q": trace_pick,
-                }
-                if i == j and diag:
+                    trace_pick += 0.5 * _pick(D, a_out * din + i, a_out * din + j, imag)
+                coeffs = {"T": _pick(din, i, j, imag), "P": trace_pick, "Q": trace_pick}
+                if i == j:
                     coeffs["mu"] = -np.eye(1, dtype=complex)
                 inst.add_equality(coeffs, 0.0)
 
@@ -479,40 +448,6 @@ def restricted_fwc(
     # part; avg[x, i] = 1/d_i for x in block i
     xx = np.arange(n) * (n + 1)
     avg = np.repeat(np.eye(len(block_dims)) / block_dims, block_dims, axis=0)
+    # a call-time import, so that importing sdp loads no refframe (nor numpy.fft)
+    from .refframe import _min_quadratic_on_simplex
     return _min_quadratic_on_simplex(avg.T @ np.real(j_u[np.ix_(xx, xx)]) @ avg)
-
-
-def _min_quadratic_on_simplex(q_mat: np.ndarray) -> float:
-    """min of w^T Q w over the probability simplex, Q positive semidefinite.
-
-    Primal active set (Lawson-Hanson) from the vertex of smallest Q_ii: free
-    the coordinate of most negative reduced gradient 2(Qw)_j - 2w^T Qw, move
-    to the minimizer on the free face (its KKT system solved by least squares,
-    as Q may be singular), and step back to the boundary, dropping a weight,
-    whenever a free weight would turn non-positive.
-    """
-    k = q_mat.shape[0]
-    tol = 1e-13 * np.abs(q_mat).max()
-    free = [int(np.argmin(np.diag(q_mat)))]
-    w = np.eye(k)[free[0]]
-    for _ in range(4 * k * k):
-        kkt = np.pad(2 * q_mat[np.ix_(free, free)], (0, 1), constant_values=1.0)
-        kkt[-1, -1] = 0.0
-        z = np.linalg.lstsq(kkt, np.eye(len(kkt))[-1], rcond=None)[0][:-1]
-        z = z / z.sum()
-        if (z > 0).all():
-            w[:] = 0.0
-            w[free] = z
-            f = float(w @ q_mat @ w)
-            grad = 2 * (q_mat @ w) - 2 * f
-            grad[free] = np.inf
-            if grad.min() >= -tol:
-                return max(0.0, min(1.0, f))
-            free.append(int(np.argmin(grad)))
-        else:
-            wf, out = w[free], z <= 0
-            ratios = wf[out] / (wf[out] - z[out])
-            w[free] = wf + ratios.min() * (z - wf)
-            w[np.array(free)[out][np.argmin(ratios)]] = 0.0
-            free = [i for i in free if w[i] > 0]
-    raise RuntimeError("active-set solve did not terminate")

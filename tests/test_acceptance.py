@@ -298,14 +298,19 @@ def test_criterion_14_tdesign_first_moment():
     rng = np.random.default_rng(14)
     n_samples = 10000
     k = 50
+    chunk = 500
     acc = np.zeros((16, 16), dtype=complex)
-    for _ in range(n_samples):
-        u = np.eye(4, dtype=complex)
-        for site, gate in bounds.local_circuit_sampler(2, k, seed=int(rng.integers(2**62))):
-            assert site == 1
-            u = gate @ u
-        v = u.reshape(-1)
-        acc += np.outer(v, v.conj()) / 4
+    for _ in range(n_samples // chunk):
+        circuits = [bounds.local_circuit_sampler(2, k, seed=int(rng.integers(2**62))) for _ in range(chunk)]
+        assert all(site == 1 for circuit in circuits for site, _ in circuit)
+        # gates[s, j] is layer j of sample s; u = g_{k-1} ... g_0 for every
+        # sample of the chunk by one batched product per layer
+        gates = np.stack([np.stack([gate for _, gate in circuit]) for circuit in circuits])
+        u = gates[:, 0]
+        for j in range(1, k):
+            u = gates[:, j] @ u
+        v = u.reshape(chunk, -1)
+        acc += v.T @ v.conj() / 4
     acc /= n_samples
     exact = np.eye(16) / 16  # Choi of the full SU(4) twirl (depolarize to I/4)
     dist = 0.5 * ch.trace_norm(acc - exact)

@@ -281,6 +281,16 @@ def test_quadrature_integrates_constant():
     assert quad.weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
+def test_gauss_legendre_matches_numpy_leggauss():
+    # the same arithmetic as numpy's rule, so equal to within 2 ulp (bitwise
+    # with numpy 2.4 on x86-64)
+    for n in range(2, 65):
+        nodes, weights = ch._gauss_legendre(n)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_array_max_ulp(nodes, ref_nodes, maxulp=2)
+        np.testing.assert_array_max_ulp(weights, ref_weights, maxulp=2)
+
+
 def test_quadrature_character_orthonormality():
     # all diagram pairs with at most six boxes
     quad = ch.haar_quadrature_su2(8)

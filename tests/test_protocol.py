@@ -3,6 +3,9 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -308,7 +311,7 @@ def test_haar_guess_matches_quadrature(pattern):
 
 def _phi_spectrum(code, pattern):
     order = pr._spectrum_order(code.n_p - len(set(pattern)))
-    return pr._phi_spectrum(code, pattern, ch.haar_quadrature_su2(order))
+    return pr._phi_spectrum(code, [pattern], ch.haar_quadrature_su2(order))[0]
 
 
 def _rotated_five_qubit_code():
@@ -338,6 +341,19 @@ def test_factored_spectrum_matches_per_node_oracle(name, pattern):
     order = pr._spectrum_order(code.n_p - len(pattern))
     oracle = _full_grid_spectrum(code, pattern, order)
     assert np.max(np.abs(_phi_spectrum(code, pattern) - oracle)) < 1e-14
+
+
+def test_batched_spectrum_equals_per_pattern_calls():
+    # every erasure pattern of the strong five-qubit model, integrated in one
+    # call per survivor count, bit for bit as one call per pattern
+    code = codes.five_qubit_code()
+    for k in range(code.n_p + 1):
+        patterns = list(itertools.combinations(range(code.n_p), k))
+        quad = ch.haar_quadrature_su2(pr._spectrum_order(code.n_p - k))
+        batch = pr._phi_spectrum(code, patterns, quad)
+        assert batch.shape == (len(patterns), code.n_p - k + 2)
+        for row, pattern in zip(batch, patterns):
+            assert np.array_equal(row, pr._phi_spectrum(code, [pattern], quad)[0]), pattern
 
 
 _CONVERGED = [("five_qubit", ()), ("five_qubit", (0,)), ("five_qubit", (0, 1, 2)),
@@ -397,13 +413,30 @@ def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
     patterns = [frozenset(p) for k in range(6) for p in itertools.combinations(range(5), k)]
     _, diag = pr.inner_channel(code, [FLAT], patterns)
     assert sorted(built) == [pr._spectrum_order(s) for s in range(6)]
-    assert diag["spectra_computed"] == len(integrated) == 32
+    # one kernel call per survivor count integrates all 32 patterns
+    assert len(integrated) == 6 and diag["spectra_computed"] == 32
+    assert sorted(len(args[1]) for args in integrated) == [1, 1, 5, 5, 10, 10]
     # a repeat call, here under another frame, takes every spectrum from the memo
     built.clear()
     integrated.clear()
     _, diag = pr.inner_channel(code, [rf.strong_combined_spec(2, 2)], patterns)
     assert built == [] and integrated == [] and diag["spectra_computed"] == 0
     assert diag["quad_order"] == pr._spectrum_order(5)
+
+
+def test_weak_channel_leaves_numpy_polynomial_unimported():
+    # the Gauss-Legendre rule is channels._gauss_legendre; under a numpy that
+    # imports numpy.polynomial itself (1.x) this only checks covqec adds nothing
+    script = ("import sys, numpy\n"
+              "before = 'numpy.polynomial' in sys.modules\n"
+              "from covqec import codes, protocol as pr\n"
+              "pr.effective_channel(pr.ProtocolConfig(2, 'weak', codes.five_qubit_code(), n_e=1, m=4))\n"
+              "print(before, 'numpy.polynomial' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(pr.__file__)))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    before, after = res.stdout.split()
+    assert after == before
 
 
 def test_inner_channel_table_matches_quadrature():
