@@ -18,11 +18,18 @@ two eigendecompositions (Z, then Z^{1/2} X Z^{1/2}; X needs none) give the
 scaling point W = F F^H, Z^{-1} = F D^{-1} F^H and every step-length test.
 The corrector subtracts Mehrotra's second-order term, the product of the
 predictor directions, solved in that frame, and the predictor's and the
-corrector's step-length tests are one batched eigvalsh each.  Each Schur
-solve is one LU solve plus one refinement step (Todd, Toh and Tutuncu,
-SIAM J. Optim. 8, 769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).
-Problems stay at qubit/qutrit scale; the total variable dimension is
-capped at the constant DEFAULT_SIZE_CAP = 256, and larger requests fail fast.
+corrector's step-length tests are one batched eigvalsh each; X and Z are
+stepped and Hermitized as one stacked pair.  Each Schur solve is one LU
+solve plus one refinement step (Todd, Toh and Tutuncu, SIAM J. Optim. 8,
+769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).  numpy has no LU
+factor/solve pair, so each of an iteration's four solves refactors the
+Schur matrix; an explicit inverse, formed once per iteration, overflows on
+the near-singular Schur matrices of a bit-flip channel's diamond program,
+so the LU solves stay.  A run ends "optimal", "infeasible" (the dual
+iterate diverged), "unbounded" (the primal iterate diverged) or
+"max_iterations".  Problems stay at qubit/qutrit scale; the total variable
+dimension is capped at the constant DEFAULT_SIZE_CAP = 256, and larger
+requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators
@@ -39,6 +46,13 @@ Hermiticity-preserving differences
 
     1/2 ||A - B||_diamond = min ||Tr_out Y||_inf  s.t.  Y >= +-J(A - B).
 
+The solver runs on a standard form: C, the (m, total, total) stack of the
+A_k, and b.  `solve` compiles an SdpInstance (named blocks, one
+coefficient dict per row) into it.  Both channel-distance programs write
+theirs directly as arrays, each row an entry-picking functional (Re or Im
+of one entry of a block) set by fancy-index writes, built afresh on every
+call, and pass it to the same loop.
+
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
 exact active-set solve (refframe._min_quadratic_on_simplex, which also
@@ -48,6 +62,7 @@ gives the strong-model floor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +96,35 @@ class SdpResult:
     gap: float
     status: str
     iterations: int
+
+
+class _Program(NamedTuple):
+    """An SDP in the solver's standard form: the objective C and the
+    constraint stack A3 (row k is the block-diagonal A_k) as matrices on the
+    direct sum of the blocks, the right-hand side b, and each block's span
+    on that sum."""
+
+    C: np.ndarray
+    A3: np.ndarray
+    b: np.ndarray
+    spans: dict
+
+    @property
+    def _constraints(self) -> np.ndarray:
+        # one entry per equality row, as in SdpInstance: benchmarks/tracer.py
+        # counts each solve's rows as len(instance._constraints)
+        return self.b
+
+
+def _zero_program(sizes: dict[str, int], m: int) -> _Program:
+    """All-zero C, A3 and b for `m` rows over blocks of the given sizes."""
+    total = sum(sizes.values())
+    if total > DEFAULT_SIZE_CAP:
+        raise SdpSizeError(f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}")
+    ends = np.cumsum(list(sizes.values()))
+    spans = {n: slice(e - s, e) for (n, s), e in zip(sizes.items(), ends)}
+    return _Program(np.zeros((total, total), dtype=complex),
+                    np.zeros((m, total, total), dtype=complex), np.zeros(m), spans)
 
 
 class SdpInstance:
@@ -121,9 +165,21 @@ class SdpInstance:
             out[k] = _hermitize(a)
         return out
 
+    def _program(self) -> _Program:
+        """The standard form: every coefficient embedded at its block's span."""
+        if not self._constraints:
+            raise ValueError("instance has no constraints")
+        prog = _zero_program(self._sizes, len(self._constraints))
+        rows = [coeffs for coeffs, _ in self._constraints]
+        for out, coeffs in zip([prog.C, *prog.A3], [self._obj, *rows]):
+            for n, a in coeffs.items():
+                out[prog.spans[n], prog.spans[n]] = a
+        prog.b[:] = [rhs for _, rhs in self._constraints]
+        return prog
+
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------
@@ -138,37 +194,26 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     step centred at sigma mu, sigma = (mu_aff / mu)^3, whose right-hand side
     carries Mehrotra's second-order term, and caps each step at 0.98 of the
     way to the boundary; the two step-length tests are one batched eigvalsh
-    each.
+    each.  The channel-distance programs of this module pass their standard
+    form, built as arrays, in place of an SdpInstance.
 
-    Status "optimal", "infeasible" (the dual iterate diverged) or
-    "max_iterations" (also when a step cannot be computed).
+    Status "optimal", "infeasible" (the dual iterate diverged: no feasible
+    X), "unbounded" (the primal iterate diverged: the objective is unbounded
+    below) or "max_iterations" (also when a step cannot be computed).
     """
-    sizes = instance._sizes
-    total = sum(sizes.values())
-    ends = np.cumsum(list(sizes.values()))
-    spans = {n: slice(e - s, e) for (n, s), e in zip(sizes.items(), ends)}
-
-    def embed(coeffs, out):
-        for n, a in coeffs.items():
-            out[spans[n], spans[n]] = a
-        return out
-
-    C = embed(instance._obj, np.zeros((total, total), dtype=complex))
-    m = len(instance._constraints)
-    if m == 0:
-        raise ValueError("instance has no constraints")
-    b = np.array([rhs for _, rhs in instance._constraints], dtype=float)
+    C, A3, b, spans = instance._program() if isinstance(instance, SdpInstance) else instance
+    m, total = len(b), len(C)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
     # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)
-    A3 = np.zeros((m, total, total), dtype=complex)
-    for k, (row, _) in enumerate(instance._constraints):
-        embed(row, A3[k])
     A = A3.reshape(m, -1)
     A_conj = A.conj()
     # 0/1 block pattern: masking Z^{+-1/2}, W and the corrector's right-hand
     # side keeps every iterate exactly block-diagonal, the zeros off the
     # blocks propagating
-    mask = embed({n: 1.0 for n in spans}, np.zeros((total, total)))
+    mask = np.zeros((total, total))
+    for sl in spans.values():
+        mask[sl, sl] = 1.0
+    neg_mask, eye_m = -mask, np.eye(m)
 
     def op_A(X):
         return (A_conj @ X.reshape(-1)).real
@@ -177,8 +222,9 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         return (y @ A).reshape(total, total)
 
     scale = 1.0 + np.max(np.abs(C)) + np.max(np.abs(b))
-    X = np.eye(total, dtype=complex) * scale
-    Z = X.copy()
+    diverged = (1e12 * scale) ** 2
+    # the primal and dual iterates, stepped and Hermitized as one stack
+    XZ = np.array([np.eye(total, dtype=complex) * scale] * 2)
     y = np.zeros(m)
 
     tol_p = (tol * (1.0 + np.linalg.norm(b))) ** 2
@@ -186,6 +232,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     status = "max_iterations"
 
     for iters in range(1, 201):
+        X, Z = XZ
         rp = b - op_A(X)
         Rd = C - Z - op_At(y)
         mu = np.vdot(X, Z).real / total
@@ -196,8 +243,11 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
                 and (mu * total < tol * (1 + abs(pobj)) or gap < tol)):
             status = "optimal"
             break
-        if y @ y > (1e12 * scale) ** 2:
+        if y @ y > diverged:
             status = "infeasible"
+            break
+        if np.vdot(X, X).real > diverged:
+            status = "unbounded"
             break
 
         # Nesterov-Todd frame F = Z^{-1/2} U D^{1/2}, Z^{1/2} X Z^{1/2} = U D^2 U^H:
@@ -208,10 +258,10 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         # g holds [gx, gz], so W = gz D gz^H and Z^{-1} = gz gz^H
         lam, v = np.linalg.eigh(Z)
         r = np.sqrt(np.maximum(lam, 1e-300))
-        z_pm = mask * (np.stack([v * r, v / r]) @ v.conj().T)  # Z^{1/2}, Z^{-1/2}
+        z_pm = mask * (np.array([v * r, v / r]) @ v.conj().T)  # Z^{1/2}, Z^{-1/2}
         d2, u = np.linalg.eigh(z_pm[0] @ X @ z_pm[0])
         d = np.sqrt(np.maximum(d2, 1e-300))
-        g = z_pm @ np.stack([u / d, u])
+        g = z_pm @ np.array([u / d, u])
         g_h = g.conj().swapaxes(-1, -2)
         W = mask * ((g[1] * d) @ g_h[1])
 
@@ -221,13 +271,15 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         M = (P.reshape(m, -1) @ P.transpose(0, 2, 1).reshape(m, -1).T).real
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
-        M_reg = M + jitter * np.eye(m)
+        M_reg = M + jitter * eye_m
         try:
             np.linalg.cholesky(M_reg)
         except np.linalg.LinAlgError:
-            M_reg = M + 1e6 * jitter * np.eye(m)
+            M_reg = M + 1e6 * jitter * eye_m
 
         def schur_solve(rhs):
+            # numpy has no LU factor/solve pair, so each solve refactors M_reg;
+            # an explicit inverse, factored once, overflows on near-singular M
             s = np.linalg.solve(M_reg, rhs)
             # one step of iterative refinement against the unjittered M
             return s + np.linalg.solve(M_reg, rhs - M @ s)
@@ -240,7 +292,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             # D^{-1/2} (F^H dZ F) D^{-1/2}
             dy = schur_solve(rp + op_A(wrw - rhs))
             dz = _hermitize(Rd - op_At(dy))
-            dirs = np.stack([_hermitize(rhs - W @ dz @ W), dz])
+            dirs = np.array([_hermitize(rhs - W @ dz @ W), dz])
             return dirs, dy, g_h @ dirs @ g
 
         try:
@@ -256,16 +308,21 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
             # scaled predictor directions; with F = gz D^{1/2} that is
             # -gz (sym(sx D sz) o 2 d_i d_j / (d_i + d_j) - sigma mu I) gz^H - X
             sx, sz = scaled
-            second = _hermitize((sx * d) @ sz) * (2.0 / np.add.outer(1.0 / d, 1.0 / d))
+            inv_d = 1.0 / d
+            second = _hermitize((sx * d) @ sz) * (2.0 / np.add.outer(inv_d, inv_d))
             second.flat[::total + 1] -= sigma * mu
-            dirs, dy, scaled = solve_dirs(-mask * (g[1] @ second @ g_h[1] + X))
+            dirs, dy, scaled = solve_dirs(neg_mask * (g[1] @ second @ g_h[1] + X))
         except np.linalg.LinAlgError:
             break
-        if not (np.isfinite(dirs).all() and np.isfinite(dy).all()):
+        # a non-finite predictor, dy or dirs leaves the corrector's scaled
+        # directions non-finite too
+        if not np.isfinite(scaled).all():
             break
         ap, ad = _max_steps(scaled)
-        X, Z, y = _hermitize(X + ap * dirs[0]), _hermitize(Z + ad * dirs[1]), y + ad * dy
+        XZ = _hermitize(XZ + np.array([ap, ad])[:, None, None] * dirs)
+        y = y + ad * dy
 
+    X = XZ[0]
     pobj = np.real(np.vdot(C, X))
     dobj = float(b @ y)
     value = 0.5 * (pobj + dobj) if status == "optimal" else pobj
@@ -276,21 +333,39 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
 def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
     """min(1, 0.98 alpha) for each Hermitian S of a stack, alpha <= 1e8 the
     largest step with I + alpha S psd."""
-    if not np.isfinite(mats).all():
-        return (0.0,) * len(mats)
     lo = np.linalg.eigvalsh(mats).min(axis=-1)
     return tuple(min(1.0, 0.98 * min(-1.0 / x if x < 0 else np.inf, 1e8)) for x in lo)
 
 
 # ---------------------------------------------------------------------------
-# Hermitian entry-picking functionals
+# Hermitian entry-picking rows
 # ---------------------------------------------------------------------------
 
-def _pick(n: int, r: int, c: int, imag: bool = False) -> np.ndarray:
-    """The Hermitian A with <A, X> = Re X[r, c], or Im X[r, c] (r != c) if `imag`."""
-    a = np.zeros((n, n), dtype=complex)
-    a[r, c], a[c, r] = (0.5j, -0.5j) if imag else (0.5, 0.5)
-    return a if r != c else 2 * a
+def _entry_picks(n: int) -> tuple[np.ndarray, tuple[list, ...], tuple[list, ...]]:
+    """The n^2 real functionals of an n x n Hermitian X as one stack of
+    Hermitian A_k, <A_k, X> = Re Tr(A_k X): Re X[r, c] for r <= c in
+    row-major order, each off-diagonal one followed by Im X[r, c].  Also
+    returns the index lists (k, r, c) of the Re rows and of the Im rows.
+
+    The indices are Python lists, like every index of the two programs:
+    integer numpy kernels that nothing else in a solve runs (comparisons,
+    cumsum, divmod) map their code pages in on a first call, which raised
+    the benchmark's per-pass peak RSS by 0.1-0.2 MB."""
+    re, im = ([], [], []), ([], [], [])
+    k = 0
+    for r in range(n):
+        for c in range(r, n):
+            for rows in (re, im) if r < c else (re,):
+                for idx, v in zip(rows, (k, r, c)):
+                    idx.append(v)
+                k += 1
+    E = np.zeros((n * n, n, n), dtype=complex)
+    k, r, c = re
+    E.real[k, r, c] = E.real[k, c, r] = [1.0 if i == j else 0.5 for i, j in zip(r, c)]
+    k, r, c = im
+    E.imag[k, r, c] = 0.5
+    E.imag[k, c, r] = -0.5
+    return E, re, im
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +391,16 @@ def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
 
     Raises RuntimeError if the solver does not reach its optimum.
     """
+    res = solve(_fwc_program(choi_a, choi_b))
+    if res.status != "optimal":
+        raise RuntimeError(f"fidelity SDP did not converge: status {res.status}")
+    return float(np.clip(res.value, 0.0, 1.0))
+
+
+def _fwc_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
+    """The standard form of sqrt_fwc's program: blocks S (rank A + rank B)
+    and rho (d_in); Tr rho = 1, then the Re and Im rows of each entry
+    S[p, r_A + q] + Tr(rho N_pq) = 0."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
@@ -323,30 +408,29 @@ def sqrt_fwc(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     w_b, v_b = _support(choi_b.unnormalized())
     r_a, r_b = len(w_a), len(w_b)
     n = r_a + r_b
+    C, A3, b, _ = prog = _zero_program({"S": n, "rho": din}, 1 + 2 * r_a * r_b)
 
-    inst = SdpInstance()
-    inst.add_block("S", n)
-    inst.add_block("rho", din)
-
-    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))})
-
-    inst.add_equality({"rho": np.eye(din, dtype=complex)}, 1.0)
-    # S[p, r_a+q] + Tr(rho N_pq) = 0 with N_pq = x_q^T conj(y_p), where y_p,
-    # x_q are columns p of V_A and q of V_B reshaped to (d_out, d_in); the
-    # instance keeps Hermitian parts, so the rho coefficients N_pq and -i N_pq
+    diag, rho = list(range(n)), list(range(n, n + din))
+    C[diag, diag] = 0.5 * np.concatenate([w_a, w_b])
+    A3.real[0, rho, rho] = 1.0
+    b[0] = 1.0
+    # rows 2i + 1 and 2i + 2 pick Re and Im of S[p, r_a + q], i = p r_b + q
+    k = list(range(1, len(b), 2))
+    k_im = [i + 1 for i in k]
+    p = [i for i in range(r_a) for _ in range(r_b)]
+    q = [r_a + j for _ in range(r_a) for j in range(r_b)]
+    A3.real[k, p, q] = A3.real[k, q, p] = 0.5
+    A3.imag[k_im, p, q] = 0.5
+    A3.imag[k_im, q, p] = -0.5
+    # N_pq = x_q^T conj(y_p), where y_p, x_q are columns p of V_A and q of
+    # V_B reshaped to (d_out, d_in); the Hermitian parts of N_pq and -i N_pq
     # pick Re and Im of Tr(rho N_pq)
     y = v_a.T.reshape(r_a, dout, din)
     x = v_b.T.reshape(r_b, dout, din)
-    for p in range(r_a):
-        for q in range(r_b):
-            n_pq = x[q].T @ y[p].conj()
-            inst.add_equality({"S": _pick(n, p, r_a + q), "rho": n_pq}, 0.0)
-            inst.add_equality({"S": _pick(n, p, r_a + q, imag=True), "rho": -1j * n_pq}, 0.0)
-
-    res = solve(inst)
-    if res.status != "optimal":
-        raise RuntimeError(f"fidelity SDP did not converge: status {res.status}")
-    return float(np.clip(res.value, 0.0, 1.0))
+    n_pq = (x.swapaxes(1, 2)[None] @ y.conj()[:, None]).reshape(-1, din, din)
+    A3[k, n:, n:] = _hermitize(n_pq)
+    A3[k_im, n:, n:] = _hermitize(-1j * n_pq)
+    return prog
 
 
 def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,44 +450,41 @@ def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
     """eps_wc(A, B) = 1/2 ||A - B||_diamond from state-normalized Chois."""
+    res = solve(_diamond_program(choi_a, choi_b))
+    if res.status != "optimal":
+        raise RuntimeError(f"diamond SDP did not converge: status {res.status}")
+    # min ||Tr_out Y||_inf over Y >= +-J equals the full diamond norm of A - B
+    return float(max(0.0, res.value / 2.0))
+
+
+def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
+    """The standard form of min mu s.t. Y >= +-J, mu I >= Tr_out Y, with
+    J = d_in (A - B): blocks P = Y - J, Q = Y + J (D = d_in d_out each),
+    T = mu I - Tr_out Y and mu; the D^2 entry rows of Q - P = 2 J, then the
+    d_in^2 entry rows of T + Tr_out((P + Q)/2) - mu I = 0."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
     D = din * dout
     ju = din * (choi_a.mat - choi_b.mat)
+    C, A3, b, _ = prog = _zero_program({"P": D, "Q": D, "T": din, "mu": 1}, D * D + din * din)
+    t0, mu = 2 * D, 2 * D + din
+    C[mu, mu] = 1.0
 
-    inst = SdpInstance()
-    inst.add_block("P", D)   # Y - J
-    inst.add_block("Q", D)   # Y + J
-    inst.add_block("T", din)  # mu I - Tr_out Y
-    inst.add_block("mu", 1)
+    E, re, im = _entry_picks(D)
+    A3[:D * D, D:t0, D:t0] = E
+    A3[:D * D, :D, :D] = -E
+    for (k, r, c), part in ((re, ju.real), (im, ju.imag)):
+        b[k] = 2 * part[r, c]
 
-    inst.set_objective({"mu": np.eye(1, dtype=complex)})
-
-    # Q - P = 2 J
-    for r in range(D):
-        for c in range(r, D):
-            for imag in (False, True) if c > r else (False,):
-                rhs = 2 * (np.imag(ju[r, c]) if imag else np.real(ju[r, c]))
-                inst.add_equality({"Q": _pick(D, r, c, imag), "P": -_pick(D, r, c, imag)}, rhs)
-
-    # T + Tr_out((P + Q)/2) - mu I = 0, i.e. T + Tr_out(Y) = mu I
-    for i in range(din):
-        for j in range(i, din):
-            for imag in (False, True) if j > i else (False,):
-                trace_pick = np.zeros((D, D), dtype=complex)
-                for a_out in range(dout):
-                    trace_pick += 0.5 * _pick(D, a_out * din + i, a_out * din + j, imag)
-                coeffs = {"T": _pick(din, i, j, imag), "P": trace_pick, "Q": trace_pick}
-                if i == j:
-                    coeffs["mu"] = -np.eye(1, dtype=complex)
-                inst.add_equality(coeffs, 0.0)
-
-    res = solve(inst)
-    if res.status != "optimal":
-        raise RuntimeError(f"diamond SDP did not converge: status {res.status}")
-    # min ||Tr_out Y||_inf over Y >= +-J equals the full diamond norm of A - B
-    return float(max(0.0, res.value / 2.0))
+    # Tr_out Y [i, j] sums Y[a d_in + i, a d_in + j] over the output index a
+    E, (k, i, j), _ = _entry_picks(din)
+    rows = slice(D * D, None)
+    A3[rows, t0:mu, t0:mu] = E
+    for a in range(0, D, din):
+        A3[rows, a:a + din, a:a + din] = A3[rows, D + a:D + a + din, D + a:D + a + din] = 0.5 * E
+    A3[[D * D + kk for kk, ii, jj in zip(k, i, j) if ii == jj], mu, mu] = -1.0
+    return prog
 
 
 # ---------------------------------------------------------------------------

@@ -127,6 +127,30 @@ def test_unknown_block_name_raises():
     assert inst._constraints == []
 
 
+def test_primal_divergence_is_unbounded():
+    # min -x s.t. x - y = 0 has no minimum; the primal iterate grows until
+    # the divergence test stops it, before any overflow
+    inst = sdp.SdpInstance()
+    inst.add_block("x", 1)
+    inst.add_block("y", 1)
+    inst.set_objective({"x": -np.eye(1)})
+    inst.add_equality({"x": np.eye(1), "y": -np.eye(1)}, 0.0)
+    res = sdp.solve(inst)
+    assert res.status == "unbounded"
+    assert res.iterations == 5
+    assert res.value < -1e12
+
+
+def test_dual_divergence_is_infeasible():
+    # x + s = -1 has no solution with x, s >= 0
+    inst = sdp.SdpInstance()
+    inst.add_block("x", 1)
+    inst.add_block("s", 1)
+    inst.set_objective({"x": np.eye(1)})
+    inst.add_equality({"x": np.eye(1), "s": np.eye(1)}, -1.0)
+    assert sdp.solve(inst).status == "infeasible"
+
+
 def test_wrong_coefficient_shape_raises():
     inst = sdp.SdpInstance()
     inst.add_block("X", 3)
@@ -301,6 +325,147 @@ def test_diamond_brackets_random_pairs():
         eps_wc = sdp.diamond_error(a.choi(), b.choi())
         assert eps_ent <= eps_wc + 1e-6
         assert eps_wc <= 2 * eps_ent + 1e-6
+
+
+def _isometry_channel(v):
+    return ch.KrausChannel(v.shape[1], v.shape[0], [v])
+
+
+def test_diamond_isometries_differing_by_a_phase():
+    # V and V diag(1, i) embed C^2 in C^3: 1/2 ||.||_diamond = sqrt(1 - r^2),
+    # r = |(1 + i)/2| the distance from 0 to the segment [1, i]
+    v = np.eye(3, 2, dtype=complex)
+    value = sdp.diamond_error(_isometry_channel(v).choi(), _isometry_channel(v @ np.diag([1, 1j])).choi())
+    assert value == pytest.approx(1 / np.sqrt(2), abs=1e-7)
+
+
+def test_diamond_isometries_with_orthogonal_ranges():
+    # every input goes to orthogonal outputs, so the channels are perfectly
+    # distinguishable
+    v = np.eye(4, 2, dtype=complex)
+    w = np.eye(4, 2, k=-2, dtype=complex)
+    assert sdp.diamond_error(_isometry_channel(v).choi(), _isometry_channel(w).choi()) == pytest.approx(1.0, abs=1e-7)
+
+
+def test_diamond_qutrit_unitary_is_numerical_range_formula():
+    # 1/2 ||U . U^dag - id||_diamond = sqrt(1 - r^2), r the distance from 0
+    # to the convex hull of U's eigenvalues; with eigenphases within an arc
+    # shorter than pi, 0 lies outside the hull and r is the least distance
+    # to one of its edges
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    u = q @ np.diag(np.exp(1j * np.array([0.3, 1.1, 2.0]))) @ q.conj().T
+    lam = np.linalg.eigvals(u)
+
+    def to_segment(p, e):
+        t = np.clip(np.real(np.conj(p) * (p - e)) / abs(p - e) ** 2, 0.0, 1.0)
+        return abs(p + t * (e - p))
+
+    r = min(to_segment(lam[i], lam[j]) for i in range(3) for j in range(i + 1, 3))
+    value = sdp.diamond_error(_isometry_channel(u).choi(), ch.identity_channel(3).choi())
+    assert value == pytest.approx(np.sqrt(1 - r**2), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# array-built programs against the dict-built reference
+# ---------------------------------------------------------------------------
+
+def _pick(n, r, c, imag=False):
+    """The Hermitian A with <A, X> = Re X[r, c], or Im X[r, c] (r != c) if `imag`."""
+    a = np.zeros((n, n), dtype=complex)
+    a[r, c], a[c, r] = (0.5j, -0.5j) if imag else (0.5, 0.5)
+    return a if r != c else 2 * a
+
+
+def _dict_diamond_instance(choi_a, choi_b):
+    """diamond_error's program, one add_equality per entry-picking row."""
+    din, dout = choi_a.dim_in, choi_a.dim_out
+    D = din * dout
+    ju = din * (choi_a.mat - choi_b.mat)
+    inst = sdp.SdpInstance()
+    inst.add_block("P", D)   # Y - J
+    inst.add_block("Q", D)   # Y + J
+    inst.add_block("T", din)  # mu I - Tr_out Y
+    inst.add_block("mu", 1)
+    inst.set_objective({"mu": np.eye(1, dtype=complex)})
+    # Q - P = 2 J
+    for r in range(D):
+        for c in range(r, D):
+            for imag in (False, True) if c > r else (False,):
+                rhs = 2 * (np.imag(ju[r, c]) if imag else np.real(ju[r, c]))
+                inst.add_equality({"Q": _pick(D, r, c, imag), "P": -_pick(D, r, c, imag)}, rhs)
+    # T + Tr_out((P + Q)/2) - mu I = 0
+    for i in range(din):
+        for j in range(i, din):
+            for imag in (False, True) if j > i else (False,):
+                trace_pick = np.zeros((D, D), dtype=complex)
+                for a_out in range(dout):
+                    trace_pick += 0.5 * _pick(D, a_out * din + i, a_out * din + j, imag)
+                coeffs = {"T": _pick(din, i, j, imag), "P": trace_pick, "Q": trace_pick}
+                if i == j:
+                    coeffs["mu"] = -np.eye(1, dtype=complex)
+                inst.add_equality(coeffs, 0.0)
+    return inst
+
+
+def _dict_fwc_instance(choi_a, choi_b):
+    """sqrt_fwc's program, one add_equality per entry-picking row."""
+    din, dout = choi_a.dim_in, choi_a.dim_out
+    w_a, v_a = sdp._support(choi_a.unnormalized())
+    w_b, v_b = sdp._support(choi_b.unnormalized())
+    r_a, r_b = len(w_a), len(w_b)
+    n = r_a + r_b
+    inst = sdp.SdpInstance()
+    inst.add_block("S", n)
+    inst.add_block("rho", din)
+    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))})
+    inst.add_equality({"rho": np.eye(din, dtype=complex)}, 1.0)
+    y = v_a.T.reshape(r_a, dout, din)
+    x = v_b.T.reshape(r_b, dout, din)
+    for p in range(r_a):
+        for q in range(r_b):
+            n_pq = x[q].T @ y[p].conj()
+            inst.add_equality({"S": _pick(n, p, r_a + q), "rho": n_pq}, 0.0)
+            inst.add_equality({"S": _pick(n, p, r_a + q, imag=True), "rho": -1j * n_pq}, 0.0)
+    return inst
+
+
+def _assert_same_program(inst, prog):
+    # bytes with -0.0 read as +0.0 (adding +0.0 changes no other bit): the
+    # Hermitian part of the reference's -_pick(...) leaves signed zeros in P
+    ref = inst._program()
+    for name in ("C", "A3", "b"):
+        want, got = getattr(ref, name), getattr(prog, name)
+        assert want.shape == got.shape and (want + 0.0).tobytes() == (got + 0.0).tobytes(), name
+    assert {n: (s.start, s.stop) for n, s in ref.spans.items()} == \
+        {n: (s.start, s.stop) for n, s in prog.spans.items()}
+    # and the solver runs the same iterations on both
+    want, got = sdp.solve(inst), sdp.solve(prog)
+    assert (want.value, want.gap, want.status, want.iterations) == \
+        (got.value, got.gap, got.status, got.iterations)
+    assert all(want.blocks[n].tobytes() == got.blocks[n].tobytes() for n in ref.spans)
+
+
+def _random_kraus(rng, din, dout, n_kraus=3):
+    a = rng.standard_normal((n_kraus * dout, din)) + 1j * rng.standard_normal((n_kraus * dout, din))
+    q, _ = np.linalg.qr(a)
+    return ch.KrausChannel(din, dout, [q[i * dout:(i + 1) * dout, :] for i in range(n_kraus)])
+
+
+@pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_diamond_program_equals_dict_builder(din, dout):
+    rng = np.random.default_rng(31 + 4 * din + dout)
+    ca, cb = (_random_kraus(rng, din, dout).choi() for _ in range(2))
+    _assert_same_program(_dict_diamond_instance(ca, cb), sdp._diamond_program(ca, cb))
+
+
+def test_fwc_program_equals_dict_builder():
+    rng = np.random.default_rng(37)
+    ca, cb = (_random_kraus(rng, 2, 2).choi() for _ in range(2))
+    _assert_same_program(_dict_fwc_instance(ca, cb), sdp._fwc_program(ca, cb))
+    ident = ch.identity_channel(3).choi()
+    choi = block_covariant_choi([1, 2], {0: 1 / 3, 1: 2 / 3})
+    _assert_same_program(_dict_fwc_instance(ident, choi), sdp._fwc_program(ident, choi))
 
 
 # ---------------------------------------------------------------------------
