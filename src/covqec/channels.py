@@ -276,6 +276,28 @@ def haar_su2(rng: np.random.Generator, size: int) -> np.ndarray:
     return u
 
 
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., i, k, n] = sum_j a[..., i, j, n] b[..., j, k, n], a @ b along
+    a trailing stack axis, summed as broadcast products over the short axis j
+    with the stack on the inner loop: np.matmul runs one tiny GEMM per
+    stacked product, several times the arithmetic at d = 2."""
+    out = a[..., :, 0, None, :] * b[..., None, 0, :, :]
+    for j in range(1, a.shape[-2]):
+        out += a[..., :, j, None, :] * b[..., None, j, :, :]
+    return out
+
+
+def _kron_power_apply(us: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
+    """U^{(x) k} @ m for each U of a (d, d, n) stack and one (d^k, c) matrix
+    m, as a (d^k, c, n) stack, without forming U^{(x) k}: U acts on one
+    tensor leg of m's rows at a time, the legs ordered as in np.kron."""
+    d, n = us.shape[0], us.shape[-1]
+    x = np.broadcast_to(m[..., None], m.shape + (n,))
+    for leg in range(k):
+        x = _small_matmul(us, x.reshape(d**leg, d, -1, n))
+    return x.reshape(m.shape + (n,))
+
+
 @dataclass
 class HaarQuadrature:
     """Product rule for Haar integration over SU(2).

@@ -51,6 +51,8 @@ from . import sdp as sdp_mod
 from .channels import (
     ChoiMatrix,
     CovariantParams,
+    _kron_power_apply,
+    _small_matmul,
     covariant_choi,
     haar_quadrature_su2,
     haar_su2,
@@ -451,7 +453,7 @@ def _sample_patterns(config: ProtocolConfig, rng, n_shots: int) -> tuple[np.ndar
         for start in range(0, n_shots, rows):
             erased = rng.random((min(rows, n_shots - start), width)) < config.p_e
             phys[start:start + rows] = erased[:, :n_p] @ (1 << np.arange(n_p))
-            intact = ~erased[:, n_p:].reshape(len(erased), config.s_r, 2).any(axis=2)
+            intact = ~(erased[:, n_p::2] | erased[:, n_p + 1::2])
             survivors[start:start + rows] = intact.sum(axis=1)
         return phys, survivors
     n_copies = config.n_e + 1
@@ -476,8 +478,9 @@ def _sample_patterns(config: ProtocolConfig, rng, n_shots: int) -> tuple[np.ndar
     return phys, n_copies - hit.sum(axis=1)
 
 
-# complex entries per chunk of shots that `_score_shots` holds (~4 MB)
-_SCORE_CHUNK_ENTRIES = 2**18
+# complex entries per chunk of shots that `_score_shots` holds (~1 MB; at 4 MB
+# the allocator returns and refaults each chunk's temporaries, ~20% slower)
+_SCORE_CHUNK_ENTRIES = 2**16
 
 
 def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
@@ -485,15 +488,17 @@ def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
 
     A shot erases the physical qudits in bitmask `phys`, and its explicit
     Kraus operators are K = U^ R_r U'^{(x) s} M_b U^dag with U^ = V U U'^dag.
+    Per-shot operands are held with the shot axis last (`_small_matmul`).
     Shots are scored per physical pattern, in chunks: W_b = U'^{(x) s} M_b
-    and W_b U^dag V^dag U^ by batched matmuls, then Tr(V^dag K) =
-    sum_{x,s} R_r[x,s] (W_b U^dag V^dag U^)[s,x] by one matmul against the
-    flattened R stack.  (A batched einsum here runs numpy's loop kernel,
-    several times slower.)
+    one tensor leg at a time (`_kron_power_apply`), G_b = W_b U^dag V^dag U^,
+    and Tr(V^dag K) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of the
+    flattened R stack against every shot's G.
     """
     d = code.d
-    u_hats = v @ us @ u_rels.conj().transpose(0, 2, 1)
-    backs = us.conj().transpose(0, 2, 1) @ v.conj().T @ u_hats
+    us_t, rels_t, v_t = (x.transpose(1, 2, 0) for x in (us, u_rels, v[None]))
+    vu = _small_matmul(v_t, us_t)
+    u_hats = _small_matmul(vu, rels_t.conj().transpose(1, 0, 2))
+    backs = _small_matmul(vu.conj().transpose(1, 0, 2), u_hats)
     out = np.empty(len(us))
     # np.bincount, not np.unique: np.unique's first call imports modules
     # that add ~1.3 MB to the process's peak RSS
@@ -501,17 +506,17 @@ def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
         erased = [i for i in range(code.n_p) if mask >> i & 1]
         m_ops = erased_restriction_kraus(code, erased)
         n_b, dim_s = m_ops.shape[:2]
-        r_flat = recovery_on_survivors(code, erased).reshape(-1, d * dim_s)
-        m_cat = m_ops.transpose(1, 0, 2).reshape(dim_s, n_b * d)
+        r_ops = recovery_on_survivors(code, erased)
+        r_flat = r_ops.transpose(0, 2, 1).reshape(len(r_ops), dim_s * d)  # [r, (s, x)]
+        m_cat = m_ops.transpose(1, 2, 0).reshape(dim_s, d * n_b)          # [s, (y, b)]
         idx = np.flatnonzero(phys == mask)
-        chunk = max(1, _SCORE_CHUNK_ENTRIES // (dim_s * dim_s + 2 * m_cat.size + n_b * len(r_flat)))
+        chunk = max(1, _SCORE_CHUNK_ENTRIES // (2 * m_cat.size + n_b * len(r_flat)))
         for start in range(0, len(idx), chunk):
             sel = idx[start:start + chunk]
-            w = _kron_power_batch(u_rels[sel], code.n_p - len(erased)) @ m_cat
-            g = w.reshape(len(sel), dim_s * n_b, d) @ backs[sel]          # [n, (s, b), x]
-            g = g.reshape(len(sel), dim_s, n_b, d).transpose(0, 2, 3, 1)  # [n, b, x, s]
-            traces = g.reshape(len(sel) * n_b, d * dim_s) @ r_flat.T
-            out[sel] = np.sum(np.abs(traces.reshape(len(sel), -1)) ** 2, axis=1) / d**2
+            w = _kron_power_apply(rels_t[:, :, sel], code.n_p - len(erased), m_cat)
+            g = _small_matmul(backs[:, :, sel].transpose(1, 0, 2), w.reshape(dim_s, d, n_b, len(sel)))
+            traces = r_flat @ g.reshape(dim_s * d, n_b * len(sel))  # [r, (b, shot)]
+            out[sel] = np.sum(np.abs(traces.reshape(-1, len(sel))) ** 2, axis=0) / d**2
     return out
 
 
@@ -534,8 +539,8 @@ def monte_carlo_epsilon(config: ProtocolConfig,
     inverse-CDF sampling call per surviving-copy count (a Haar guess when
     no copy survives).  They are then scored per physical-pattern group
     (`_score_shots`).  The default 20,000 shots of `covqec simulate --mc`
-    (five-qubit code, one core) take ~0.26 s (strong, s_r = 6, p_e = 0.2)
-    and ~0.44 s (weak, m = 12), mostly scoring; weak sampling is ~0.07 s.
+    (five-qubit code, one BLAS thread) take ~0.075 s (strong, s_r = 6, p_e =
+    0.2) and ~0.09 s (weak, m = 12), 3/4 of it scoring; weak sampling ~0.02 s.
     """
     rng = np.random.default_rng(config.seed)
     code = config.code

@@ -191,10 +191,12 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
         F = (1/pi) sum_g C_g [S_g - S_{g+2}],  S_0 = theta, S_k = sin(k theta)/k,
 
     from the class coefficients C_g.  Each uniform is bracketed in a table
-    of F on N = 4 len(C) cells, theta_t = pi t / N, whose sine sums are one
+    of F on N = 16 len(C) cells, theta_t = pi t / N, whose sine sums are one
     real FFT of length 2N: O(len(C) log len(C)) time and O(len(C)) memory.
-    Then Newton steps that stay in the bracket (else bisections) bring
-    F(theta) to it within roundoff, in blocks of samples.
+    Newton steps from the table's linear interpolation in the cell that stay
+    in the bracket (else bisections) bring F(theta) to it within roundoff,
+    in blocks of samples.  U' = cos(theta) I + i sin(theta) V sigma_z V^dag
+    is formed in closed form from V's first column.
     """
     if spec.d != 2:
         raise NotImplementedError("outcome sampling is implemented for d=2 only")
@@ -207,7 +209,7 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
         return (w[0] * theta + np.sin(ph) @ (w[k] / k)) / pi, (w[0] + np.cos(ph) @ w[k]) / pi
 
     target = rng.random(n_samples) * c[0]
-    n_cells = 4 * len(c)
+    n_cells = 16 * len(c)
     grid = np.linspace(0.0, pi, n_cells + 1)
     # sum_k (w_k / k) sin(pi k t / N) = -Im sum_k (w_k / k) e^{-2 pi i k t / 2N}
     sines = np.zeros(len(w))
@@ -215,7 +217,7 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
     table = (w[0] * grid - rfft(sines, 2 * n_cells).imag) / pi
     cell = np.clip(np.searchsorted(table, target, side="right"), 1, n_cells)
     lo, hi = grid[cell - 1], grid[cell]
-    theta = (lo + hi) / 2
+    theta = np.clip(np.interp(target, table, grid), lo, hi)
     block = max(1, 2**18 // len(k))  # its (samples x frequencies) arrays hold 2^18 entries
     for start in range(0, n_samples, block):
         idx = np.arange(start, min(start + block, n_samples))
@@ -231,8 +233,10 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
             step = t - r / np.where(newton, dens, 1.0)
             inside = newton & (lo[idx] <= step) & (step <= hi[idx])
             theta[idx] = np.where(inside, step, (lo[idx] + hi[idx]) / 2)
-    v = haar_su2(rng, n_samples)
-    return (v * np.exp(1j * np.stack([theta, -theta], axis=1))[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    a, b = haar_su2(rng, n_samples)[:, :, 0].T
+    z, x = np.abs(a) ** 2 - np.abs(b) ** 2, 2 * a * b.conj()  # V sigma_z V^dag = [[z, x], [x*, -z]]
+    cos, isin = np.cos(theta), 1j * np.sin(theta)
+    return np.stack([cos + isin * z, isin * x, isin * x.conj(), cos - isin * z], axis=1).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------

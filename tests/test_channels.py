@@ -320,6 +320,21 @@ def test_haar_su2_sampler_is_unitary():
         assert np.linalg.det(u) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_small_matmul_matches_matmul():
+    # stacks are passed stack-last, [row, col, shot]; a single matrix with a
+    # stack axis of size 1 broadcasts against a stack
+    rng = np.random.default_rng(12)
+    a, b = ch.haar_su2(rng, 500), ch.haar_su2(rng, 500)
+
+    def stack_last(x):
+        return x.transpose(1, 2, 0)
+
+    got = ch._small_matmul(stack_last(a), stack_last(b)).transpose(2, 0, 1)
+    assert np.max(np.abs(got - a @ b)) <= 1e-15
+    got = ch._small_matmul(stack_last(a[:1]), stack_last(b)).transpose(2, 0, 1)
+    assert np.max(np.abs(got - a[0] @ b)) <= 1e-15
+
+
 def test_eigenphase():
     t = 0.77
     u = np.diag([np.exp(1j * t), np.exp(-1j * t)])

@@ -637,6 +637,69 @@ def test_score_shots_matches_per_shot_oracle(gated):
         assert f == pytest.approx(_shot_oracle(code, v, u, list(p), u_rel), abs=1e-12)
 
 
+def _kron_score_shots(code, v, us, phys, u_rels):
+    """_score_shots with np.matmul on shot-first stacks: every shot's
+    U'^{(x) s} formed by _kron_power_batch, then one matmul per shot."""
+    d = code.d
+    u_hats = v @ us @ u_rels.conj().transpose(0, 2, 1)
+    backs = us.conj().transpose(0, 2, 1) @ v.conj().T @ u_hats
+    out = np.empty(len(us))
+    for mask in np.flatnonzero(np.bincount(phys)):
+        erased = [i for i in range(code.n_p) if mask >> i & 1]
+        m_ops = codes.erased_restriction_kraus(code, erased)
+        n_b, dim_s = m_ops.shape[:2]
+        r_flat = codes.recovery_on_survivors(code, erased).reshape(-1, d * dim_s)
+        m_cat = m_ops.transpose(1, 0, 2).reshape(dim_s, n_b * d)
+        idx = np.flatnonzero(phys == mask)
+        for start in range(0, len(idx), 256):
+            sel = idx[start:start + 256]
+            w = pr._kron_power_batch(u_rels[sel], code.n_p - len(erased)) @ m_cat
+            g = w.reshape(len(sel), dim_s * n_b, d) @ backs[sel]
+            g = g.reshape(len(sel), dim_s, n_b, d).transpose(0, 2, 3, 1)
+            traces = g.reshape(len(sel) * n_b, d * dim_s) @ r_flat.T
+            out[sel] = np.sum(np.abs(traces.reshape(len(sel), -1)) ** 2, axis=1) / d**2
+    return out
+
+
+@pytest.mark.parametrize("code", [codes.five_qubit_code(), codes.trivial_code(2)],
+                         ids=["five_qubit", "trivial"])
+@pytest.mark.parametrize("model", ["weak", "strong"])
+def test_mc_matches_kron_power_scoring(monkeypatch, code, model):
+    args = (dict(n_e=1, m=8, pattern_dist="exact_ne") if model == "weak"
+            else dict(p_e=0.2, s_r=6))
+    cfg = pr.ProtocolConfig(2, model, code, mc_samples=3000, seed=17, **args)
+    est, err = pr.monte_carlo_epsilon(cfg)
+    monkeypatch.setattr(pr, "_score_shots", _kron_score_shots)
+    ref_est, ref_err = pr.monte_carlo_epsilon(cfg)
+    assert abs(est - ref_est) <= 1e-12 and abs(err - ref_err) <= 1e-12
+
+
+def test_score_shots_chunking(monkeypatch):
+    # chunks of two or three shots against one chunk per pattern.  Not bit
+    # for bit: BLAS rounds the edge rows and columns of a GEMM with other
+    # kernels, so a shot's traces depend in the last bit on where it falls
+    code = codes.five_qubit_code()
+    rng = np.random.default_rng(43)
+    patterns = [p for k in range(4) for p in itertools.combinations(range(5), k)] * 12
+    phys = np.array([sum(1 << i for i in p) for p in patterns])
+    us, u_rels = ch.haar_su2(rng, len(patterns)), ch.haar_su2(rng, len(patterns))
+    v = ch.haar_su2(rng, 1)[0]
+    monkeypatch.setattr(pr, "_SCORE_CHUNK_ENTRIES", 2**40)
+    whole = pr._score_shots(code, v, us, phys, u_rels)
+    monkeypatch.setattr(pr, "_SCORE_CHUNK_ENTRIES", 2**9)
+    chunked = pr._score_shots(code, v, us, phys, u_rels)
+    assert np.max(np.abs(chunked - whole)) <= 1e-14
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_kron_power_apply_matches_kron_power_batch(s):
+    rng = np.random.default_rng(9)
+    us = ch.haar_su2(rng, 7)
+    m = rng.standard_normal((2**s, 3)) + 1j * rng.standard_normal((2**s, 3))
+    got = ch._kron_power_apply(us.transpose(1, 2, 0), s, m).transpose(2, 0, 1)
+    assert np.max(np.abs(got - pr._kron_power_batch(us, s) @ m)) <= 1e-14
+
+
 def test_kron_power_batch_matches_np_kron():
     us = ch.haar_su2(np.random.default_rng(8), 3)
     got = pr._kron_power_batch(us, 4)
@@ -754,6 +817,8 @@ def test_mc_covariant_gate_insertion():
     v = ch.haar_su2(np.random.default_rng(5), 1)[0]
     gated, err_g = pr.monte_carlo_epsilon(cfg, logical_gate=v)
     assert abs(base - gated) < 3 * np.hypot(err_b, err_g)
+    # U^dag V^dag U^ = U'^dag with U^ = V U U'^dag: the scores do not see V
+    assert abs(base - gated) < 1e-12
 
 
 @pytest.mark.parametrize("samples", [0, 1])

@@ -268,6 +268,29 @@ def test_sampler_returns_su2():
     assert np.allclose(np.linalg.det(us), 1.0, atol=1e-12)
 
 
+def test_sampler_rotation_is_closed_form(monkeypatch):
+    # cos(theta) I + i sin(theta) V sz V^dag from V's first column equals
+    # V diag(e^{i theta}, e^{-i theta}) V^dag by matmul from the same Haar
+    # draws V, with cos and sin(theta) >= 0 read back from the trace and the
+    # traceless part (whose norm does not depend on V)
+    drawn = []
+
+    def record(rng, size):
+        drawn.append(ch.haar_su2(rng, size))
+        return drawn[-1]
+
+    monkeypatch.setattr(rf, "haar_su2", record)
+    us = rf.sample_relative_rotations(rf.weak_spec(2, 12), 2000, np.random.default_rng(5))
+    (v,) = drawn
+    cos = (us[:, 0, 0] + us[:, 1, 1]).real / 2
+    sin = np.hypot(us[:, 0, 0].imag, np.abs(us[:, 0, 1]))
+    phases = np.stack([cos + 1j * sin, cos - 1j * sin], axis=1)
+    assert np.max(np.abs(us - (v * phases[:, None, :]) @ v.conj().transpose(0, 2, 1))) <= 1e-15
+    eps = np.finfo(float).eps  # V is unitary to a few ulps, and U' inherits it
+    assert np.max(np.abs(np.linalg.det(us) - 1)) <= 8 * eps
+    assert np.max(np.abs(us @ us.conj().transpose(0, 2, 1) - np.eye(2))) <= 8 * eps
+
+
 def test_sampler_matches_density_histogram():
     # chi^2 binned test of the sampled rotation angle: the target marginal
     # for the single-pair spec is (2/pi) sin^2(theta) * 4 cos^2(theta)
