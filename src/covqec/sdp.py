@@ -1,8 +1,8 @@
 """Small dense semidefinite programming over Hermitian blocks.
 
 The solver is a primal-dual interior-point method with Nesterov-Todd
-scaling, infeasible start and Mehrotra's predictor-corrector, operating
-directly on complex Hermitian blocks:
+scaling and Mehrotra's predictor-corrector, operating directly on complex
+Hermitian blocks:
 
     minimize    sum_j <C_j, X_j>
     subject to  sum_j <A_kj, X_j> = b_k,   X_j >= 0,
@@ -19,17 +19,18 @@ scaling point W = F F^H, Z^{-1} = F D^{-1} F^H and every step-length test.
 The corrector subtracts Mehrotra's second-order term, the product of the
 predictor directions, solved in that frame, and the predictor's and the
 corrector's step-length tests are one batched eigvalsh each; X and Z are
-stepped and Hermitized as one stacked pair.  Each Schur solve is one LU
-solve plus one refinement step (Todd, Toh and Tutuncu, SIAM J. Optim. 8,
-769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).  numpy has no LU
-factor/solve pair, so each of an iteration's four solves refactors the
-Schur matrix; an explicit inverse, formed once per iteration, overflows on
-the near-singular Schur matrices of a bit-flip channel's diamond program,
-so the LU solves stay.  A run ends "optimal", "infeasible" (the dual
-iterate diverged), "unbounded" (the primal iterate diverged) or
-"max_iterations".  Problems stay at qubit/qutrit scale; the total variable
-dimension is capped at the constant DEFAULT_SIZE_CAP = 256, and larger
-requests fail fast.
+stepped and Hermitized as one stacked pair (Todd, Toh and Tutuncu, SIAM
+J. Optim. 8, 769 (1998); Mehrotra, SIAM J. Optim. 2, 575 (1992)).  The
+Schur matrix M, lightly jittered, is factored once per iteration as
+L L^T, and L is inverted once: its inverse is bounded by 1/sqrt(jitter),
+where an explicit inverse of M overflows on the near-singular Schur
+matrices of a bit-flip channel's diamond program.  Each of the
+iteration's two Schur solves, and its one refinement step against the
+unjittered M, is then two matrix-vector products.  A run ends "optimal",
+"infeasible" (the dual iterate diverged), "unbounded" (the primal iterate
+diverged) or "max_iterations".  Problems stay at qubit/qutrit scale; the
+total variable dimension is capped at the constant DEFAULT_SIZE_CAP = 256,
+and larger requests fail fast.
 
 On top of the solver sit the two channel-distance programs: the worst-case
 fidelity program, posed on the supports of the unnormalized Choi operators
@@ -51,7 +52,11 @@ A_k, and b.  `solve` compiles an SdpInstance (named blocks, one
 coefficient dict per row) into it.  Both channel-distance programs write
 theirs directly as arrays, each row an entry-picking functional (Re or Im
 of one entry of a block) set by fancy-index writes, built afresh on every
-call, and pass it to the same loop.
+call, and pass it to the same loop.  An SdpInstance starts infeasible, at
+X = Z = scale I; each channel-distance program attaches a strictly
+feasible primal-dual point in closed form (the diamond program's Y = c I
+with c > ||J||, the fidelity program's rho = I/d_in), so its solve spends
+no iterations on reaching feasibility.
 
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
@@ -102,12 +107,15 @@ class _Program(NamedTuple):
     """An SDP in the solver's standard form: the objective C and the
     constraint stack A3 (row k is the block-diagonal A_k) as matrices on the
     direct sum of the blocks, the right-hand side b, and each block's span
-    on that sum."""
+    on that sum; optionally a start (X, y) with X > 0 on the blocks,
+    A(X) = b and C - A^T y > 0, which `solve` takes in place of its
+    infeasible start at scale I."""
 
     C: np.ndarray
     A3: np.ndarray
     b: np.ndarray
     spans: dict
+    start: tuple | None = None
 
     @property
     def _constraints(self) -> np.ndarray:
@@ -194,14 +202,18 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     step centred at sigma mu, sigma = (mu_aff / mu)^3, whose right-hand side
     carries Mehrotra's second-order term, and caps each step at 0.98 of the
     way to the boundary; the two step-length tests are one batched eigvalsh
-    each.  The channel-distance programs of this module pass their standard
-    form, built as arrays, in place of an SdpInstance.
+    each, and the two Schur solves share one Cholesky factor of the Schur
+    matrix and its inverse.  The channel-distance programs of this module
+    pass their standard form, built as arrays, in place of an SdpInstance,
+    and start from its strictly feasible point; an SdpInstance starts at
+    X = Z = scale I, y = 0.
 
     Status "optimal", "infeasible" (the dual iterate diverged: no feasible
     X), "unbounded" (the primal iterate diverged: the objective is unbounded
-    below) or "max_iterations" (also when a step cannot be computed).
+    below) or "max_iterations" (also when a step cannot be computed or the
+    Schur matrix cannot be factored even with a 1e6-fold jitter).
     """
-    C, A3, b, spans = instance._program() if isinstance(instance, SdpInstance) else instance
+    C, A3, b, spans, start = instance._program() if isinstance(instance, SdpInstance) else instance
     m, total = len(b), len(C)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
     # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)
@@ -224,8 +236,12 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     scale = 1.0 + np.max(np.abs(C)) + np.max(np.abs(b))
     diverged = (1e12 * scale) ** 2
     # the primal and dual iterates, stepped and Hermitized as one stack
-    XZ = np.array([np.eye(total, dtype=complex) * scale] * 2)
-    y = np.zeros(m)
+    if start is None:
+        XZ = np.array([np.eye(total, dtype=complex) * scale] * 2)
+        y = np.zeros(m)
+    else:
+        X, y = start
+        XZ = np.array([X, C - op_At(y)])
 
     tol_p = (tol * (1.0 + np.linalg.norm(b))) ** 2
     tol_d = (tol * (1.0 + np.linalg.norm(C))) ** 2
@@ -271,31 +287,35 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
         M = (P.reshape(m, -1) @ P.transpose(0, 2, 1).reshape(m, -1).T).real
         M = 0.5 * (M + M.T)
         jitter = 1e-13 * (1 + np.abs(M).max())
-        M_reg = M + jitter * eye_m
-        try:
-            np.linalg.cholesky(M_reg)
-        except np.linalg.LinAlgError:
-            M_reg = M + 1e6 * jitter * eye_m
 
         def schur_solve(rhs):
-            # numpy has no LU factor/solve pair, so each solve refactors M_reg;
-            # an explicit inverse, factored once, overflows on near-singular M
-            s = np.linalg.solve(M_reg, rhs)
+            s = L_inv.T @ (L_inv @ rhs)
             # one step of iterative refinement against the unjittered M
-            return s + np.linalg.solve(M_reg, rhs - M @ s)
+            return s + L_inv.T @ (L_inv @ (rhs - M @ s))
 
         wrw = W @ Rd @ W
 
         def solve_dirs(rhs):
             # NT linearization: dX + W dZ W = rhs; returns [dX, dZ], dy and
             # the step-length matrices D^{-1/2} (F^{-1} dX F^{-H}) D^{-1/2},
-            # D^{-1/2} (F^H dZ F) D^{-1/2}
+            # D^{-1/2} (F^H dZ F) D^{-1/2}.  Neither direction is Hermitized
+            # here: the XZ stack is, once stepped
             dy = schur_solve(rp + op_A(wrw - rhs))
-            dz = _hermitize(Rd - op_At(dy))
-            dirs = np.array([_hermitize(rhs - W @ dz @ W), dz])
+            dz = Rd - op_At(dy)
+            dirs = np.array([rhs - W @ dz @ W, dz])
             return dirs, dy, g_h @ dirs @ g
 
         try:
+            # M + jitter I = L L^T, factored once; the inverse of L is bounded
+            # by 1/sqrt(jitter), where an explicit inverse of M overflows on the
+            # near-singular Schur matrices of a bit-flip channel's diamond
+            # program.  L^T is upper triangular, so inv back-substitutes on it
+            try:
+                L = np.linalg.cholesky(M + jitter * eye_m)
+            except np.linalg.LinAlgError:
+                L = np.linalg.cholesky(M + 1e6 * jitter * eye_m)
+            L_inv = np.linalg.inv(L.T).T
+
             # predictor
             (dX, dZ), _, scaled = solve_dirs(-X)
             ap, ad = _max_steps(scaled)
@@ -408,7 +428,7 @@ def _fwc_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     w_b, v_b = _support(choi_b.unnormalized())
     r_a, r_b = len(w_a), len(w_b)
     n = r_a + r_b
-    C, A3, b, _ = prog = _zero_program({"S": n, "rho": din}, 1 + 2 * r_a * r_b)
+    C, A3, b, _, _ = prog = _zero_program({"S": n, "rho": din}, 1 + 2 * r_a * r_b)
 
     diag, rho = list(range(n)), list(range(n, n + din))
     C[diag, diag] = 0.5 * np.concatenate([w_a, w_b])
@@ -430,7 +450,20 @@ def _fwc_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     n_pq = (x.swapaxes(1, 2)[None] @ y.conj()[:, None]).reshape(-1, din, din)
     A3[k, n:, n:] = _hermitize(n_pq)
     A3[k_im, n:, n:] = _hermitize(-1j * n_pq)
-    return prog
+
+    # strictly feasible start: rho = I / d_in and S = [[g I, K], [K^H, g I]],
+    # K = -V_A^dag (I (x) rho) V_B (so K_pq = -Tr(rho N_pq)) and g = ||K||_F + 1;
+    # y = (-1, 0, ...) leaves Z = C + A_0 = diag(C_S, I) > 0, the support
+    # eigenvalues being positive
+    X = np.zeros_like(C)
+    K = -(v_a.conj().T @ v_b) / din
+    X[diag, diag] = np.linalg.norm(K) + 1.0
+    X[:r_a, r_a:n] = K
+    X[r_a:n, :r_a] = K.conj().T
+    X[rho, rho] = 1.0 / din
+    y0 = np.zeros(len(b))
+    y0[0] = -1.0
+    return prog._replace(start=(X, y0))
 
 
 def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -467,7 +500,7 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     din, dout = choi_a.dim_in, choi_a.dim_out
     D = din * dout
     ju = din * (choi_a.mat - choi_b.mat)
-    C, A3, b, _ = prog = _zero_program({"P": D, "Q": D, "T": din, "mu": 1}, D * D + din * din)
+    C, A3, b, _, _ = prog = _zero_program({"P": D, "Q": D, "T": din, "mu": 1}, D * D + din * din)
     t0, mu = 2 * D, 2 * D + din
     C[mu, mu] = 1.0
 
@@ -483,8 +516,27 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     A3[rows, t0:mu, t0:mu] = E
     for a in range(0, D, din):
         A3[rows, a:a + din, a:a + din] = A3[rows, D + a:D + a + din, D + a:D + a + din] = 0.5 * E
-    A3[[D * D + kk for kk, ii, jj in zip(k, i, j) if ii == jj], mu, mu] = -1.0
-    return prog
+    diag_rows = [D * D + kk for kk, ii, jj in zip(k, i, j) if ii == jj]
+    A3[diag_rows, mu, mu] = -1.0
+
+    # strictly feasible start: Y = c I with c = ||J||_F + 1 > ||J||, so
+    # P = Y - J > 0 and Q = Y + J > 0, T = I and mu = c d_out + 1;
+    # y = -sigma / d_in on the diagonal rows of T (0 < sigma < 1) leaves
+    # Z = sigma / (2 d_in) I on P and Q, sigma / d_in I on T and 1 - sigma on
+    # mu.  sigma = 0.5: at 0.9 fewer iterations ran, but eps_cov at
+    # a ~ 4.6e-3 landed 1e-7 relative from a, outside the 5e-8 the
+    # pipeline's tests hold it to
+    J = _hermitize(ju)
+    c = np.linalg.norm(J) + 1.0
+    X = np.zeros_like(C)
+    X[:D, :D] = -J
+    X[D:t0, D:t0] = J
+    X[:t0, :t0] += c * np.eye(t0)
+    X[t0:mu, t0:mu] = np.eye(din)
+    X[mu, mu] = c * dout + 1.0
+    y0 = np.zeros(len(b))
+    y0[diag_rows] = -0.5 / din
+    return prog._replace(start=(X, y0))
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,22 @@ def test_dual_divergence_is_infeasible():
     assert sdp.solve(inst).status == "infeasible"
 
 
+def test_repeated_row_singular_schur_matrix():
+    # Tr X = 1 posed three times: every Schur matrix is rank one, so only the
+    # jittered factor makes it invertible; the value is still lambda_min(C)
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    c = 0.5 * (a + a.conj().T)
+    inst = sdp.SdpInstance()
+    inst.add_block("X", 3)
+    inst.set_objective({"X": c})
+    for _ in range(3):
+        inst.add_equality({"X": np.eye(3)}, 1.0)
+    res = sdp.solve(inst)
+    assert res.status == "optimal"
+    assert res.value == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
+
+
 def test_wrong_coefficient_shape_raises():
     inst = sdp.SdpInstance()
     inst.add_block("X", 3)
@@ -287,7 +303,7 @@ def test_diamond_bit_flip(monkeypatch):
             scan = max(scan, 0.5 * ch.trace_norm(diff))
         assert scan == pytest.approx(p, abs=1e-4)
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)
-    assert runs == [("optimal", 8), ("optimal", 9)]
+    assert runs == [("optimal", 8), ("optimal", 7)]
 
 
 def test_diamond_random_pairs_pin_iterations(monkeypatch):
@@ -296,7 +312,7 @@ def test_diamond_random_pairs_pin_iterations(monkeypatch):
     for _ in range(2):
         a, b = random_channel(rng, 2), random_channel(rng, 2)
         sdp.diamond_error(a.choi(), b.choi())
-    assert runs == [("optimal", 11), ("optimal", 10)]
+    assert runs == [("optimal", 10), ("optimal", 10)]
 
 
 def test_sqrt_fwc_pin_iterations(monkeypatch):
@@ -306,7 +322,7 @@ def test_sqrt_fwc_pin_iterations(monkeypatch):
     ident = ch.identity_channel(3).choi()
     for w0 in (1 / 3, 2 / 3):
         sdp.sqrt_fwc(ident, block_covariant_choi([1, 2], {0: w0, 1: 1 - w0}))
-    assert runs == [("optimal", 10), ("optimal", 11)]
+    assert runs == [("optimal", 10), ("optimal", 10)]
 
 
 def test_diamond_of_covariant_channel_is_a():
@@ -439,11 +455,16 @@ def _assert_same_program(inst, prog):
         assert want.shape == got.shape and (want + 0.0).tobytes() == (got + 0.0).tobytes(), name
     assert {n: (s.start, s.stop) for n, s in ref.spans.items()} == \
         {n: (s.start, s.stop) for n, s in prog.spans.items()}
-    # and the solver runs the same iterations on both
-    want, got = sdp.solve(inst), sdp.solve(prog)
+    # and the solver, both sides started at its default point, runs the same
+    # iterations on both
+    want, got = sdp.solve(inst), sdp.solve(prog._replace(start=None))
     assert (want.value, want.gap, want.status, want.iterations) == \
         (got.value, got.gap, got.status, got.iterations)
     assert all(want.blocks[n].tobytes() == got.blocks[n].tobytes() for n in ref.spans)
+    # from the program's own feasible start it reaches the same optimum
+    res = sdp.solve(prog)
+    assert res.status == "optimal"
+    assert abs(res.value - want.value) <= 1e-8
 
 
 def _random_kraus(rng, din, dout, n_kraus=3):
@@ -466,6 +487,50 @@ def test_fwc_program_equals_dict_builder():
     ident = ch.identity_channel(3).choi()
     choi = block_covariant_choi([1, 2], {0: 1 / 3, 1: 2 / 3})
     _assert_same_program(_dict_fwc_instance(ident, choi), sdp._fwc_program(ident, choi))
+
+
+def _assert_strictly_feasible(prog):
+    """The program's start (X, y): A(X) = b to round-off, and X and
+    Z = C - A^T y Hermitian, positive definite on every block and zero off
+    the blocks."""
+    X, y = prog.start
+    m, total = len(prog.b), len(prog.C)
+    A = prog.A3.reshape(m, -1)
+    residual = prog.b - (A.conj() @ X.reshape(-1)).real
+    assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(prog.b))
+    Z = prog.C - (y @ A).reshape(total, total)
+    off_blocks = np.ones((total, total), dtype=bool)
+    for sl in prog.spans.values():
+        off_blocks[sl, sl] = False
+    for mat in (X, Z):
+        assert np.array_equal(mat, mat.conj().T)
+        assert not mat[off_blocks].any()
+        for sl in prog.spans.values():
+            assert np.linalg.eigvalsh(mat[sl, sl]).min() > 0
+
+
+@pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_start_is_strictly_feasible_on_random_pairs(din, dout):
+    rng = np.random.default_rng(41 + 4 * din + dout)
+    for _ in range(3):
+        ca, cb = (_random_kraus(rng, din, dout).choi() for _ in range(2))
+        _assert_strictly_feasible(sdp._diamond_program(ca, cb))
+        _assert_strictly_feasible(sdp._fwc_program(ca, cb))
+
+
+def test_start_is_strictly_feasible_on_special_pairs():
+    ident2, ident3 = ch.identity_channel(2).choi(), ch.identity_channel(3).choi()
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    flip = ch.KrausChannel(2, 2, [np.sqrt(0.85) * np.eye(2), np.sqrt(0.15) * x]).choi()
+    phase = ch.KrausChannel(2, 2, [np.diag([1, 1j])]).choi()
+    n = random_channel(np.random.default_rng(43), 2).choi()
+    block = block_covariant_choi([1, 2], {0: 1 / 3, 1: 2 / 3})
+    # the bit-flip pair, and identical channels (J = 0)
+    for ca, cb in ((ident2, flip), (n, n), (ident2, ident2)):
+        _assert_strictly_feasible(sdp._diamond_program(ca, cb))
+    # rank-deficient Chois: rank one against ranks one, two and three
+    for ca, cb in ((ident2, phase), (ident2, flip), (ident3, block), (n, n), (ident2, ident2)):
+        _assert_strictly_feasible(sdp._fwc_program(ca, cb))
 
 
 # ---------------------------------------------------------------------------
