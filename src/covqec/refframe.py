@@ -297,11 +297,9 @@ def appendix_e_sum(big_m: int, delta: int, n_lo: int) -> float:
     """
     if n_lo > big_m - n_lo:
         return 0.0
-    ks = np.arange(n_lo, big_m - n_lo + 1)
-    t = pi / (2 * (big_m + 1))
-    return float(
-        2.0 / (big_m + 1) * np.sum(np.sin(t * (2 * ks + 1)) * np.sin(t * (2 * ks + 2 * delta + 1)))
-    )
+    # sin(t_k) for k = n..M-n+delta, once: the sum pairs entry i with i + delta
+    s = np.sin(pi / (2 * (big_m + 1)) * np.arange(2 * n_lo + 1, 2 * (big_m - n_lo + delta) + 2, 2))
+    return float(2.0 / (big_m + 1) * (s[:len(s) - delta] @ s[delta:]))
 
 
 def appendix_e_closed_form(big_m: int, delta: int, n_lo: int) -> float:

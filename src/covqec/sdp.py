@@ -9,11 +9,12 @@ Hermitian blocks:
 
 with <A, X> = Re Tr(A X).  The blocks sit on the diagonal of one Hermitian
 matrix of size total = sum_j s_j, so the primal X and dual Z are one
-block-diagonal iterate each and the constraints one complex (m, total^2)
-matrix, whose row k is vec(A_k): the constraint map, its adjoint and the
-Schur complement are matrix products against it.  Each iterate pair is
-factored once, into the Nesterov-Todd frame F = Z^{-1/2} U D^{1/2} with
-Z^{1/2} X Z^{1/2} = U D^2 U^H, which maps X and Z both to the diagonal D:
+block-diagonal iterate each and the constraints one (m, total^2) matrix
+(complex, or real for real data; see below), whose row k is vec(A_k):
+the constraint map, its adjoint and the Schur complement are matrix
+products against it.  Each iterate pair is factored once, into the
+Nesterov-Todd frame F = Z^{-1/2} U D^{1/2} with Z^{1/2} X Z^{1/2} =
+U D^2 U^H, which maps X and Z both to the diagonal D:
 two eigendecompositions (Z, then Z^{1/2} X Z^{1/2}; X needs none) give the
 scaling point W = F F^H, Z^{-1} = F D^{-1} F^H and every step-length test.
 The corrector subtracts Mehrotra's second-order term, the product of the
@@ -51,12 +52,25 @@ The solver runs on a standard form: C, the (m, total, total) stack of the
 A_k, and b.  `solve` compiles an SdpInstance (named blocks, one
 coefficient dict per row) into it.  Both channel-distance programs write
 theirs directly as arrays, each row an entry-picking functional (Re or Im
-of one entry of a block) set by fancy-index writes, built afresh on every
-call, and pass it to the same loop.  An SdpInstance starts infeasible, at
-X = Z = scale I; each channel-distance program attaches a strictly
-feasible primal-dual point in closed form (the diamond program's Y = c I
-with c > ||J||, the fidelity program's rho = I/d_in), so its solve spends
-no iterations on reaching feasibility.
+of one entry of a block) set by fancy-index writes, and pass it to the
+same loop; the diamond program's C and A_k depend only on (d_in, d_out),
+so they are built once per pair of dimensions and shared read-only, and
+each call writes only b = 2 J and its start.  An SdpInstance starts
+infeasible, at X = Z = scale I; each channel-distance program attaches a
+strictly feasible primal-dual point in closed form (the diamond program's
+Y = c I with c > ||J||, the fidelity program's rho = I/d_in), so its
+solve spends no iterations on reaching feasibility.
+
+A program with real data runs in real arithmetic: when C and the start's
+X are real, every A_k is real or purely imaginary, and every purely
+imaginary row has b_k = 0, `solve` drops the imaginary rows and runs the
+same loop on float64 arrays.  That is exact: Re X of a feasible X is
+feasible with the same objective (a real symmetric A_k sees only Re X,
+an imaginary one sees none of it, and Re X >= 0 with X), so the optimum
+is attained on real symmetric X, where the imaginary rows hold
+trivially.  The diamond program of two channels with real Choi matrices,
+such as the pipeline's Pauli-corrected and depolarizing channels, meets
+the condition, and at qubit size keeps 13 of its 20 rows.
 
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
@@ -67,6 +81,7 @@ gives the strong-model floor).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -208,12 +223,19 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     and start from its strictly feasible point; an SdpInstance starts at
     X = Z = scale I, y = 0.
 
+    A program whose C and start X are real, whose A_k are each real or
+    purely imaginary, and whose imaginary rows all have b_k = 0 is solved
+    in real arithmetic without those rows (see _real_form): Re X of any
+    feasible X is feasible with the same objective, so the optimum is the
+    same, and the returned blocks are then float64.
+
     Status "optimal", "infeasible" (the dual iterate diverged: no feasible
     X), "unbounded" (the primal iterate diverged: the objective is unbounded
     below) or "max_iterations" (also when a step cannot be computed or the
     Schur matrix cannot be factored even with a 1e6-fold jitter).
     """
-    C, A3, b, spans, start = instance._program() if isinstance(instance, SdpInstance) else instance
+    C, A3, b, spans, start = _real_form(
+        instance._program() if isinstance(instance, SdpInstance) else instance)
     m, total = len(b), len(C)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
     # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)
@@ -237,7 +259,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     diverged = (1e12 * scale) ** 2
     # the primal and dual iterates, stepped and Hermitized as one stack
     if start is None:
-        XZ = np.array([np.eye(total, dtype=complex) * scale] * 2)
+        XZ = np.array([np.eye(total, dtype=C.dtype) * scale] * 2)
         y = np.zeros(m)
     else:
         X, y = start
@@ -348,6 +370,35 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     value = 0.5 * (pobj + dobj) if status == "optimal" else pobj
     return SdpResult(value=float(value), blocks={n: X[sl, sl] for n, sl in spans.items()},
                      gap=float(abs(pobj - dobj)), status=status, iterations=iters)
+
+
+def _real_form(prog: _Program) -> _Program:
+    """The program in real arithmetic when that is exact, else `prog`.
+
+    If C and the start's X are real, every A_k is real or purely imaginary,
+    and every purely imaginary row has b_k = 0, then Re X of any feasible X
+    is feasible with the same objective: <A_k, X> = <A_k, Re X> on a real
+    row (a real symmetric A_k sees no antisymmetric Im X), <A_k, Re X> = 0
+    on an imaginary one, Re X >= 0 with X, and <C, X> = <C, Re X>.  So the
+    optimum is attained on real symmetric X, where the imaginary rows hold
+    trivially; they are dropped (with their start multipliers) and the
+    rest is handed over as float64 arrays.  The test runs on float maxima
+    and Python lists: boolean numpy kernels that nothing else in a solve
+    runs would map their code pages in on a first call (see _entry_picks)."""
+    C, A3, b, spans, start = prog
+    if np.abs(C.imag).max() or (start is not None and np.abs(start[0].imag).max()):
+        return prog
+    A = A3.reshape(len(b), -1)
+    keep = []
+    for k, (re, im, rhs) in enumerate(zip(np.abs(A.real).max(axis=1).tolist(),
+                                          np.abs(A.imag).max(axis=1).tolist(), b.tolist())):
+        if not im:
+            keep.append(k)
+        elif re or rhs:
+            return prog
+    if start is not None:
+        start = (start[0].real.copy(), start[1][keep])
+    return _Program(C.real.copy(), A3.real[keep], b[keep], spans, start)
 
 
 def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
@@ -492,32 +543,18 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
 
 def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     """The standard form of min mu s.t. Y >= +-J, mu I >= Tr_out Y, with
-    J = d_in (A - B): blocks P = Y - J, Q = Y + J (D = d_in d_out each),
-    T = mu I - Tr_out Y and mu; the D^2 entry rows of Q - P = 2 J, then the
-    d_in^2 entry rows of T + Tr_out((P + Q)/2) - mu I = 0."""
+    J = d_in (A - B): the shape of _diamond_shape, with b = 2 J on the
+    entry rows of Q - P and 0 on the rows of T, and a closed-form start."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
     D = din * dout
-    ju = din * (choi_a.mat - choi_b.mat)
-    C, A3, b, _, _ = prog = _zero_program({"P": D, "Q": D, "T": din, "mu": 1}, D * D + din * din)
     t0, mu = 2 * D, 2 * D + din
-    C[mu, mu] = 1.0
-
-    E, re, im = _entry_picks(D)
-    A3[:D * D, D:t0, D:t0] = E
-    A3[:D * D, :D, :D] = -E
+    ju = din * (choi_a.mat - choi_b.mat)
+    C, A3, spans, re, im, diag_rows = _diamond_shape(din, dout)
+    b = np.zeros(len(A3))
     for (k, r, c), part in ((re, ju.real), (im, ju.imag)):
         b[k] = 2 * part[r, c]
-
-    # Tr_out Y [i, j] sums Y[a d_in + i, a d_in + j] over the output index a
-    E, (k, i, j), _ = _entry_picks(din)
-    rows = slice(D * D, None)
-    A3[rows, t0:mu, t0:mu] = E
-    for a in range(0, D, din):
-        A3[rows, a:a + din, a:a + din] = A3[rows, D + a:D + a + din, D + a:D + a + din] = 0.5 * E
-    diag_rows = [D * D + kk for kk, ii, jj in zip(k, i, j) if ii == jj]
-    A3[diag_rows, mu, mu] = -1.0
 
     # strictly feasible start: Y = c I with c = ||J||_F + 1 > ||J||, so
     # P = Y - J > 0 and Q = Y + J > 0, T = I and mu = c d_out + 1;
@@ -536,7 +573,37 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     X[mu, mu] = c * dout + 1.0
     y0 = np.zeros(len(b))
     y0[diag_rows] = -0.5 / din
-    return prog._replace(start=(X, y0))
+    return _Program(C, A3, b, spans, (X, y0))
+
+
+@lru_cache(maxsize=None)
+def _diamond_shape(din: int, dout: int) -> tuple:
+    """The data of the diamond program that depend only on (d_in, d_out),
+    built once and shared read-only: blocks P = Y - J, Q = Y + J
+    (D = d_in d_out each), T = mu I - Tr_out Y and mu; C picks mu; A3 holds
+    the D^2 entry rows of Q - P, then the d_in^2 entry rows of
+    T + Tr_out((P + Q)/2) - mu I.  Also the spans, the (k, r, c) index
+    lists of the Re and of the Im entry rows of Q - P, and the rows of T's
+    diagonal."""
+    D = din * dout
+    C, A3, _, spans, _ = _zero_program({"P": D, "Q": D, "T": din, "mu": 1}, D * D + din * din)
+    t0, mu = 2 * D, 2 * D + din
+    C[mu, mu] = 1.0
+
+    E, re, im = _entry_picks(D)
+    A3[:D * D, D:t0, D:t0] = E
+    A3[:D * D, :D, :D] = -E
+
+    # Tr_out Y [i, j] sums Y[a d_in + i, a d_in + j] over the output index a
+    E, (k, i, j), _ = _entry_picks(din)
+    rows = slice(D * D, None)
+    A3[rows, t0:mu, t0:mu] = E
+    for a in range(0, D, din):
+        A3[rows, a:a + din, a:a + din] = A3[rows, D + a:D + a + din, D + a:D + a + din] = 0.5 * E
+    diag_rows = [D * D + kk for kk, ii, jj in zip(k, i, j) if ii == jj]
+    A3[diag_rows, mu, mu] = -1.0
+    C.flags.writeable = A3.flags.writeable = False
+    return C, A3, spans, re, im, diag_rows
 
 
 # ---------------------------------------------------------------------------

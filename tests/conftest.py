@@ -3,6 +3,7 @@
 import numpy as np
 
 from covqec import channels as ch
+from covqec import codes
 from covqec import young
 
 
@@ -16,6 +17,16 @@ def _density_su2(spec, theta):
     for a, gap in zip(amps, gaps):
         acc = acc + a * young.su2_character(int(gap), theta)
     return acc**2
+
+
+def rotated_five_qubit_code():
+    """The five-qubit code with a fixed non-Clifford rotation on qubit 0.
+
+    The rotation breaks the code's Z-parity structure, under which every
+    z-weight difference f that contributes to one trace is the same mod 4."""
+    code = codes.five_qubit_code()
+    u0 = ch.su2_from_euler(0.3, 0.7, 1.1)
+    return codes.CodeSpec(2, 5, np.kron(u0, np.eye(16)) @ code.encoder, code.name, code.distance)
 
 
 def spin1_wigner(u):

@@ -6,6 +6,8 @@ import pytest
 from covqec import channels as ch
 from covqec import codes
 
+from conftest import rotated_five_qubit_code
+
 
 def apply(chan, rho):
     return sum(k @ rho @ k.conj().T for k in chan.kraus)
@@ -274,6 +276,29 @@ def test_code_error_three_erasures_vs_scan_oracle():
     assert err >= scan - 1e-6
     # three erased qubits leak real information: the error is macroscopic
     assert err > 0.1
+
+
+# the Bell basis (sigma (x) I)|Phi+> in the Choi ordering out (x) in: vec(sigma)/sqrt(2)
+_PAULIS = np.array([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], np.diag([1, -1])])
+_BELL = _PAULIS.reshape(4, 4).T / np.sqrt(2)
+
+
+@pytest.mark.parametrize("make", [codes.five_qubit_code, rotated_five_qubit_code,
+                                  lambda: codes.trivial_code(2)],
+                         ids=["five_qubit", "rotated", "trivial"])
+def test_corrected_channel_is_pauli_and_code_error_is_one_minus_p_identity(make):
+    # on every pattern of at most three erasures the corrected channel is a
+    # Pauli channel (Bell-diagonal Choi), so Phi+ is a worst input and its
+    # diamond error is 1 - p_I: a closed-form oracle for the SDP, whose
+    # programs here have real data and run in real arithmetic
+    code = make()
+    for k in range(min(3, code.n_p) + 1):
+        for pattern in itertools.combinations(range(code.n_p), k):
+            bell = _BELL.conj().T @ codes.corrected_channel(code, pattern).choi().mat @ _BELL
+            off = bell - np.diag(np.diag(bell))
+            assert np.max(np.abs(off)) <= 1e-12, pattern
+            p_identity = bell[0, 0].real
+            assert codes.code_error(code, set(pattern)) == pytest.approx(1.0 - p_identity, abs=1e-8)
 
 
 def test_erase_qutrit():

@@ -17,7 +17,7 @@ from covqec import protocol as pr
 from covqec import refframe as rf
 from covqec import young
 
-from conftest import _density_su2
+from conftest import _density_su2, rotated_five_qubit_code
 
 IDENT = ch.identity_channel(2)
 # the outcome density of a Haar guess: identically one
@@ -314,17 +314,8 @@ def _phi_spectrum(code, pattern):
     return pr._phi_spectrum(code, [pattern], ch.haar_quadrature_su2(order))[0]
 
 
-def _rotated_five_qubit_code():
-    # a fixed non-Clifford rotation of qubit 0 breaks the code's Z-parity
-    # structure, under which every z-weight difference f that contributes
-    # to one trace is the same mod 4
-    code = codes.five_qubit_code()
-    u0 = ch.su2_from_euler(0.3, 0.7, 1.1)
-    return codes.CodeSpec(2, 5, np.kron(u0, np.eye(16)) @ code.encoder, code.name, code.distance)
-
-
 _CODES = {"five_qubit": codes.five_qubit_code, "trivial": lambda: codes.trivial_code(2),
-          "rotated": _rotated_five_qubit_code}
+          "rotated": rotated_five_qubit_code}
 # every erasure pattern of the five-qubit and trivial codes, and patterns
 # of the rotated code that keep its rotated qubit, at s = 5..1 survivors;
 # at even s the z-weight differences f and kappa are odd, so the alpha and
@@ -364,7 +355,7 @@ _CONVERGED = [("five_qubit", ()), ("five_qubit", (0,)), ("five_qubit", (0, 1, 2)
 @pytest.mark.parametrize("name,pattern", _CONVERGED, ids=[f"pattern{i}" for i in range(len(_CONVERGED))])
 def test_phi_spectrum_is_converged(name, pattern):
     # the rotated code breaks the five-qubit code's Z-parity structure (see
-    # _rotated_five_qubit_code); the trivial code runs at n_surv = 1 and 0
+    # rotated_five_qubit_code); the trivial code runs at n_surv = 1 and 0
     code = _CODES[name]()
     exact = _phi_spectrum(code, pattern)
     n_surv = code.n_p - len(pattern)
@@ -485,7 +476,7 @@ def test_inner_channel_follows_the_encoder():
     # a fixed non-Clifford rotation of qubit 0 changes the encoder but not
     # the CodeSpec's equality or hash, so no cache may key on the CodeSpec
     code = codes.five_qubit_code()
-    rotated = _rotated_five_qubit_code()
+    rotated = rotated_five_qubit_code()
     assert rotated == code and hash(rotated) == hash(code)
     spec = rf.weak_spec(2, 4)
     got = [pr.inner_channel(c, [spec], [(1,)])[0][0, 0] for c in (code, rotated, code)]

@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from covqec import channels as ch
+from covqec import codes
 from covqec import sdp
 
 from conftest import block_covariant_choi, block_unitary
@@ -477,7 +480,12 @@ def _random_kraus(rng, din, dout, n_kraus=3):
 def test_diamond_program_equals_dict_builder(din, dout):
     rng = np.random.default_rng(31 + 4 * din + dout)
     ca, cb = (_random_kraus(rng, din, dout).choi() for _ in range(2))
-    _assert_same_program(_dict_diamond_instance(ca, cb), sdp._diamond_program(ca, cb))
+    prog = sdp._diamond_program(ca, cb)
+    _assert_same_program(_dict_diamond_instance(ca, cb), prog)
+    # C and A3 are built once per (d_in, d_out) and shared read-only
+    again = sdp._diamond_program(cb, ca)
+    assert again.C is prog.C and again.A3 is prog.A3
+    assert not (prog.C.flags.writeable or prog.A3.flags.writeable)
 
 
 def test_fwc_program_equals_dict_builder():
@@ -531,6 +539,60 @@ def test_start_is_strictly_feasible_on_special_pairs():
     # rank-deficient Chois: rank one against ranks one, two and three
     for ca, cb in ((ident2, phase), (ident2, flip), (ident3, block), (n, n), (ident2, ident2)):
         _assert_strictly_feasible(sdp._fwc_program(ca, cb))
+
+
+# ---------------------------------------------------------------------------
+# real arithmetic for real data, against the complex path
+# ---------------------------------------------------------------------------
+
+def _phase_conjugated(choi):
+    """The Choi matrix of U_out N(U_in . U_in^dag) U_out^dag for diagonal
+    phase unitaries U_in, U_out: conjugating two channels alike keeps their
+    diamond distance, but their J is no longer real."""
+    w = np.kron(np.diag([1, np.exp(0.4j)]), np.diag([1, np.exp(0.7j)]).T)
+    return ch.ChoiMatrix(choi.dim_in, choi.dim_out, w @ choi.mat @ w.conj().T)
+
+
+def _assert_real_path_matches_complex(choi_a, choi_b):
+    real = sdp.solve(sdp._diamond_program(choi_a, choi_b))
+    cplx = sdp.solve(sdp._diamond_program(_phase_conjugated(choi_a), _phase_conjugated(choi_b)))
+    assert real.status == cplx.status == "optimal"
+    assert all(x.dtype == np.float64 for x in real.blocks.values())
+    assert all(x.dtype == np.complex128 for x in cplx.blocks.values())
+    # each value is twice the diamond error
+    assert abs(real.value - cplx.value) / 2 <= 1e-9
+
+
+def test_real_path_matches_complex_path_on_three_erasure_patterns():
+    code = codes.five_qubit_code()
+    ident = ch.identity_channel(2).choi()
+    for pattern in itertools.combinations(range(code.n_p), 3):
+        _assert_real_path_matches_complex(codes.corrected_channel(code, pattern).choi(), ident)
+
+
+def test_real_path_matches_complex_path_on_covariant_channels():
+    # the a-grid of test_diamond_of_covariant_channel_is_a
+    ident = ch.identity_channel(2).choi()
+    for a in (0.0, 1e-6, 1e-3, 0.2, 0.5, 0.75, 1.0):
+        _assert_real_path_matches_complex(ch.covariant_choi(ch.CovariantParams(2, a)), ident)
+
+
+def test_rows_that_constrain_im_x_keep_the_complex_path():
+    # real C, with an imaginary row of b_k != 0, or a row with both a real
+    # and an imaginary part: either constrains Im X, so neither may be
+    # dropped.  With X = (I + x sx + y sy + z sz)/2, Re X01 = x/2 and
+    # Im X01 = -y/2
+    sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    for c, row, rhs, want in ((sz, _pick(2, 0, 1, imag=True), 0.3, -0.8),  # y = -0.6, min z
+                              (sx, _pick(2, 0, 1) + _pick(2, 0, 1, imag=True), 0.0, -0.5 ** 0.5)):  # x = y, min x
+        inst = sdp.SdpInstance()
+        inst.add_block("X", 2)
+        inst.set_objective({"X": c})
+        inst.add_equality({"X": np.eye(2)}, 1.0)
+        inst.add_equality({"X": row}, rhs)
+        res = sdp.solve(inst)
+        assert res.status == "optimal" and res.blocks["X"].dtype == np.complex128
+        assert res.value == pytest.approx(want, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
