@@ -31,9 +31,11 @@ cap on s_r.
 
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
-completion: it draws every shot's rotation, erasure pattern and
-measurement outcome in bulk, then scores the shots of each physical
-erasure pattern together on their explicit Kraus operators.
+completion: it draws every shot's erasure pattern and relative rotation
+U' in bulk, then scores the shots of each physical erasure pattern
+together on their explicit Kraus operators.  The encoding rotation U and
+a transversal gate V drop out of that score, as (V U)^dag U^ = U'^dag
+for the outcome U^ = V U U'^dag (`_score_shots`), so neither is drawn.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .channels import (
     _small_matmul,
     covariant_choi,
     haar_quadrature_su2,
-    haar_su2,
     identity_channel,
     su2_from_euler,
 )
@@ -169,6 +170,16 @@ def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
 
 # the outcome density of a Haar guess: identically one
 _HAAR_GUESS = rf.RefFrameSpec(2, 0, {(): 1.0})
+
+
+def _frame(config: ProtocolConfig, k: int) -> rf.RefFrameSpec:
+    """The frame measured with k surviving copies: a Haar guess at k = 0,
+    else the weak model's per-copy spec or the Schur-Weyl spec of k pairs."""
+    if k == 0:
+        return _HAAR_GUESS
+    if config.model == "weak":
+        return rf.weak_spec(config.d, config.m)
+    return rf.strong_combined_spec(config.d, k)
 
 
 def _spectrum_order(n_surv: int) -> int:
@@ -390,9 +401,8 @@ def _finish_report(config, terms) -> EffectiveChannelReport:
 
 
 def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
-    spec = rf.weak_spec(config.d, config.m)
     classes = list(_weak_terms(config))
-    a, _ = inner_channel(config.code, [spec], [phys for _, _, phys in classes])
+    a, _ = inner_channel(config.code, [_frame(config, 1)], [phys for _, _, phys in classes])
     terms = [PatternTerm(label, prob, CovariantParams(config.d, float(a_j)))
              for (label, prob, _), a_j in zip(classes, a[0])]
     return _finish_report(config, terms)
@@ -412,18 +422,17 @@ def _survivor_law(s_r: int, p_copy: float) -> list[float]:
 def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
     """Every reference-copy loss and physical erasure, collapsed by
     sufficient statistics: a pattern's inner channel depends only on its
-    surviving-copy count k, which fixes the reference frame (the Schur-Weyl
-    spec of k pairs, a Haar guess at k = 0), and on its physical part,
-    which fixes the spectrum.  One `inner_channel` call evaluates the
-    s_r + 1 frames against the 2^n_p physical patterns, so any s_r runs;
-    five-qubit s_r = 256 (n = 517) takes ~0.3 s on one core, ~80% of it
-    building the frames' exact Schur-Weyl specs."""
+    surviving-copy count k, which fixes the reference frame (`_frame`),
+    and on its physical part, which fixes the spectrum.  One
+    `inner_channel` call evaluates the s_r + 1 frames against the 2^n_p
+    physical patterns, so any s_r runs; five-qubit s_r = 256 (n = 517)
+    takes ~0.3 s on one core, ~80% of it building the frames' exact
+    Schur-Weyl specs."""
     p_e = config.p_e
     code = config.code
     n_p = code.n_p
     phys_list = [frozenset(s) for k in range(n_p + 1) for s in itertools.combinations(range(n_p), k)]
-    specs = [_HAAR_GUESS] + [rf.strong_combined_spec(config.d, k) for k in range(1, config.s_r + 1)]
-    a, _ = inner_channel(code, specs, phys_list)
+    a, _ = inner_channel(code, [_frame(config, k) for k in range(config.s_r + 1)], phys_list)
     # a copy survives iff neither of its two qudits is erased
     p_k = _survivor_law(config.s_r, (1 - p_e) ** 2)
     p_phys = [p_e ** len(s) * (1 - p_e) ** (n_p - len(s)) for s in phys_list]
@@ -483,23 +492,22 @@ def _sample_patterns(config: ProtocolConfig, rng, n_shots: int) -> tuple[np.ndar
 _SCORE_CHUNK_ENTRIES = 2**16
 
 
-def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
-    """F_ent = sum_K |Tr(V^dag K)|^2 / d^2 of each shot's recovered channel.
+def _score_shots(code: CodeSpec, phys, u_rels) -> np.ndarray:
+    """F_ent = sum_{r,b} |Tr(U'^dag R_r U'^{(x) s} M_b)|^2 / d^2 of each shot.
 
-    A shot erases the physical qudits in bitmask `phys`, and its explicit
-    Kraus operators are K = U^ R_r U'^{(x) s} M_b U^dag with U^ = V U U'^dag.
+    A shot erases the physical qudits in bitmask `phys` and measures U'.
+    Its explicit Kraus operators K = U^ R_r U'^{(x) s} M_b U^dag, with
+    U^ = V U U'^dag, score Tr(V^dag K) against V, which is the trace above
+    for any encoding rotation U and gate V, as (V U)^dag U^ = U'^dag.
     Per-shot operands are held with the shot axis last (`_small_matmul`).
     Shots are scored per physical pattern, in chunks: W_b = U'^{(x) s} M_b
-    one tensor leg at a time (`_kron_power_apply`), G_b = W_b U^dag V^dag U^,
-    and Tr(V^dag K) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of the
+    one tensor leg at a time (`_kron_power_apply`), G_b = W_b U'^dag, and
+    Tr(U'^dag R_r W_b) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of the
     flattened R stack against every shot's G.
     """
     d = code.d
-    us_t, rels_t, v_t = (x.transpose(1, 2, 0) for x in (us, u_rels, v[None]))
-    vu = _small_matmul(v_t, us_t)
-    u_hats = _small_matmul(vu, rels_t.conj().transpose(1, 0, 2))
-    backs = _small_matmul(vu.conj().transpose(1, 0, 2), u_hats)
-    out = np.empty(len(us))
+    rels_t = u_rels.transpose(1, 2, 0)
+    out = np.empty(len(u_rels))
     # np.bincount, not np.unique: np.unique's first call imports modules
     # that add ~1.3 MB to the process's peak RSS
     for mask in np.flatnonzero(np.bincount(phys)):
@@ -513,56 +521,38 @@ def _score_shots(code: CodeSpec, v, us, phys, u_rels) -> np.ndarray:
         chunk = max(1, _SCORE_CHUNK_ENTRIES // (2 * m_cat.size + n_b * len(r_flat)))
         for start in range(0, len(idx), chunk):
             sel = idx[start:start + chunk]
-            w = _kron_power_apply(rels_t[:, :, sel], code.n_p - len(erased), m_cat)
-            g = _small_matmul(backs[:, :, sel].transpose(1, 0, 2), w.reshape(dim_s, d, n_b, len(sel)))
+            u_sel = rels_t[:, :, sel]
+            w = _kron_power_apply(u_sel, code.n_p - len(erased), m_cat)
+            # U'^dag transposed is U'^*
+            g = _small_matmul(u_sel.conj(), w.reshape(dim_s, d, n_b, len(sel)))
             traces = r_flat @ g.reshape(dim_s * d, n_b * len(sel))  # [r, (b, shot)]
             out[sel] = np.sum(np.abs(traces.reshape(-1, len(sel))) ** 2, axis=0) / d**2
     return out
 
 
-def monte_carlo_epsilon(config: ProtocolConfig,
-                        logical_gate: np.ndarray | None = None) -> tuple[float, float]:
+def monte_carlo_epsilon(config: ProtocolConfig) -> tuple[float, float]:
     """Operational estimate of 1 - F_ent of the effective channel.
 
-    Each shot draws the encoding rotation U, an erasure pattern and a
-    measurement outcome U^; the recovered logical channel has the explicit
-    Kraus operators K = U^ R U'_surv M U^dag, and the shot scores
-    F_ent = sum_K |Tr(V^dag K)|^2 / d^2 against the target gate V.  With
-    `logical_gate` V the shot implements the covariant version of V (V
-    applied transversally, V_L as the target); by covariance the estimate
-    must match the V-free run.  The survivor counts and U' always come
-    from the configured erasure model and reference frame; strong s_r = 0
-    makes every shot a Haar guess.
-
-    Shots are drawn in bulk: every U in one Haar batch, every erasure
-    pattern in one vectorized draw, and the relative rotations U' by one
-    inverse-CDF sampling call per surviving-copy count (a Haar guess when
-    no copy survives).  They are then scored per physical-pattern group
-    (`_score_shots`).  The default 20,000 shots of `covqec simulate --mc`
-    (five-qubit code, one BLAS thread) take ~0.075 s (strong, s_r = 6, p_e =
-    0.2) and ~0.09 s (weak, m = 12), 3/4 of it scoring; weak sampling ~0.02 s.
+    Each shot draws an erasure pattern from the configured erasure model
+    and the relative rotation U' measured by its surviving copies
+    (`_frame`; strong s_r = 0 makes every shot a Haar guess), and scores
+    its recovered channel on explicit Kraus operators (`_score_shots`),
+    which read U' alone: no encoding rotation or gate is drawn.  Shots are
+    drawn in bulk, U' by one inverse-CDF sampling call per surviving-copy
+    count, and scored per physical-pattern group.  The default 20,000
+    shots of `covqec simulate --mc` (five-qubit code, one BLAS thread) take
+    ~0.11 s (strong, s_r = 6, p_e = 0.2) and ~0.125 s (weak, m = 12) on one
+    core of a 2-core x86-64 VM (best of 15; the host's speed drifts by up
+    to ~1.5x), 3/4 of it scoring.
     """
     rng = np.random.default_rng(config.seed)
-    code = config.code
-    d = config.d
     n_shots = config.mc_samples
-    v = np.eye(d, dtype=complex) if logical_gate is None else np.asarray(logical_gate, complex)
-    us = haar_su2(rng, n_shots)
     phys, survivors = _sample_patterns(config, rng, n_shots)
-    u_rels = np.empty((n_shots, d, d), dtype=complex)
-    if config.model == "weak":
-        per_copy_spec = rf.weak_spec(d, config.m)
-    for s in np.flatnonzero(np.bincount(survivors)):
-        idx = np.flatnonzero(survivors == s)
-        if s == 0:
-            # Haar guess: U^ Haar-random, so the leftover U'^dag = U^dag V U
-            # is Haar as well
-            u_rels[idx] = haar_su2(rng, len(idx))
-        else:
-            # every weak-model survivor count measures the per-copy spec
-            spec = per_copy_spec if config.model == "weak" else rf.strong_combined_spec(d, int(s))
-            u_rels[idx] = rf.sample_relative_rotations(spec, len(idx), rng)
-    fidelities = _score_shots(code, v, us, phys, u_rels)
+    u_rels = np.empty((n_shots, config.d, config.d), dtype=complex)
+    for k in np.flatnonzero(np.bincount(survivors)):
+        idx = np.flatnonzero(survivors == k)
+        u_rels[idx] = rf.sample_relative_rotations(_frame(config, int(k)), len(idx), rng)
+    fidelities = _score_shots(config.code, phys, u_rels)
     est = float(1.0 - fidelities.mean())
     stderr = float(fidelities.std(ddof=1) / np.sqrt(n_shots))
     return est, stderr

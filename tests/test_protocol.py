@@ -600,9 +600,10 @@ def _choi_to_kraus(choi):
 # ---------------------------------------------------------------------------
 
 def _shot_oracle(code, v, u, erased, u_rel):
-    """One shot scored the way the former per-shot loop did: the explicit
-    Kraus K = U^ R_r U'^{(x) s} M_b U^dag with U^ = V U U'^dag, and
-    sum_K |Tr(V^dag K)|^2 / d^2.  U'^{(x) s} comes from np.kron."""
+    """One shot of the protocol with encoding rotation U and transversal gate
+    V, scored on its explicit Kraus operators K = U^ R_r U'^{(x) s} M_b U^dag
+    with U^ = V U U'^dag as sum_K |Tr(V^dag K)|^2 / d^2.  U'^{(x) s} comes
+    from np.kron."""
     r_ops = np.stack(codes.recovery_on_survivors(code, erased))
     m_ops = np.stack(codes.erased_restriction_kraus(code, erased))
     u_hat = (v @ u) @ u_rel.conj().T
@@ -614,27 +615,60 @@ def _shot_oracle(code, v, u, erased, u_rel):
 
 @pytest.mark.parametrize("gated", [False, True])
 def test_score_shots_matches_per_shot_oracle(gated):
-    # every five-qubit pattern of size <= 3, three fixed shots each, scored
-    # in one batch (shots of a pattern are not adjacent)
-    code = codes.five_qubit_code()
+    # the twirl identity per shot: scored on U' alone, each shot equals the
+    # explicit Kraus score with a Haar encoding rotation U, and with V = I or
+    # a Haar gate V, as (V U)^dag U^ = U'^dag.  Every five-qubit pattern of
+    # size <= 3 and every trivial-code pattern, three shots each, scored in
+    # one batch (shots of a pattern are not adjacent)
     rng = np.random.default_rng(41)
-    patterns = [p for k in range(4) for p in itertools.combinations(range(5), k)] * 3
-    phys = np.array([sum(1 << i for i in p) for p in patterns])
-    us = ch.haar_su2(rng, len(patterns))
-    u_rels = ch.haar_su2(rng, len(patterns))
-    v = ch.haar_su2(rng, 1)[0] if gated else np.eye(2, dtype=complex)
-    got = pr._score_shots(code, v, us, phys, u_rels)
-    for f, p, u, u_rel in zip(got, patterns, us, u_rels):
-        assert f == pytest.approx(_shot_oracle(code, v, u, list(p), u_rel), abs=1e-12)
+    for code in (codes.five_qubit_code(), codes.trivial_code(2)):
+        patterns = [p for k in range(min(4, code.n_p + 1))
+                    for p in itertools.combinations(range(code.n_p), k)] * 3
+        phys = np.array([sum(1 << i for i in p) for p in patterns])
+        us = ch.haar_su2(rng, len(patterns))
+        u_rels = ch.haar_su2(rng, len(patterns))
+        vs = (ch.haar_su2(rng, len(patterns)) if gated
+              else np.broadcast_to(np.eye(2, dtype=complex), us.shape))
+        got = pr._score_shots(code, phys, u_rels)
+        for f, p, u, u_rel, v in zip(got, patterns, us, u_rels, vs):
+            assert f == pytest.approx(_shot_oracle(code, v, u, list(p), u_rel), abs=1e-12)
 
 
-def _kron_score_shots(code, v, us, phys, u_rels):
+def _gated_score_shots(v, rng):
+    """A `_score_shots` stand-in for the covariant version of the gate V:
+    each shot draws its own Haar encoding rotation U from `rng` and is scored
+    on its explicit Kraus operators K = U^ R_r U'^{(x) s} M_b U^dag, with
+    U^ = V U U'^dag, against V."""
+    def score(code, phys, u_rels):
+        us = ch.haar_su2(rng, len(u_rels))
+        u_hats = v @ us @ u_rels.conj().transpose(0, 2, 1)
+        out = np.empty(len(u_rels))
+        for mask in np.flatnonzero(np.bincount(phys)):
+            erased = [i for i in range(code.n_p) if mask >> i & 1]
+            r_ops = np.stack(codes.recovery_on_survivors(code, erased))
+            m_ops = np.stack(codes.erased_restriction_kraus(code, erased))
+            n_b, dim_s = m_ops.shape[:2]
+            m_cat = m_ops.transpose(1, 0, 2).reshape(dim_s, n_b * code.d)
+            idx = np.flatnonzero(phys == mask)
+            for start in range(0, len(idx), 256):
+                sel = idx[start:start + 256]
+                mid = pr._kron_power_batch(u_rels[sel], code.n_p - len(erased)) @ m_cat
+                mid = mid.reshape(len(sel), dim_s, n_b, code.d)   # U'^{(x) s} M_b
+                rw = np.tensordot(r_ops, mid, axes=([2], [1]))   # [r, x, shot, b, y]
+                kraus = np.einsum("nwx,rxnbz,nyz->nrbwy", u_hats[sel], rw, us[sel].conj(),
+                                  optimize=True)
+                traces = np.einsum("xy,nrbxy->nrb", v.conj(), kraus)
+                out[sel] = np.sum(np.abs(traces.reshape(len(sel), -1)) ** 2, axis=1) / code.d**2
+        return out
+    return score
+
+
+def _kron_score_shots(code, phys, u_rels):
     """_score_shots with np.matmul on shot-first stacks: every shot's
     U'^{(x) s} formed by _kron_power_batch, then one matmul per shot."""
     d = code.d
-    u_hats = v @ us @ u_rels.conj().transpose(0, 2, 1)
-    backs = us.conj().transpose(0, 2, 1) @ v.conj().T @ u_hats
-    out = np.empty(len(us))
+    backs = u_rels.conj().transpose(0, 2, 1)
+    out = np.empty(len(u_rels))
     for mask in np.flatnonzero(np.bincount(phys)):
         erased = [i for i in range(code.n_p) if mask >> i & 1]
         m_ops = codes.erased_restriction_kraus(code, erased)
@@ -673,12 +707,11 @@ def test_score_shots_chunking(monkeypatch):
     rng = np.random.default_rng(43)
     patterns = [p for k in range(4) for p in itertools.combinations(range(5), k)] * 12
     phys = np.array([sum(1 << i for i in p) for p in patterns])
-    us, u_rels = ch.haar_su2(rng, len(patterns)), ch.haar_su2(rng, len(patterns))
-    v = ch.haar_su2(rng, 1)[0]
+    u_rels = ch.haar_su2(rng, len(patterns))
     monkeypatch.setattr(pr, "_SCORE_CHUNK_ENTRIES", 2**40)
-    whole = pr._score_shots(code, v, us, phys, u_rels)
+    whole = pr._score_shots(code, phys, u_rels)
     monkeypatch.setattr(pr, "_SCORE_CHUNK_ENTRIES", 2**9)
-    chunked = pr._score_shots(code, v, us, phys, u_rels)
+    chunked = pr._score_shots(code, phys, u_rels)
     assert np.max(np.abs(chunked - whole)) <= 1e-14
 
 
@@ -800,15 +833,19 @@ def test_mc_with_no_reference_copies(code):
     assert abs(est - rep.mixture.a) < 5 * err + 1e-12, "5 sigma divergence flags a fault"
 
 
-def test_mc_covariant_gate_insertion():
+def test_mc_covariant_gate_insertion(monkeypatch):
+    # the covariant version of a Haar gate V (V applied transversally, V_L
+    # the target, a Haar encoding rotation U per shot) on the same shots:
+    # by covariance the estimate matches the V-free run, and as
+    # (V U)^dag U^ = U'^dag the scores do not see V or U at all
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
                             mc_samples=25000, seed=29)
     base, err_b = pr.monte_carlo_epsilon(cfg)
     v = ch.haar_su2(np.random.default_rng(5), 1)[0]
-    gated, err_g = pr.monte_carlo_epsilon(cfg, logical_gate=v)
+    monkeypatch.setattr(pr, "_score_shots", _gated_score_shots(v, np.random.default_rng(6)))
+    gated, err_g = pr.monte_carlo_epsilon(cfg)
     assert abs(base - gated) < 3 * np.hypot(err_b, err_g)
-    # U^dag V^dag U^ = U'^dag with U^ = V U U'^dag: the scores do not see V
     assert abs(base - gated) < 1e-12
 
 
@@ -989,14 +1026,11 @@ def test_perfect_code_perfect_reference_floor():
 
 
 def test_mc_perfect_reference_limit():
-    # U' = I: every shot of a correctable pattern recovers its logical gate
-    # exactly, whatever U and V, so the Monte Carlo scoring gives F = 1
+    # U' = I: every shot of a correctable pattern recovers its logical state
+    # exactly, so the Monte Carlo scoring gives F = 1
     code = codes.five_qubit_code()
-    rng = np.random.default_rng(2)
     patterns = [p for k in range(3) for p in itertools.combinations(range(5), k)]
     phys = np.array([sum(1 << i for i in p) for p in patterns] * 4)
-    us = ch.haar_su2(rng, len(phys))
-    u_rels = np.broadcast_to(np.eye(2, dtype=complex), us.shape)
-    for v in (np.eye(2, dtype=complex), ch.haar_su2(rng, 1)[0]):
-        got = pr._score_shots(code, v, us, phys, u_rels)
-        assert np.max(np.abs(got - 1.0)) < 1e-12
+    u_rels = np.broadcast_to(np.eye(2, dtype=complex), (len(phys), 2, 2))
+    got = pr._score_shots(code, phys, u_rels)
+    assert np.max(np.abs(got - 1.0)) < 1e-12

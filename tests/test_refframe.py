@@ -202,6 +202,38 @@ def test_class_coefficients_reconstruct_the_density(name):
     assert np.max(np.abs(rec - dens)) < 1e-12 * dens.max()
 
 
+def _small_angle_gaps(specs, scales, limit):
+    """limit - r_j * scale / (j (j + 1)) for j = 1, 2, 3 (rows: specs), with
+    r_j = 1 - C_{2j} / ((2j + 1) C_0).  As chi_{2j}(theta) / (2j + 1) ~
+    1 - j (j + 1) theta^2 / 6, r_j * scale / (j (j + 1)) tends to
+    scale * <theta^2> / 6."""
+    j = np.arange(1, 4)
+    gaps = []
+    for spec, scale in zip(specs, scales):
+        c = rf.class_coefficients(spec, 6)
+        gaps.append(limit - (1 - c[2 * j] / ((2 * j + 1) * c[0])) * scale / (j * (j + 1)))
+    return np.array(gaps)
+
+
+@pytest.mark.parametrize("model", ["weak", "strong"])
+def test_class_coefficients_small_angle_constants(model):
+    # the frames' leading constants: <theta^2> = pi^2 / (M + 1)^2 for the
+    # sine-squared weak frame (m = 385, 1537, 6145: M = 128, 512, 2048) and
+    # 3 / s for the Schur-Weyl frame of s pairs, each approached from below
+    # with an O(1/M) or O(1/s) gap, so 4x the scale cuts the gap ~4x
+    if model == "weak":
+        specs = [rf.weak_spec(2, 3 * big_m + 1) for big_m in (128, 512, 2048)]
+        gaps = _small_angle_gaps(specs, [129**2, 513**2, 2049**2], pi**2 / 6)
+    else:
+        s_vals = [64, 256, 1024]
+        gaps = _small_angle_gaps([rf.strong_combined_spec(2, s) for s in s_vals], s_vals, 0.5)
+    assert np.all(gaps > 0)
+    ratios = gaps[1:] / gaps[:-1]
+    assert np.all((0.24 <= ratios) & (ratios <= 0.27))  # measured 0.247-0.260
+    # measured 8.0e-4 to 1.5e-3 (weak, M = 2048) and 3.7e-4 to 1.6e-3 (strong, s = 1024)
+    assert np.all(gaps[-1] < 2e-3)
+
+
 def test_gaps_match_padded_rows():
     for spec in (FLAT, rf.strong_combined_spec(2, 5), rf.weak_spec(2, 22)):
         rows = [young.pad(lam, 2) for lam in spec.support()]
