@@ -288,14 +288,15 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kron_power_apply(us: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
-    """U^{(x) k} @ m for each U of a (d, d, n) stack and one (d^k, c) matrix
-    m, as a (d^k, c, n) stack, without forming U^{(x) k}: U acts on one
-    tensor leg of m's rows at a time, the legs ordered as in np.kron."""
+    """U^{(x) k} @ M for each U of a (d, d, n) stack and its (d^k, c) matrix
+    M of a (d^k, c, n) stack, as a (d^k, c, n) stack, without forming
+    U^{(x) k}: U acts on one tensor leg of M's rows at a time, the legs
+    ordered as in np.kron."""
     d, n = us.shape[0], us.shape[-1]
-    x = np.broadcast_to(m[..., None], m.shape + (n,))
+    x = m
     for leg in range(k):
         x = _small_matmul(us, x.reshape(d**leg, d, -1, n))
-    return x.reshape(m.shape + (n,))
+    return x.reshape(m.shape)
 
 
 @dataclass

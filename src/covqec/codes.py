@@ -110,6 +110,12 @@ def erased_restriction_kraus(code: CodeSpec, pattern) -> np.ndarray:
     return np.array(np.transpose(v, perm).reshape(d ** len(erased), d ** len(survivors), d))
 
 
+# recovery parts by (d, n_p, encoder dtype and bytes, erased set), oldest
+# first; the parts depend on nothing else
+_RECOVERY: dict = {}
+_RECOVERY_CAP = 256
+
+
 def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     """Data Kraus stack of the survivor-space recovery, and an orthonormal
     basis (columns) of the survivor space off their support.
@@ -118,7 +124,19 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     the maximally mixed logical input, R_b = M_b^dag rho_out^{-1/2}/sqrt(d)
     on the support of rho_out; the recovery is completed off the support by
     dumping to the maximally mixed logical state (see recovery_on_survivors).
+
+    The parts are memoized per process, so the exact channel's spectra,
+    the Monte Carlo scorer and `corrected_channel` share one
+    eigendecomposition per pattern: keyed on the encoder's bytes (a
+    CodeSpec compares and hashes equal whatever its encoder), in a module
+    memo of at most `_RECOVERY_CAP` entries that drops its oldest entry
+    first.  The arrays returned are read-only and shared between callers.
     """
+    key = (code.d, code.n_p, code.encoder.dtype.str, code.encoder.tobytes(),
+           frozenset(int(i) for i in pattern))
+    parts = _RECOVERY.get(key)
+    if parts is not None:
+        return parts
     d = code.d
     ms = erased_restriction_kraus(code, pattern)
     ms_dag = ms.conj().transpose(0, 2, 1)
@@ -126,7 +144,13 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     w, u = np.linalg.eigh(rho_out)
     keep = w > 1e-12
     inv_half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
-    return (ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep]
+    parts = ((ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep])
+    for a in parts:
+        a.setflags(write=False)
+    if len(_RECOVERY) >= _RECOVERY_CAP:
+        del _RECOVERY[next(iter(_RECOVERY))]
+    _RECOVERY[key] = parts
+    return parts
 
 
 def recovery_on_survivors(code: CodeSpec, pattern) -> np.ndarray:

@@ -32,8 +32,9 @@ cap on s_r.
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
 completion: it draws every shot's erasure pattern and relative rotation
-U' in bulk, then scores the shots of each physical erasure pattern
-together on their explicit Kraus operators.  The encoding rotation U and
+U' in bulk, then scores the shots of each erased-set size together on
+their explicit Kraus operators, with the recoveries that
+`codes.recovery_parts` memoized for the exact channel.  The encoding rotation U and
 a transversal gate V drop out of that score, as (V U)^dag U^ = U'^dag
 for the outcome U^ = V U U'^dag (`_score_shots`), so neither is drawn.
 """
@@ -499,34 +500,52 @@ def _score_shots(code: CodeSpec, phys, u_rels) -> np.ndarray:
     Its explicit Kraus operators K = U^ R_r U'^{(x) s} M_b U^dag, with
     U^ = V U U'^dag, score Tr(V^dag K) against V, which is the trace above
     for any encoding rotation U and gate V, as (V U)^dag U^ = U'^dag.
-    Per-shot operands are held with the shot axis last (`_small_matmul`).
-    Shots are scored per physical pattern, in chunks: W_b = U'^{(x) s} M_b
-    one tensor leg at a time (`_kron_power_apply`), G_b = W_b U'^dag, and
-    Tr(U'^dag R_r W_b) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of the
-    flattened R stack against every shot's G.
+
+    Per-shot operands are held with the shot axis last (`_small_matmul`),
+    C-contiguous.  The patterns of one erased-set size share the operand
+    shapes, so their shots are scored together, in chunks ordered by
+    pattern: each shot's U' and its pattern's M columns [s, (y, b)] are
+    gathered into stacks (a chunk of one pattern broadcasts its M),
+    W_b = U'^{(x) s} M_b is applied one tensor leg at a time for the whole
+    chunk (`_kron_power_apply`), G_b = W_b U'^dag, and Tr(U'^dag R_r W_b) =
+    sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of each pattern's flattened
+    R stack against its shots' G.  The recoveries come from
+    `recovery_on_survivors`, whose parts `recovery_parts` memoizes.
     """
     d = code.d
-    rels_t = u_rels.transpose(1, 2, 0)
+    rels_t = np.ascontiguousarray(u_rels.transpose(1, 2, 0))  # np.take copies a strided source whole
     out = np.empty(len(u_rels))
     # np.bincount, not np.unique: np.unique's first call imports modules
     # that add ~1.3 MB to the process's peak RSS
-    for mask in np.flatnonzero(np.bincount(phys)):
-        erased = [i for i in range(code.n_p) if mask >> i & 1]
-        m_ops = erased_restriction_kraus(code, erased)
+    counts = np.bincount(phys)
+    groups: dict = {}
+    for mask in np.flatnonzero(counts):
+        groups.setdefault(int(mask).bit_count(), []).append(mask)
+    for size, group in sorted(groups.items()):
+        erased_sets = [[i for i in range(code.n_p) if mask >> i & 1] for mask in group]
+        m_ops = np.stack([erased_restriction_kraus(code, e) for e in erased_sets], axis=-1)
         n_b, dim_s = m_ops.shape[:2]
-        r_ops = recovery_on_survivors(code, erased)
-        r_flat = r_ops.transpose(0, 2, 1).reshape(len(r_ops), dim_s * d)  # [r, (s, x)]
-        m_cat = m_ops.transpose(1, 2, 0).reshape(dim_s, d * n_b)          # [s, (y, b)]
-        idx = np.flatnonzero(phys == mask)
-        chunk = max(1, _SCORE_CHUNK_ENTRIES // (2 * m_cat.size + n_b * len(r_flat)))
+        m_cat = m_ops.transpose(1, 2, 0, 3).reshape(dim_s, d * n_b, len(group))  # [s, (y, b), pattern]
+        r_flats = [r.transpose(0, 2, 1).reshape(len(r), dim_s * d)           # [r, (s, x)]
+                   for r in (recovery_on_survivors(code, e) for e in erased_sets)]
+        idx = np.concatenate([np.flatnonzero(phys == mask) for mask in group])
+        pattern = np.repeat(np.arange(len(group)), counts[group])
+        n_r = max(len(r) for r in r_flats)
+        chunk = max(1, _SCORE_CHUNK_ENTRIES // (3 * dim_s * d * n_b + n_b * n_r))
         for start in range(0, len(idx), chunk):
-            sel = idx[start:start + chunk]
-            u_sel = rels_t[:, :, sel]
-            w = _kron_power_apply(u_sel, code.n_p - len(erased), m_cat)
+            sel, pat = idx[start:start + chunk], pattern[start:start + chunk]
+            u_sel = np.take(rels_t, sel, axis=2)
+            # a chunk of one pattern broadcasts its M instead of gathering it
+            m_sel = (np.take(m_cat, pat, axis=2) if pat[0] != pat[-1]
+                     else np.broadcast_to(m_cat[..., pat[:1]], (dim_s, d * n_b, len(sel))))
+            w = _kron_power_apply(u_sel, code.n_p - size, m_sel)
             # U'^dag transposed is U'^*
             g = _small_matmul(u_sel.conj(), w.reshape(dim_s, d, n_b, len(sel)))
-            traces = r_flat @ g.reshape(dim_s * d, n_b * len(sel))  # [r, (b, shot)]
-            out[sel] = np.sum(np.abs(traces.reshape(-1, len(sel))) ** 2, axis=0) / d**2
+            g = g.reshape(dim_s * d, n_b, len(sel))
+            edges = np.searchsorted(pat, np.arange(pat[0], pat[-1] + 2))
+            for j, lo, hi in zip(range(pat[0], pat[-1] + 1), edges[:-1], edges[1:]):
+                traces = r_flats[j] @ g[..., lo:hi].reshape(dim_s * d, -1)  # [r, (b, shot)]
+                out[sel[lo:hi]] = np.sum(np.abs(traces.reshape(-1, hi - lo)) ** 2, axis=0) / d**2
     return out
 
 
@@ -539,11 +558,11 @@ def monte_carlo_epsilon(config: ProtocolConfig) -> tuple[float, float]:
     its recovered channel on explicit Kraus operators (`_score_shots`),
     which read U' alone: no encoding rotation or gate is drawn.  Shots are
     drawn in bulk, U' by one inverse-CDF sampling call per surviving-copy
-    count, and scored per physical-pattern group.  The default 20,000
-    shots of `covqec simulate --mc` (five-qubit code, one BLAS thread) take
-    ~0.11 s (strong, s_r = 6, p_e = 0.2) and ~0.125 s (weak, m = 12) on one
-    core of a 2-core x86-64 VM (best of 15; the host's speed drifts by up
-    to ~1.5x), 3/4 of it scoring.
+    count, and scored per erased-set size.  The default 20,000 shots of
+    `covqec simulate --mc` (five-qubit code, one BLAS thread, after the
+    exact channel) take ~0.07 s (strong, s_r = 6, p_e = 0.2) and ~0.085 s
+    (weak, m = 12) on one core of a 2-core x86-64 VM (best of 15; the
+    host's speed drifts by up to ~1.5x), about 2/3 of it scoring.
     """
     rng = np.random.default_rng(config.seed)
     n_shots = config.mc_samples

@@ -11,8 +11,11 @@ rotation U is
     p(U) = | sum_lam sqrt(q_lam) chi_lam(U) |^2 ,
 
 a conjugation-invariant probability density with respect to Haar measure.
-At d = 2 its exact class coefficients C_g = int p chi_g feed both the
-effective channel and the outcome sampler's inverse CDF of the angle.
+At d = 2 its exact class coefficients C_g = int p chi_g feed the
+effective channel.  The outcome sampler inverts the CDF of the rotation
+angle from the same series, w_k = C_k - C_{k-2}, which it builds from the
+amplitude lattice sqrt(q) by FFT (`_angle_series`); `class_coefficients`
+stays its oracle.
 
 Two families of weights are provided: the sine-squared product weights of
 the weak erasure model, supported on an explicit viable set of diagrams
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 from math import pi, sin, cos
 
 import numpy as np
-from numpy.fft import rfft
+from numpy.fft import irfft, rfft
 
 from . import young
 from .channels import haar_su2
@@ -184,40 +187,80 @@ def class_coefficients(spec: RefFrameSpec, g_max: int) -> np.ndarray:
     return np.array(out[:g_max + 1])
 
 
+def _angle_series(spec: RefFrameSpec) -> np.ndarray:
+    """w_0..w_{2 top} of pi rho(theta) = w_0 + sum_k w_k cos(k theta), the
+    density of the rotation half-angle (d = 2; top = max gap + 1).
+
+    With x_{g+1} = sqrt(q_g) over the support gaps g, pi rho =
+    2 |sum_j x_j sin(j theta)|^2, so w_0 = sum q and, for k >= 1, w_k is the
+    autocorrelation of x at lags +-k minus its self-convolution at k: one
+    rfft/irfft pair, long enough that the negative lags land past the
+    entries read.  In the class coefficients, w_k = C_k - C_{k-2}.  Odd k
+    vanish exactly, as a spec's gaps share one parity.
+    """
+    gaps = spec.gaps()
+    amps = np.sqrt([spec.weights[lam] for lam in spec.support()])
+    top = int(gaps.max()) + 1
+    xs = np.zeros(top + 1)
+    xs[gaps + 1] = amps
+    # lags down to 1 - top wrap to n_fft - top + 1 and up, past index 2 top
+    n_fft = 1 << (3 * top).bit_length()
+    xf = rfft(xs, n_fft)
+    w = irfft(2 * (xf.real**2 + xf.imag**2) - xf * xf, n_fft)[:2 * top + 1]
+    w[0] = amps @ amps  # the lag-0 term counts once
+    w[1::2] = 0.0
+    return w
+
+
 def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random.Generator) -> np.ndarray:
     """Draw U' ~ p(U'|I) for d = 2 as V diag(e^{i theta}, e^{-i theta}) V^dag,
     V Haar, with theta in [0, pi] drawn by inverting its CDF
 
-        F = (1/pi) sum_g C_g [S_g - S_{g+2}],  S_0 = theta, S_k = sin(k theta)/k,
+        pi F = w_0 theta + sum_k w_k sin(k theta) / k
 
-    from the class coefficients C_g.  Each uniform is bracketed in a table
-    of F on N = 16 len(C) cells, theta_t = pi t / N, whose sine sums are one
-    real FFT of length 2N: O(len(C) log len(C)) time and O(len(C)) memory.
-    Newton steps from the table's linear interpolation in the cell that stay
-    in the bracket (else bisections) bring F(theta) to it within roundoff,
-    in blocks of samples.  U' = cos(theta) I + i sin(theta) V sigma_z V^dag
-    is formed in closed form from V's first column.
+    from the density's cosine series w (`_angle_series`, one FFT pair).
+    F and its density are tabulated on N cells, theta_t = pi t / N with N
+    the power of two at or above 16 len(w), by one real FFT of length 2N
+    each: O(N log N) time and O(N) memory.  Each uniform is bracketed in
+    the table and started from one Newton step on its cell's cubic Hermite
+    interpolant of F, taken from the linear one; exact Newton steps that
+    stay in the bracket (else bisections) then bring F(theta) to it within
+    roundoff, in blocks of samples: one step and its check settle most
+    samples, and at large gaps many need no step.  U' = cos(theta) I +
+    i sin(theta) V sigma_z V^dag is formed in closed form from V's first
+    column.
     """
     if spec.d != 2:
         raise NotImplementedError("outcome sampling is implemented for d=2 only")
-    c = class_coefficients(spec, 2 * int(spec.gaps().max()))
-    w = np.pad(c, (0, 2)) - np.pad(c, (2, 0))  # pi F = w_0 theta + sum_k w_k S_k
+    w = _angle_series(spec)
     k = np.flatnonzero(w[1:]) + 1
 
     def cdf(theta):  # F and its derivative, the density of theta
         ph = np.outer(theta, k)
         return (w[0] * theta + np.sin(ph) @ (w[k] / k)) / pi, (w[0] + np.cos(ph) @ w[k]) / pi
 
-    target = rng.random(n_samples) * c[0]
-    n_cells = 16 * len(c)
+    target = rng.random(n_samples) * w[0]
+    n_cells = 1 << (16 * len(w) - 1).bit_length()
     grid = np.linspace(0.0, pi, n_cells + 1)
-    # sum_k (w_k / k) sin(pi k t / N) = -Im sum_k (w_k / k) e^{-2 pi i k t / 2N}
+    # sum_k (w_k / k) sin(pi k t / N) = -Im sum_k (w_k / k) e^{-2 pi i k t / 2N}, and
+    # pi rho(theta_t) = Re sum_k w_k e^{-2 pi i k t / 2N}
     sines = np.zeros(len(w))
     sines[k] = w[k] / k
     table = (w[0] * grid - rfft(sines, 2 * n_cells).imag) / pi
+    slopes = rfft(w, 2 * n_cells).real / n_cells  # rho h, h = pi / N
     cell = np.clip(np.searchsorted(table, target, side="right"), 1, n_cells)
     lo, hi = grid[cell - 1], grid[cell]
-    theta = np.clip(np.interp(target, table, grid), lo, hi)
+    u = (np.clip(np.interp(target, table, grid), lo, hi) - lo) * (n_cells / pi)
+    # H(u) = f0 + d0 u + c2 u^2 + c3 u^3 at theta = lo + u h: F and h rho at both ends
+    f0, d0, d1 = table[cell - 1], slopes[cell - 1], slopes[cell]
+    df = table[cell] - f0
+    c2, c3 = 3 * df - 2 * d0 - d1, d0 + d1 - 2 * df
+    r = f0 + u * (d0 + u * (c2 + u * c3)) - target
+    dh = d0 + u * (2 * c2 + 3 * u * c3)
+    newton = np.abs(r) < dh  # a step of less than one cell
+    step = u - r / np.where(newton, dh, 1.0)
+    u = np.where(newton & (0 <= step) & (step <= 1), step, u)
+    theta = np.clip(lo + u * (pi / n_cells), lo, hi)
     block = max(1, 2**18 // len(k))  # its (samples x frequencies) arrays hold 2^18 entries
     for start in range(0, n_samples, block):
         idx = np.arange(start, min(start + block, n_samples))

@@ -194,6 +194,54 @@ def test_recovery_parts_off_support_basis(pattern):
     assert np.allclose(support + off @ off.conj().T, np.eye(dim_s), atol=1e-10)
 
 
+def _fresh_recovery_parts(code, pattern, monkeypatch):
+    with monkeypatch.context() as m:
+        m.setattr(codes, "_RECOVERY", {})
+        return codes.recovery_parts(code, pattern)
+
+
+def test_recovery_parts_memo_is_read_only_and_bit_identical(monkeypatch):
+    # a hit returns the stored arrays, read-only, equal bit for bit to a
+    # computation on an empty memo
+    monkeypatch.setattr(codes, "_RECOVERY", {})
+    code = codes.five_qubit_code()
+    for pattern in [(), (0,), (1, 3), (0, 2, 4)]:
+        first = codes.recovery_parts(code, pattern)
+        again = codes.recovery_parts(codes.five_qubit_code(), tuple(reversed(pattern)))
+        assert all(a is b for a, b in zip(first, again))
+        for got, ref in zip(first, _fresh_recovery_parts(code, pattern, monkeypatch)):
+            assert not got.flags.writeable
+            assert np.array_equal(got, ref)
+        with pytest.raises(ValueError, match="read-only"):
+            first[0][...] = 0.0
+
+
+def test_recovery_parts_memo_keys_on_the_encoder(monkeypatch):
+    # the rotated code compares equal to the five-qubit CodeSpec, whose
+    # encoder field is excluded from ==, yet must get its own entries
+    monkeypatch.setattr(codes, "_RECOVERY", {})
+    code, rotated = codes.five_qubit_code(), rotated_five_qubit_code()
+    assert rotated == code
+    for pattern in [(0,), (1, 2)]:
+        plain = codes.recovery_parts(code, pattern)[0]
+        got = codes.recovery_parts(rotated, pattern)[0]
+        assert not np.allclose(got, plain)
+        assert np.array_equal(got, _fresh_recovery_parts(rotated, pattern, monkeypatch)[0])
+
+
+def test_recovery_parts_memo_stays_within_its_cap(monkeypatch):
+    # past the cap the oldest entry goes first
+    monkeypatch.setattr(codes, "_RECOVERY", {})
+    monkeypatch.setattr(codes, "_RECOVERY_CAP", 3)
+    code = codes.five_qubit_code()
+    first = codes.recovery_parts(code, (0,))
+    for i in range(1, 5):
+        codes.recovery_parts(code, (i,))
+        assert len(codes._RECOVERY) <= 3
+    assert codes.recovery_parts(code, (0,))[0] is not first[0]
+    assert len(codes._RECOVERY) == 3
+
+
 def test_recovery_trace_preserving_beyond_distance():
     code = codes.five_qubit_code()
     rec = codes.recovery_on_survivors(code, {0, 1, 2})

@@ -719,8 +719,8 @@ def test_score_shots_chunking(monkeypatch):
 def test_kron_power_apply_matches_kron_power_batch(s):
     rng = np.random.default_rng(9)
     us = ch.haar_su2(rng, 7)
-    m = rng.standard_normal((2**s, 3)) + 1j * rng.standard_normal((2**s, 3))
-    got = ch._kron_power_apply(us.transpose(1, 2, 0), s, m).transpose(2, 0, 1)
+    m = rng.standard_normal((7, 2**s, 3)) + 1j * rng.standard_normal((7, 2**s, 3))  # one per U
+    got = ch._kron_power_apply(us.transpose(1, 2, 0), s, m.transpose(1, 2, 0)).transpose(2, 0, 1)
     assert np.max(np.abs(got - pr._kron_power_batch(us, s) @ m)) <= 1e-14
 
 

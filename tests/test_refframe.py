@@ -289,6 +289,71 @@ def test_sampler_flat_spec_is_haar():
     assert _ks_statistic(theta, haar) < _KS_CRIT_1PCT / np.sqrt(n)
 
 
+_SAMPLER_SPECS = {
+    "haar": lambda: FLAT,
+    **{f"weak-m{m}": (lambda m=m: rf.weak_spec(2, m)) for m in (8, 64)},
+    **{f"strong-s{s}": (lambda s=s: rf.strong_combined_spec(2, s)) for s in (1, 2, 3, 5, 6, 64)},
+}
+
+
+@pytest.mark.parametrize("name", list(_SAMPLER_SPECS))
+def test_angle_series_matches_class_coefficients(name):
+    # pi rho = w_0 + sum_k w_k cos(k theta) with w_k = C_k - C_{k-2}; a
+    # circular FFT too short would fold the negative lags into the top half
+    spec = _SAMPLER_SPECS[name]()
+    c = rf.class_coefficients(spec, 2 * int(spec.gaps().max()))
+    ref = np.pad(c, (0, 2)) - np.pad(c, (2, 0))
+    w = rf._angle_series(spec)
+    assert w.shape == ref.shape
+    assert np.max(np.abs(w - ref)) <= 1e-14 * np.abs(ref).sum()
+    assert np.all(w[1::2] == 0.0)
+
+
+class _GivenUniforms:
+    """A generator whose uniforms are given; every other draw comes from rng."""
+
+    def __init__(self, uniforms, rng):
+        self.uniforms, self.rng = uniforms, rng
+
+    def random(self, size):
+        assert size == len(self.uniforms)
+        return self.uniforms.copy()
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _angle_cdf_series(spec, theta):
+    """F(theta) = (1/pi) sum_g C_g [S_g - S_{g+2}], S_0 = theta,
+    S_k = sin(k theta) / k, from the class coefficients."""
+    c = rf.class_coefficients(spec, 2 * int(spec.gaps().max()))
+
+    def s(k):
+        return theta if k == 0 else np.sin(k * theta) / k
+
+    return sum(cg * (s(g) - s(g + 2)) for g, cg in enumerate(c)) / pi
+
+
+@pytest.mark.parametrize("name", list(_SAMPLER_SPECS))
+def test_sampler_inverts_the_cdf(name):
+    # every sampled angle sits where F meets its target, the targets
+    # replayed from a copy of the generator; the end angles, where the
+    # density vanishes, put targets in the first and last cells
+    spec = _SAMPLER_SPECS[name]()
+    c0 = rf.class_coefficients(spec, 0)[0]
+    rng = np.random.default_rng(17)
+    twin = np.random.default_rng(17)
+    theta = ch.su2_eigenphase(rf.sample_relative_rotations(spec, 3000, rng))
+    assert np.max(np.abs(_angle_cdf_series(spec, theta) - twin.random(3000) * c0)) <= 1e-12
+    ends = np.array([0.0, 1e-9, 1e-6, 1e-4, 3e-4])
+    ends = np.concatenate([ends, pi - ends])
+    uniforms = _angle_cdf_series(spec, ends) / c0
+    uniforms = uniforms[(0 <= uniforms) & (uniforms < 1)]
+    given = _GivenUniforms(uniforms, np.random.default_rng(19))
+    theta = ch.su2_eigenphase(rf.sample_relative_rotations(spec, len(uniforms), given))
+    assert np.max(np.abs(_angle_cdf_series(spec, theta) - uniforms * c0)) <= 1e-12
+
+
 def test_sampler_zero_samples():
     us = rf.sample_relative_rotations(rf.weak_spec(2, 8), 0, np.random.default_rng(0))
     assert us.shape == (0, 2, 2)
