@@ -110,8 +110,23 @@ def erased_restriction_kraus(code: CodeSpec, pattern) -> np.ndarray:
     return np.array(np.transpose(v, perm).reshape(d ** len(erased), d ** len(survivors), d))
 
 
-# recovery parts by (d, n_p, encoder dtype and bytes, erased set), oldest
-# first; the parts depend on nothing else
+def _code_key(code: CodeSpec) -> tuple:
+    """(d, n_p, encoder dtype, encoder bytes): the part of a per-code memo
+    key that names the code, as a CodeSpec compares and hashes equal
+    whatever its encoder."""
+    return (code.d, code.n_p, code.encoder.dtype.str, code.encoder.tobytes())
+
+
+def _memo_put(memo: dict, cap: int, key, value):
+    """Store `value` at `key`, first dropping the oldest entry of a full memo."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
+
+
+# recovery parts by code key and erased set, oldest first; the parts
+# depend on nothing else
 _RECOVERY: dict = {}
 _RECOVERY_CAP = 256
 
@@ -127,13 +142,12 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
 
     The parts are memoized per process, so the exact channel's spectra,
     the Monte Carlo scorer and `corrected_channel` share one
-    eigendecomposition per pattern: keyed on the encoder's bytes (a
-    CodeSpec compares and hashes equal whatever its encoder), in a module
-    memo of at most `_RECOVERY_CAP` entries that drops its oldest entry
-    first.  The arrays returned are read-only and shared between callers.
+    eigendecomposition per pattern: keyed on the encoder's bytes
+    (`_code_key`), in a module memo of at most `_RECOVERY_CAP` entries that
+    drops its oldest entry first.  The arrays returned are read-only and
+    shared between callers.
     """
-    key = (code.d, code.n_p, code.encoder.dtype.str, code.encoder.tobytes(),
-           frozenset(int(i) for i in pattern))
+    key = _code_key(code) + (frozenset(int(i) for i in pattern),)
     parts = _RECOVERY.get(key)
     if parts is not None:
         return parts
@@ -147,10 +161,7 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     parts = ((ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep])
     for a in parts:
         a.setflags(write=False)
-    if len(_RECOVERY) >= _RECOVERY_CAP:
-        del _RECOVERY[next(iter(_RECOVERY))]
-    _RECOVERY[key] = parts
-    return parts
+    return _memo_put(_RECOVERY, _RECOVERY_CAP, key, parts)
 
 
 def recovery_on_survivors(code: CodeSpec, pattern) -> np.ndarray:

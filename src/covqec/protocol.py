@@ -34,9 +34,10 @@ that shares neither the spectrum nor the recovery's closed-form
 completion: it draws every shot's erasure pattern and relative rotation
 U' in bulk, then scores the shots of each erased-set size together on
 their explicit Kraus operators, with the recoveries that
-`codes.recovery_parts` memoized for the exact channel.  The encoding rotation U and
-a transversal gate V drop out of that score, as (V U)^dag U^ = U'^dag
-for the outcome U^ = V U U'^dag (`_score_shots`), so neither is drawn.
+`codes.recovery_parts` memoized for the exact channel.  The encoding
+rotation U and a transversal gate V drop out of that score, as
+(V U)^dag U^ = U'^dag for the outcome U^ = V U U'^dag (`_score_shots`),
+so neither is drawn.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ from .channels import (
 )
 from .codes import (
     CodeSpec,
+    _code_key,
+    _memo_put,
     corrected_channel,
     erased_restriction_kraus,
     five_qubit_code,
@@ -292,7 +295,7 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
     return np.einsum("n,njm,pnm->pj", w_grid.sum(axis=(0, 2)), table, g) / d**2
 
 
-# Phi+ spectra by (d, n_p, encoder dtype and bytes, erased set), oldest
+# Phi+ spectra by code key (`codes._code_key`) and erased set, oldest
 # first; a spectrum depends on nothing else
 _SPECTRA: dict = {}
 _SPECTRA_CAP = 256
@@ -315,16 +318,15 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
 
     A spectrum depends on the code and the erased set only, never on the
     frame, so spectra are memoized across calls: keyed on the encoder's
-    bytes (a CodeSpec compares and hashes equal whatever its encoder), in
-    a module memo of at most `_SPECTRA_CAP` read-only rows that drops its
-    oldest entry first.  Quadratures are built only for the orders of the
-    patterns the memo lacks, and a reused row is the same numbers, so
-    results do not depend on what ran before.  The rows of a
-    `sweep --simulate` after its first reuse every spectrum; a single
-    call pays the full cost.
+    bytes (`codes._code_key`), in a module memo of at most `_SPECTRA_CAP`
+    read-only rows that drops its oldest entry first.  Quadratures are
+    built only for the orders of the patterns the memo lacks, and a reused
+    row is the same numbers, so results do not depend on what ran before.
+    The rows of a `sweep --simulate` after its first reuse every spectrum;
+    a single call pays the full cost.
     """
     n_p = code.n_p
-    code_key = (code.d, n_p, code.encoder.dtype.str, code.encoder.tobytes())
+    code_key = _code_key(code)
     keys = [code_key + (frozenset(p),) for p in patterns]
     orders = {key: _spectrum_order(n_p - len(key[-1])) for key in keys}
     found = {key: _SPECTRA.get(key) for key in keys}
@@ -334,9 +336,7 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
         batch = _phi_spectrum(code, [key[-1] for key in group], haar_quadrature_su2(order))
         batch.setflags(write=False)
         for key, c in zip(group, batch):
-            if len(_SPECTRA) >= _SPECTRA_CAP:
-                del _SPECTRA[next(iter(_SPECTRA))]
-            found[key] = _SPECTRA[key] = c
+            found[key] = _memo_put(_SPECTRA, _SPECTRA_CAP, key, c)
     spectra = np.zeros((len(patterns), n_p + 2))
     for j, key in enumerate(keys):
         spectra[j, :len(found[key])] = found[key]
@@ -505,12 +505,11 @@ def _score_shots(code: CodeSpec, phys, u_rels) -> np.ndarray:
     C-contiguous.  The patterns of one erased-set size share the operand
     shapes, so their shots are scored together, in chunks ordered by
     pattern: each shot's U' and its pattern's M columns [s, (y, b)] are
-    gathered into stacks (a chunk of one pattern broadcasts its M),
-    W_b = U'^{(x) s} M_b is applied one tensor leg at a time for the whole
-    chunk (`_kron_power_apply`), G_b = W_b U'^dag, and Tr(U'^dag R_r W_b) =
-    sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of each pattern's flattened
-    R stack against its shots' G.  The recoveries come from
-    `recovery_on_survivors`, whose parts `recovery_parts` memoizes.
+    gathered into stacks, W_b = U'^{(x) s} M_b is applied one tensor leg at
+    a time for the whole chunk (`_kron_power_apply`), G_b = W_b U'^dag, and
+    Tr(U'^dag R_r W_b) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of each
+    pattern's flattened R stack against its shots' G.  The recoveries come
+    from `recovery_on_survivors`, whose parts `recovery_parts` memoizes.
     """
     d = code.d
     rels_t = np.ascontiguousarray(u_rels.transpose(1, 2, 0))  # np.take copies a strided source whole
@@ -535,10 +534,7 @@ def _score_shots(code: CodeSpec, phys, u_rels) -> np.ndarray:
         for start in range(0, len(idx), chunk):
             sel, pat = idx[start:start + chunk], pattern[start:start + chunk]
             u_sel = np.take(rels_t, sel, axis=2)
-            # a chunk of one pattern broadcasts its M instead of gathering it
-            m_sel = (np.take(m_cat, pat, axis=2) if pat[0] != pat[-1]
-                     else np.broadcast_to(m_cat[..., pat[:1]], (dim_s, d * n_b, len(sel))))
-            w = _kron_power_apply(u_sel, code.n_p - size, m_sel)
+            w = _kron_power_apply(u_sel, code.n_p - size, np.take(m_cat, pat, axis=2))
             # U'^dag transposed is U'^*
             g = _small_matmul(u_sel.conj(), w.reshape(dim_s, d, n_b, len(sel)))
             g = g.reshape(dim_s * d, n_b, len(sel))
