@@ -195,8 +195,13 @@ def corrected_channel(code: CodeSpec, pattern) -> KrausChannel:
 def code_error(code: CodeSpec, pattern) -> float:
     """Worst-case error of recover . erase . encode against the identity.
 
-    Below the diamond-norm program's 1e-8 tolerance the certified bracket
-    eps_wc <= d eps_ent gives a tighter answer, so it is used there.
+    Below 1e-8, the diamond program's default tolerance, the certified
+    bound eps_wc <= d eps_ent is returned without a solve.  Above it the
+    diamond program runs; the transpose recovery makes the corrected
+    channel unital, and for a stabilizer code Pauli, so for a qubit code
+    its entanglement bracket closes, the program starts at its optimum
+    (1 - p_I for a Pauli channel) and the solve certifies it after one
+    iteration.
     """
     noisy = corrected_channel(code, pattern).choi()
     ident = identity_channel(code.d).choi()

@@ -250,10 +250,11 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
 
     and G_{-m} = conj G_m.  Nothing is formed on the alpha or gamma axes.
     A weak five-qubit m = 8 effective channel (six patterns, two calls)
-    takes ~4.4 ms cold on one core of a 2-core x86-64 VM (best of 40; the
-    host's speed drifts by up to ~1.5x), about 32% of it in the diamond
-    SDP (7 iterations, ~1.4 ms); with its spectra memoized, as for every
-    `sweep --simulate` row after the first, ~1.6 ms, ~81% the SDP.
+    takes ~4.9 ms cold on one core of a 2-core x86-64 VM (best of 100; the
+    host's speed drifts by up to ~1.5x), about 5% of it in the diamond SDP,
+    which starts at its certified optimum (1 iteration, ~0.26 ms); with its
+    spectra memoized, as for every `sweep --simulate` row after the first,
+    ~0.42 ms, ~60% the SDP.
     """
     d = code.d
     n_surv = code.n_p - len(set(erased_sets[0]))

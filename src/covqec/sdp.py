@@ -59,7 +59,12 @@ each call writes only b = 2 J and its start.  An SdpInstance starts
 infeasible, at X = Z = scale I; each channel-distance program attaches a
 strictly feasible primal-dual point in closed form (the diamond program's
 Y = c I with c > ||J||, the fidelity program's rho = I/d_in), so its
-solve spends no iterations on reaching feasibility.
+solve spends no iterations on reaching feasibility.  The diamond program
+first tries its entanglement bracket: Phi+ gives the lower bound
+||J||_1 / d_in and Y = |J| the upper bound ||Tr_out |J|||_inf.  Where the
+two meet, as for every covariant channel against the identity and every
+Pauli channel, the start is that optimum, primal and dual nudged inside
+the cone, and the solve's first test certifies it after one iteration.
 
 A program with real data runs in real arithmetic: when C and the start's
 X are real, every A_k is real or purely imaginary, and every purely
@@ -99,6 +104,9 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 256
+# the diamond program starts at its optimum when the entanglement bracket is
+# narrower than this, 1e-4 of solve's default tol (see _diamond_program)
+_BRACKET_TOL = 1e-12
 
 
 class SdpSizeError(ValueError):
@@ -544,7 +552,8 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
 def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     """The standard form of min mu s.t. Y >= +-J, mu I >= Tr_out Y, with
     J = d_in (A - B): the shape of _diamond_shape, with b = 2 J on the
-    entry rows of Q - P and 0 on the rows of T, and a closed-form start."""
+    entry rows of Q - P and 0 on the rows of T, and a closed-form start, at
+    the optimum when the entanglement bracket closes, else at Y = c I."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
@@ -556,22 +565,53 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     for (k, r, c), part in ((re, ju.real), (im, ju.imag)):
         b[k] = 2 * part[r, c]
 
-    # strictly feasible start: Y = c I with c = ||J||_F + 1 > ||J||, so
+    J = _hermitize(ju)
+    X = np.zeros_like(C)
+    y0 = np.zeros(len(b))
+
+    # the entanglement bracket: Phi+ gives the lower bound low = ||J||_1 / d_in,
+    # and Y = |J| is feasible with value ||Tr_out |J|||_inf; Tr_out |J| has
+    # mean eigenvalue low, so the bracket closes when its spread does.  Then
+    # the start is Y = |J| + eps I, mu = its top eigenvalue + (d_out + 1) eps
+    # and T = mu I - Tr_out Y, and the dual of Phi+ shrunk by delta = 1e-12:
+    # (1 - delta)^2 sign(J) / (2 d_in) on the Q - P rows (an off-diagonal
+    # entry row's y_k is twice the entry) and -(1 - delta) I / d_in on T, so
+    # Z_mu = delta.  eps = 2 delta low / (d_out + 1) offsets the primal's
+    # excess against the dual's shortfall to first order; its floor, at the
+    # round-off of J, keeps X > 0 at J = 0.  A real J is decomposed as
+    # real, so a real start keeps the real path
+    lam, v = np.linalg.eigh(J if np.abs(J.imag).max() else J.real)
+    mag = np.abs(lam)
+    abs_j = _hermitize((v * mag) @ v.conj().T)
+    tr_out = lambda y: y.reshape(dout, din, dout, din).trace(axis1=0, axis2=2)
+    hi = np.linalg.eigvalsh(tr_out(abs_j))
+    if hi[-1] - hi[0] <= _BRACKET_TOL:
+        delta, tiny = 1e-12, np.finfo(float).eps
+        eps = 2 * delta * mag.sum() / din / (dout + 1) + tiny * (mag.max() + tiny)
+        Y = abs_j + eps * np.eye(D)
+        X[:D, :D], X[D:t0, D:t0] = Y - J, Y + J
+        X[mu, mu] = hi[-1] + (dout + 1) * eps
+        X[t0:mu, t0:mu] = X[mu, mu] * np.eye(din) - tr_out(Y)
+        sign = _hermitize((v * np.sign(lam)) @ v.conj().T)
+        w = (1 - delta) ** 2 / din * (sign - 0.5 * np.diag(sign.diagonal()))
+        for (k, r, c), part in ((re, w.real), (im, w.imag)):
+            y0[k] = part[r, c]
+        y0[diag_rows] = -(1 - delta) / din
+        return _Program(C, A3, b, spans, (X, y0))
+
+    # else a strictly feasible start: Y = c I with c = ||J||_F + 1 > ||J||, so
     # P = Y - J > 0 and Q = Y + J > 0, T = I and mu = c d_out + 1;
     # y = -sigma / d_in on the diagonal rows of T (0 < sigma < 1) leaves
     # Z = sigma / (2 d_in) I on P and Q, sigma / d_in I on T and 1 - sigma on
     # mu.  sigma = 0.5: at 0.9 fewer iterations ran, but eps_cov at
     # a ~ 4.6e-3 landed 1e-7 relative from a, outside the 5e-8 the
     # pipeline's tests hold it to
-    J = _hermitize(ju)
     c = np.linalg.norm(J) + 1.0
-    X = np.zeros_like(C)
     X[:D, :D] = -J
     X[D:t0, D:t0] = J
     X[:t0, :t0] += c * np.eye(t0)
     X[t0:mu, t0:mu] = np.eye(din)
     X[mu, mu] = c * dout + 1.0
-    y0 = np.zeros(len(b))
     y0[diag_rows] = -0.5 / din
     return _Program(C, A3, b, spans, (X, y0))
 

@@ -1,9 +1,11 @@
 """Shared builders for channel-level tests, and the slow outcome-density oracle."""
 
 import numpy as np
+import pytest
 
 from covqec import channels as ch
 from covqec import codes
+from covqec import sdp
 from covqec import young
 
 
@@ -81,3 +83,62 @@ def block_covariant_choi(block_dims, weights, order=8):
         v = block_unitary(block_dims, u).reshape(-1)
         j += (wq * p) * np.outer(v, v.conj())
     return ch.ChoiMatrix(n, n, j / n)
+
+
+def assert_strictly_feasible(prog):
+    """The program's start (X, y): A(X) = b to round-off, and X and
+    Z = C - A^T y Hermitian, positive definite on every block and zero off
+    the blocks."""
+    X, y = prog.start
+    m, total = len(prog.b), len(prog.C)
+    A = prog.A3.reshape(m, -1)
+    residual = prog.b - (A.conj() @ X.reshape(-1)).real
+    assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(prog.b))
+    Z = prog.C - (y @ A).reshape(total, total)
+    off_blocks = np.ones((total, total), dtype=bool)
+    for sl in prog.spans.values():
+        off_blocks[sl, sl] = False
+    for mat in (X, Z):
+        assert np.array_equal(mat, mat.conj().T)
+        assert not mat[off_blocks].any()
+        for sl in prog.spans.values():
+            assert np.linalg.eigvalsh(mat[sl, sl]).min() > 0
+
+
+def generic_diamond_program(choi_a, choi_b):
+    """sdp._diamond_program with its entanglement bracket never closing, so
+    it starts at Y = c I, as every program whose bracket stays open."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sdp, "_BRACKET_TOL", -1.0)
+        return sdp._diamond_program(choi_a, choi_b)
+
+
+def assert_starts_at_optimum(choi_a, choi_b, value):
+    """The diamond program of (A, B) starts strictly feasible (see
+    assert_strictly_feasible) at its optimum, with |A(X) - b| <= 1e-13, and
+    its solve certifies it after one iteration: the diamond error is within
+    1e-12 of `value` and within 1e-8 of the same program solved from the
+    generic start."""
+    prog = sdp._diamond_program(choi_a, choi_b)
+    assert_strictly_feasible(prog)
+    A = prog.A3.reshape(len(prog.b), -1)
+    assert np.abs(prog.b - (A.conj() @ prog.start[0].reshape(-1)).real).max() <= 1e-13
+    res = sdp.solve(prog)
+    assert (res.status, res.iterations) == ("optimal", 1)
+    generic = sdp.solve(generic_diamond_program(choi_a, choi_b))
+    assert generic.status == "optimal" and generic.iterations > 1
+    assert abs(res.value - generic.value) / 2 <= 1e-8
+    assert abs(res.value / 2 - value) <= 1e-12
+
+
+def assert_keeps_generic_start(choi_a, choi_b):
+    """An open bracket: the diamond program of (A, B), its start included,
+    and its solve are bit for bit those of the generic start."""
+    prog, generic = sdp._diamond_program(choi_a, choi_b), generic_diamond_program(choi_a, choi_b)
+    assert prog.b.tobytes() == generic.b.tobytes()
+    assert all(x.tobytes() == g.tobytes() for x, g in zip(prog.start, generic.start))
+    want, got = sdp.solve(generic), sdp.solve(prog)
+    assert (want.value, want.gap, want.status, want.iterations) == \
+        (got.value, got.gap, got.status, got.iterations)
+    assert got.iterations > 1
+    assert all(want.blocks[n].tobytes() == got.blocks[n].tobytes() for n in want.blocks)

@@ -6,7 +6,7 @@ import pytest
 from covqec import channels as ch
 from covqec import codes
 
-from conftest import rotated_five_qubit_code
+from conftest import assert_keeps_generic_start, assert_starts_at_optimum, rotated_five_qubit_code
 
 
 def apply(chan, rho):
@@ -347,6 +347,47 @@ def test_corrected_channel_is_pauli_and_code_error_is_one_minus_p_identity(make)
             assert np.max(np.abs(off)) <= 1e-12, pattern
             p_identity = bell[0, 0].real
             assert codes.code_error(code, set(pattern)) == pytest.approx(1.0 - p_identity, abs=1e-8)
+
+
+@pytest.mark.parametrize("make", [codes.five_qubit_code, rotated_five_qubit_code,
+                                  lambda: codes.trivial_code(2)],
+                         ids=["five_qubit", "rotated", "trivial"])
+def test_corrected_channel_program_starts_at_its_optimum(make):
+    # a Pauli channel's entanglement bracket closes at 1 - p_I, so each
+    # pattern's diamond program starts at its optimum, correctable patterns
+    # (J ~ 0) included
+    code = make()
+    ident = ch.identity_channel(2).choi()
+    for k in range(min(3, code.n_p) + 1):
+        for pattern in itertools.combinations(range(code.n_p), k):
+            choi = codes.corrected_channel(code, pattern).choi()
+            p_identity = (_BELL.conj().T @ choi.mat @ _BELL)[0, 0].real
+            assert_starts_at_optimum(choi, ident, 1.0 - p_identity)
+
+
+def _random_code(d, n_p, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d ** n_p, d)) + 1j * rng.standard_normal((d ** n_p, d)))
+    return codes.CodeSpec(d, n_p, q, "random")
+
+
+def test_random_isometry_brackets():
+    # the transpose recovery at the maximally mixed input makes every
+    # corrected channel unital.  A random qubit isometry's is not Pauli, yet
+    # its bracket against the identity closes at the Phi+ value, as for
+    # every unital qubit channel; a random qutrit isometry's stays open, and
+    # its program and solve are bit for bit those of the generic start
+    code = _random_code(2, 5, 59)
+    ident = ch.identity_channel(2).choi()
+    for pattern in [(0,), (0, 1), (0, 1, 2)]:
+        choi = codes.corrected_channel(code, pattern).choi()
+        bell = _BELL.conj().T @ choi.mat @ _BELL
+        assert np.max(np.abs(bell - np.diag(np.diag(bell)))) > 1e-5
+        assert_starts_at_optimum(choi, ident, 0.5 * ch.trace_norm(choi.mat - ident.mat))
+    code = _random_code(3, 3, 61)
+    ident = ch.identity_channel(3).choi()
+    for pattern in [(0,), (0, 1)]:
+        assert_keeps_generic_start(codes.corrected_channel(code, pattern).choi(), ident)
 
 
 def test_erase_qutrit():

@@ -980,6 +980,21 @@ def test_eps_cov_is_a_to_solver_accuracy():
         assert abs(rep.eps_cov - rep.mixture.a) <= 5e-8 * rep.mixture.a, cfg
 
 
+def test_eps_cov_is_a_to_round_off():
+    # the mixture's diamond program starts at its certified optimum, so
+    # eps_cov stays at a to 1e-9 relative down to a ~ 6e-6 (weak m = 4096),
+    # where a solve from the generic start read 4.9e-6
+    code = codes.five_qubit_code()
+    cfgs = [pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="exact_ne")
+            for m in (4, 16, 64, 256, 1024, 4096)]
+    cfgs += [pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="uniform_le") for m in (4, 16, 64)]
+    cfgs += [pr.ProtocolConfig(2, "strong", code, p_e=p_e, s_r=s_r)
+             for s_r in (0, 1, 3, 6, 16, 64, 256) for p_e in (0.1, 0.2)]
+    for cfg in cfgs:
+        rep = pr.effective_channel(cfg)
+        assert abs(rep.eps_cov - rep.mixture.a) <= 1e-9 * rep.mixture.a, cfg
+
+
 def _capture_configs(monkeypatch):
     seen = []
 

@@ -7,7 +7,8 @@ from covqec import channels as ch
 from covqec import codes
 from covqec import sdp
 
-from conftest import block_covariant_choi, block_unitary
+from conftest import (assert_keeps_generic_start, assert_starts_at_optimum, assert_strictly_feasible,
+                      block_covariant_choi, block_unitary)
 
 RNG = np.random.default_rng(5)
 
@@ -306,7 +307,15 @@ def test_diamond_bit_flip(monkeypatch):
             scan = max(scan, 0.5 * ch.trace_norm(diff))
         assert scan == pytest.approx(p, abs=1e-4)
         assert sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi()) == pytest.approx(p, abs=1e-6)
-    assert runs == [("optimal", 8), ("optimal", 7)]
+    # a bit flip is a Pauli channel: its entanglement bracket closes and the
+    # solve starts at the optimum; from the generic Y = c I start the same
+    # two programs keep their old path
+    assert runs == [("optimal", 1), ("optimal", 1)]
+    monkeypatch.setattr(sdp, "_BRACKET_TOL", -1.0)
+    for p in (0.15, 0.4):
+        flip = ch.KrausChannel(2, 2, [np.sqrt(1 - p) * np.eye(2), np.sqrt(p) * x])
+        sdp.diamond_error(ch.identity_channel(2).choi(), flip.choi())
+    assert runs[2:] == [("optimal", 8), ("optimal", 7)]
 
 
 def test_diamond_random_pairs_pin_iterations(monkeypatch):
@@ -383,6 +392,32 @@ def test_diamond_qutrit_unitary_is_numerical_range_formula():
     r = min(to_segment(lam[i], lam[j]) for i in range(3) for j in range(i + 1, 3))
     value = sdp.diamond_error(_isometry_channel(u).choi(), ch.identity_channel(3).choi())
     assert value == pytest.approx(np.sqrt(1 - r**2), abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# the bracket start: at the optimum when the entanglement bracket closes
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("a", [0.0, 1e-12, 1e-6, 1e-3, 0.2, 0.5, 0.75, 1.0])
+def test_covariant_program_starts_at_its_optimum(a):
+    # a covariant channel's worst input is Phi+, so the bracket closes at a
+    ident = ch.identity_channel(2).choi()
+    assert_starts_at_optimum(ch.covariant_choi(ch.CovariantParams(2, a)), ident, a)
+
+
+def test_identical_channels_program_starts_at_its_optimum():
+    # J = 0: the start stays strictly feasible, and the value is 0
+    n = random_channel(np.random.default_rng(47), 2).choi()
+    assert_starts_at_optimum(n, n, 0.0)
+
+
+@pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
+def test_open_bracket_keeps_the_generic_start(din, dout):
+    # a random pair's bracket stays open: its program, start included, and
+    # its solve are bit for bit those of the generic Y = c I start
+    rng = np.random.default_rng(53 + 4 * din + dout)
+    for _ in range(3):
+        assert_keeps_generic_start(*(_random_kraus(rng, din, dout).choi() for _ in range(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -497,33 +532,13 @@ def test_fwc_program_equals_dict_builder():
     _assert_same_program(_dict_fwc_instance(ident, choi), sdp._fwc_program(ident, choi))
 
 
-def _assert_strictly_feasible(prog):
-    """The program's start (X, y): A(X) = b to round-off, and X and
-    Z = C - A^T y Hermitian, positive definite on every block and zero off
-    the blocks."""
-    X, y = prog.start
-    m, total = len(prog.b), len(prog.C)
-    A = prog.A3.reshape(m, -1)
-    residual = prog.b - (A.conj() @ X.reshape(-1)).real
-    assert np.linalg.norm(residual) <= 1e-12 * (1 + np.linalg.norm(prog.b))
-    Z = prog.C - (y @ A).reshape(total, total)
-    off_blocks = np.ones((total, total), dtype=bool)
-    for sl in prog.spans.values():
-        off_blocks[sl, sl] = False
-    for mat in (X, Z):
-        assert np.array_equal(mat, mat.conj().T)
-        assert not mat[off_blocks].any()
-        for sl in prog.spans.values():
-            assert np.linalg.eigvalsh(mat[sl, sl]).min() > 0
-
-
 @pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
 def test_start_is_strictly_feasible_on_random_pairs(din, dout):
     rng = np.random.default_rng(41 + 4 * din + dout)
     for _ in range(3):
         ca, cb = (_random_kraus(rng, din, dout).choi() for _ in range(2))
-        _assert_strictly_feasible(sdp._diamond_program(ca, cb))
-        _assert_strictly_feasible(sdp._fwc_program(ca, cb))
+        assert_strictly_feasible(sdp._diamond_program(ca, cb))
+        assert_strictly_feasible(sdp._fwc_program(ca, cb))
 
 
 def test_start_is_strictly_feasible_on_special_pairs():
@@ -533,12 +548,12 @@ def test_start_is_strictly_feasible_on_special_pairs():
     phase = ch.KrausChannel(2, 2, [np.diag([1, 1j])]).choi()
     n = random_channel(np.random.default_rng(43), 2).choi()
     block = block_covariant_choi([1, 2], {0: 1 / 3, 1: 2 / 3})
-    # the bit-flip pair, and identical channels (J = 0)
+    # the bit-flip pair, and identical channels (J = 0): all three brackets close
     for ca, cb in ((ident2, flip), (n, n), (ident2, ident2)):
-        _assert_strictly_feasible(sdp._diamond_program(ca, cb))
+        assert_strictly_feasible(sdp._diamond_program(ca, cb))
     # rank-deficient Chois: rank one against ranks one, two and three
     for ca, cb in ((ident2, phase), (ident2, flip), (ident3, block), (n, n), (ident2, ident2)):
-        _assert_strictly_feasible(sdp._fwc_program(ca, cb))
+        assert_strictly_feasible(sdp._fwc_program(ca, cb))
 
 
 # ---------------------------------------------------------------------------
