@@ -27,7 +27,9 @@ on z-weight lags, and only the Gauss-Legendre beta nodes are formed.  An
 effective channel is one product of its patterns' spectra with its
 frames' class coefficients: the strong model's s_r + 1 surviving-copy
 counts cost s_r + 1 coefficient vectors against 2^n_p spectra, with no
-cap on s_r.
+cap on s_r.  Both erasure models are a surviving-copy law times a
+physical-pattern law, so a report carries one term per physical pattern,
+its a mixed over the frames.
 
 monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
@@ -359,6 +361,10 @@ def inner_channel_perfect(code: CodeSpec, pattern_p) -> ChoiMatrix:
 # pattern enumeration and the effective channel
 # ---------------------------------------------------------------------------
 
+def _label(phys) -> str:
+    return "phys:" + ",".join(map(str, sorted(phys))) if phys else "no-phys-erasure"
+
+
 def _weak_terms(config: ProtocolConfig):
     """Collapsed weak-model pattern classes: (label, probability, pattern_P).
 
@@ -381,33 +387,16 @@ def _weak_terms(config: ProtocolConfig):
                 key = frozenset(phys)
                 weights[key] = weights.get(key, 0.0) + mult / n_patterns
     for key in sorted(weights, key=sorted):
-        label = "phys:" + ",".join(map(str, sorted(key))) if key else "no-phys-erasure"
-        yield label, weights[key], key
+        yield _label(key), weights[key], key
 
 
-def effective_channel(config: ProtocolConfig) -> EffectiveChannelReport:
-    """Exact effective logical channel of the protocol and its eps_cov."""
-    if config.model == "weak":
-        return _effective_weak(config)
-    return _effective_strong(config)
-
-
-def _finish_report(config, terms) -> EffectiveChannelReport:
-    a_mix = sum(t.probability * t.params.a for t in terms)
-    total_p = sum(t.probability for t in terms)
-    if abs(total_p - 1.0) > 1e-10:
-        raise RuntimeError(f"pattern probabilities sum to {total_p}")
-    mixture = CovariantParams(config.d, min(1.0, max(0.0, a_mix)))
-    eps = sdp_mod.diamond_error(covariant_choi(mixture), identity_channel(config.d).choi())
-    return EffectiveChannelReport(config=config, terms=terms, mixture=mixture, eps_cov=eps)
-
-
-def _effective_weak(config: ProtocolConfig) -> EffectiveChannelReport:
-    classes = list(_weak_terms(config))
-    a, _ = inner_channel(config.code, [_frame(config, 1)], [phys for _, _, phys in classes])
-    terms = [PatternTerm(label, prob, CovariantParams(config.d, float(a_j)))
-             for (label, prob, _), a_j in zip(classes, a[0])]
-    return _finish_report(config, terms)
+def _strong_terms(config: ProtocolConfig):
+    """Strong-model physical patterns: (label, probability, pattern_P), each
+    physical qudit erased independently with probability p_e."""
+    n_p, p_e = config.code.n_p, config.p_e
+    for k in range(n_p + 1):
+        for phys in itertools.combinations(range(n_p), k):
+            yield _label(phys), p_e ** k * (1 - p_e) ** (n_p - k), frozenset(phys)
 
 
 def _survivor_law(s_r: int, p_copy: float) -> list[float]:
@@ -421,29 +410,36 @@ def _survivor_law(s_r: int, p_copy: float) -> list[float]:
     return (w / w.sum()).tolist()
 
 
-def _effective_strong(config: ProtocolConfig) -> EffectiveChannelReport:
-    """Every reference-copy loss and physical erasure, collapsed by
-    sufficient statistics: a pattern's inner channel depends only on its
-    surviving-copy count k, which fixes the reference frame (`_frame`),
-    and on its physical part, which fixes the spectrum.  One
-    `inner_channel` call evaluates the s_r + 1 frames against the 2^n_p
-    physical patterns, so any s_r runs; five-qubit s_r = 256 (n = 517)
-    takes ~0.3 s on one core, ~80% of it building the frames' exact
-    Schur-Weyl specs."""
-    p_e = config.p_e
-    code = config.code
-    n_p = code.n_p
-    phys_list = [frozenset(s) for k in range(n_p + 1) for s in itertools.combinations(range(n_p), k)]
-    a, _ = inner_channel(code, [_frame(config, k) for k in range(config.s_r + 1)], phys_list)
-    # a copy survives iff neither of its two qudits is erased
-    p_k = _survivor_law(config.s_r, (1 - p_e) ** 2)
-    p_phys = [p_e ** len(s) * (1 - p_e) ** (n_p - len(s)) for s in phys_list]
-    terms = [
-        PatternTerm(f"survivors:{k};phys:{','.join(map(str, sorted(phys))) or '-'}",
-                    p_k[k] * p_phys[j], CovariantParams(config.d, float(a[k, j])))
-        for k in range(config.s_r + 1) for j, phys in enumerate(phys_list)
-    ]
-    return _finish_report(config, terms)
+def effective_channel(config: ProtocolConfig) -> EffectiveChannelReport:
+    """Exact effective logical channel of the protocol and its eps_cov.
+
+    Both erasure models are a law over the surviving-copy count k, which
+    fixes the reference frame (`_frame`), times a law over the erased
+    physical qudits P, which fixes the recovery: weak has k = 1 surely and
+    the pattern classes of `_weak_terms`; strong has the binomial
+    `_survivor_law` (a copy survives iff neither of its two qudits is
+    erased) and the independent erasures of `_strong_terms`.  One
+    `inner_channel` call gives a[k, P] for every frame against every
+    pattern, and each pattern is one term whose a is its column mixed over
+    k, so a report has one term per physical pattern.  Any s_r runs:
+    five-qubit s_r = 256 (n = 517) takes ~0.3 s on one core, ~80% of it
+    building the frames' exact Schur-Weyl specs.
+    """
+    if config.model == "weak":
+        p_k, ks, classes = [1.0], [1], list(_weak_terms(config))
+    else:
+        p_k = _survivor_law(config.s_r, (1 - config.p_e) ** 2)
+        ks, classes = range(config.s_r + 1), list(_strong_terms(config))
+    a, _ = inner_channel(config.code, [_frame(config, k) for k in ks], [phys for _, _, phys in classes])
+    terms = [PatternTerm(label, prob, CovariantParams(config.d, float(a_j)))
+             for (label, prob, _), a_j in zip(classes, np.array(p_k) @ a)]
+    a_mix = sum(t.probability * t.params.a for t in terms)
+    total_p = sum(t.probability for t in terms)
+    if abs(total_p - 1.0) > 1e-10:
+        raise RuntimeError(f"pattern probabilities sum to {total_p}")
+    mixture = CovariantParams(config.d, min(1.0, max(0.0, a_mix)))
+    eps = sdp_mod.diamond_error(covariant_choi(mixture), identity_channel(config.d).choi())
+    return EffectiveChannelReport(config=config, terms=terms, mixture=mixture, eps_cov=eps)
 
 
 # ---------------------------------------------------------------------------

@@ -235,9 +235,11 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
     w = _angle_series(spec)
     k = np.flatnonzero(w[1:]) + 1
 
-    def cdf(theta):  # F and its derivative, the density of theta
-        ph = np.outer(theta, k)
-        return (w[0] * theta + np.sin(ph) @ (w[k] / k)) / pi, (w[0] + np.cos(ph) @ w[k]) / pi
+    def cdf(theta):  # F
+        return (w[0] * theta + np.sin(np.outer(theta, k)) @ (w[k] / k)) / pi
+
+    def density(theta):  # F', the density of theta
+        return (w[0] + np.cos(np.outer(theta, k)) @ w[k]) / pi
 
     target = rng.random(n_samples) * w[0]
     n_cells = 1 << (16 * len(w) - 1).bit_length()
@@ -265,12 +267,14 @@ def sample_relative_rotations(spec: RefFrameSpec, n_samples: int, rng: np.random
     for start in range(0, n_samples, block):
         idx = np.arange(start, min(start + block, n_samples))
         for _ in range(64):  # bisection alone exhausts a double in fewer halvings
-            f, dens = cdf(theta[idx])
-            r = f - target[idx]
+            t = theta[idx]
+            r = cdf(t) - target[idx]
             busy = np.abs(r) > 4 * np.finfo(float).eps * np.abs(w).sum()
-            idx, r, dens, t = idx[busy], r[busy], dens[busy], theta[idx][busy]
+            idx, r, t = idx[busy], r[busy], t[busy]
             if not idx.size:
                 break
+            # only the samples still busy take a step, so only they need F'
+            dens = density(t)
             lo[idx], hi[idx] = np.where(r < 0, t, lo[idx]), np.where(r > 0, t, hi[idx])
             newton = np.abs(r) <= dens * (hi[idx] - lo[idx])  # a finite step
             step = t - r / np.where(newton, dens, 1.0)

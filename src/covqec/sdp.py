@@ -48,20 +48,20 @@ Hermiticity-preserving differences
 
     1/2 ||A - B||_diamond = min ||Tr_out Y||_inf  s.t.  Y >= +-J(A - B).
 
-The solver runs on a standard form: C, the (m, total, total) stack of the
-A_k, and b.  `solve` compiles an SdpInstance (named blocks, one
-coefficient dict per row) into it.  Both channel-distance programs write
-theirs directly as arrays, each row an entry-picking functional (Re or Im
-of one entry of a block) set by fancy-index writes, and pass it to the
-same loop; the diamond program's C and A_k depend only on (d_in, d_out),
-so they are built once per pair of dimensions and shared read-only, and
-each call writes only b = 2 J and its start.  An SdpInstance starts
-infeasible, at X = Z = scale I; each channel-distance program attaches a
-strictly feasible primal-dual point in closed form (the diamond program's
-Y = c I with c > ||J||, the fidelity program's rho = I/d_in), so its
-solve spends no iterations on reaching feasibility.  The diamond program
-first tries its entanglement bracket: Phi+ gives the lower bound
-||J||_1 / d_in and Y = |J| the upper bound ||Tr_out |J|||_inf.  Where the
+`solve` takes one input, the standard form `_Program`: C, the
+(m, total, total) stack of the A_k, b and each named block's span,
+started from zero arrays by `_zero_program`.  Both channel-distance
+programs write theirs directly, each row an entry-picking functional (Re
+or Im of one entry of a block) set by fancy-index writes; the diamond
+program's C and A_k depend only on (d_in, d_out), so they are built once
+per pair of dimensions and shared read-only, and each call writes only
+b = 2 J and its start.  A program with no start runs from the infeasible
+X = Z = scale I; each channel-distance program attaches a strictly
+feasible primal-dual point in closed form (the diamond program's Y = c I
+with c > ||J||, the fidelity program's rho = I/d_in), so its solve spends
+no iterations on reaching feasibility.  The diamond program first tries
+its entanglement bracket: Phi+ gives the lower bound ||J||_1 / d_in and
+Y = |J| the upper bound ||Tr_out |J|||_inf.  Where the
 two meet, as for every covariant channel against the identity and every
 Pauli channel, the start is that optimum, primal and dual nudged inside
 the cone, and the solve's first test certifies it after one iteration.
@@ -94,7 +94,6 @@ import numpy as np
 from .channels import ChoiMatrix
 
 __all__ = [
-    "SdpInstance",
     "SdpResult",
     "SdpSizeError",
     "solve",
@@ -114,7 +113,7 @@ class SdpSizeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# problem container
+# the standard form
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -127,12 +126,14 @@ class SdpResult:
 
 
 class _Program(NamedTuple):
-    """An SDP in the solver's standard form: the objective C and the
-    constraint stack A3 (row k is the block-diagonal A_k) as matrices on the
-    direct sum of the blocks, the right-hand side b, and each block's span
-    on that sum; optionally a start (X, y) with X > 0 on the blocks,
-    A(X) = b and C - A^T y > 0, which `solve` takes in place of its
-    infeasible start at scale I."""
+    """An SDP in the solver's standard form, minimized: the objective C and
+    the constraint stack A3 (row k is the block-diagonal A_k, Hermitian) as
+    matrices on the direct sum of the named blocks, the right-hand side b,
+    and each block's span on that sum; optionally a start (X, y) with X > 0
+    on the blocks, A(X) = b and C - A^T y > 0, which `solve` takes in place
+    of its infeasible start at scale I.  A maximization is the minimization
+    of the negated objective, and an inequality row takes an explicit slack
+    block."""
 
     C: np.ndarray
     A3: np.ndarray
@@ -142,8 +143,8 @@ class _Program(NamedTuple):
 
     @property
     def _constraints(self) -> np.ndarray:
-        # one entry per equality row, as in SdpInstance: benchmarks/tracer.py
-        # counts each solve's rows as len(instance._constraints)
+        # one entry per equality row: benchmarks/tracer.py counts each
+        # solve's rows as len(instance._constraints)
         return self.b
 
 
@@ -158,57 +159,6 @@ def _zero_program(sizes: dict[str, int], m: int) -> _Program:
                     np.zeros((m, total, total), dtype=complex), np.zeros(m), spans)
 
 
-class SdpInstance:
-    """Equality-form SDP with named Hermitian PSD blocks, minimized; a
-    maximization is the minimization of the negated objective, and an
-    inequality row takes an explicit scalar slack block.
-    """
-
-    def __init__(self):
-        self._sizes: dict[str, int] = {}
-        self._obj: dict[str, np.ndarray] = {}
-        self._constraints: list[tuple[dict[str, np.ndarray], float]] = []
-
-    def add_block(self, name: str, size: int) -> None:
-        if name in self._sizes:
-            raise ValueError(f"duplicate block {name!r}")
-        if sum(self._sizes.values()) + size > DEFAULT_SIZE_CAP:
-            raise SdpSizeError(
-                f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}"
-            )
-        self._sizes[name] = size
-
-    def set_objective(self, coeffs: dict[str, np.ndarray]) -> None:
-        self._obj = self._checked(coeffs)
-
-    def add_equality(self, coeffs: dict[str, np.ndarray], rhs: float) -> None:
-        self._constraints.append((self._checked(coeffs), float(rhs)))
-
-    def _checked(self, coeffs: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """Hermitian parts of the coefficients; unknown names and wrong shapes raise."""
-        out = {}
-        for k, v in coeffs.items():
-            if k not in self._sizes:
-                raise ValueError(f"unknown block {k!r}")
-            a = np.asarray(v, dtype=complex)
-            if a.shape != (self._sizes[k],) * 2:
-                raise ValueError(f"block {k!r} of size {self._sizes[k]} given shape {a.shape}")
-            out[k] = _hermitize(a)
-        return out
-
-    def _program(self) -> _Program:
-        """The standard form: every coefficient embedded at its block's span."""
-        if not self._constraints:
-            raise ValueError("instance has no constraints")
-        prog = _zero_program(self._sizes, len(self._constraints))
-        rows = [coeffs for coeffs, _ in self._constraints]
-        for out, coeffs in zip([prog.C, *prog.A3], [self._obj, *rows]):
-            for n, a in coeffs.items():
-                out[prog.spans[n], prog.spans[n]] = a
-        prog.b[:] = [rhs for _, rhs in self._constraints]
-        return prog
-
-
 def _hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
@@ -217,7 +167,7 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 # interior-point solver
 # ---------------------------------------------------------------------------
 
-def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
+def solve(instance: _Program, tol: float = 1e-8) -> SdpResult:
     """Solve to relative residuals below `tol` in at most 200 iterations.
 
     Each iteration builds the Nesterov-Todd frame of (X, Z) from two
@@ -226,10 +176,9 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     carries Mehrotra's second-order term, and caps each step at 0.98 of the
     way to the boundary; the two step-length tests are one batched eigvalsh
     each, and the two Schur solves share one Cholesky factor of the Schur
-    matrix and its inverse.  The channel-distance programs of this module
-    pass their standard form, built as arrays, in place of an SdpInstance,
-    and start from its strictly feasible point; an SdpInstance starts at
-    X = Z = scale I, y = 0.
+    matrix and its inverse.  A program that carries a start, as the
+    channel-distance programs of this module do, runs from that strictly
+    feasible point; one without starts at X = Z = scale I, y = 0.
 
     A program whose C and start X are real, whose A_k are each real or
     purely imaginary, and whose imaginary rows all have b_k = 0 is solved
@@ -242,8 +191,7 @@ def solve(instance: SdpInstance, tol: float = 1e-8) -> SdpResult:
     below) or "max_iterations" (also when a step cannot be computed or the
     Schur matrix cannot be factored even with a 1e6-fold jitter).
     """
-    C, A3, b, spans, start = _real_form(
-        instance._program() if isinstance(instance, SdpInstance) else instance)
+    C, A3, b, spans, start = _real_form(instance)
     m, total = len(b), len(C)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
     # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)

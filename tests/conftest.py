@@ -85,6 +85,19 @@ def block_covariant_choi(block_dims, weights, order=8):
     return ch.ChoiMatrix(n, n, j / n)
 
 
+def standard_program(sizes, objective, rows):
+    """An SDP written straight into `sdp._zero_program`'s arrays: named
+    blocks of the given sizes, the objective {block: C_j} and the equality
+    rows ({block: A_kj}, b_k), each coefficient's Hermitian part set at its
+    block's span."""
+    prog = sdp._zero_program(sizes, len(rows))
+    for out, coeffs in zip([prog.C, *prog.A3], [objective, *(c for c, _ in rows)]):
+        for name, a in coeffs.items():
+            out[prog.spans[name], prog.spans[name]] = sdp._hermitize(np.asarray(a, dtype=complex))
+    prog.b[:] = [rhs for _, rhs in rows]
+    return prog
+
+
 def assert_strictly_feasible(prog):
     """The program's start (X, y): A(X) = b to round-off, and X and
     Z = C - A^T y Hermitian, positive definite on every block and zero off

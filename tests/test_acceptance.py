@@ -16,7 +16,7 @@ import pytest
 
 from covqec import bounds, channels as ch, codes, protocol as pr, refframe as rf, sdp, young
 
-from conftest import _density_su2, block_covariant_choi, block_unitary
+from conftest import _density_su2, block_covariant_choi, block_unitary, standard_program
 
 
 def _report(num, text):
@@ -210,11 +210,7 @@ def test_criterion_09_sdp_cross_validation():
     for k in range(10):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         c = 0.5 * (a + a.conj().T)
-        inst = sdp.SdpInstance()
-        inst.add_block("X", 4)
-        inst.set_objective({"X": c})
-        inst.add_equality({"X": np.eye(4)}, 1.0)
-        res = sdp.solve(inst, tol=1e-9)
+        res = sdp.solve(standard_program({"X": 4}, {"X": c}, [({"X": np.eye(4)}, 1.0)]), tol=1e-9)
         assert res.status == "optimal"
         assert res.gap <= 1e-8 * (1 + abs(res.value))
     elapsed = time.monotonic() - t0

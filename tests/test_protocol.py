@@ -149,14 +149,16 @@ def _reference_fidelity_hand_sum(spec, n_p):
 _ORACLE_CACHE: dict = {}
 
 
-def _oracle_for_term(code, label, weak_spec=None):
-    """Oracle a of a report term, read off its label: 'no-phys-erasure',
-    'phys:0,1' (weak) or 'survivors:k;phys:0,1' / 'survivors:k;phys:-'."""
-    fields = dict(f.split(":") for f in label.split(";") if ":" in f)
-    phys = tuple(int(i) for i in fields.get("phys", "-").split(",") if i != "-")
-    if weak_spec is not None:
-        return _quadrature_a(code, weak_spec, phys)
-    k = int(fields["survivors"])
+def _oracle_for_term(code, label, weak_spec):
+    """Oracle a of a weak report term, read off its label: 'no-phys-erasure'
+    or 'phys:0,1'."""
+    phys = tuple(int(i) for i in label.removeprefix("phys:").split(",")) if label.startswith("phys:") else ()
+    return _quadrature_a(code, weak_spec, phys)
+
+
+def _strong_oracle(code, k, phys):
+    """Oracle a of the strong model's frame of k surviving copies (a Haar
+    guess at k = 0) against physical pattern `phys`."""
     key = (code.name, k, phys)
     if key not in _ORACLE_CACHE:
         spec = rf.strong_combined_spec(2, k) if k else FLAT
@@ -294,13 +296,41 @@ def test_spectral_inner_matches_quadrature_weak(m):
     (codes.five_qubit_code(), 3),
 ])
 def test_spectral_inner_matches_quadrature_strong(code, s_r):
-    # the survivors:0 terms are Haar guesses
-    rep = pr.effective_channel(pr.ProtocolConfig(2, "strong", code, p_e=0.2, s_r=s_r))
-    assert len(rep.terms) == (s_r + 1) * 2**code.n_p
-    oracle = [_oracle_for_term(code, t.label) for t in rep.terms]
-    for t, a in zip(rep.terms, oracle):
-        assert abs(t.params.a - a) < 1e-13, t.label
-    assert abs(rep.mixture.a - sum(t.probability * a for t, a in zip(rep.terms, oracle))) < 1e-13
+    # every (k, P) cell of the table the strong report mixes over k; the
+    # k = 0 row holds Haar guesses
+    cfg = pr.ProtocolConfig(2, "strong", code, p_e=0.2, s_r=s_r)
+    phys = [tuple(sorted(p)) for _, _, p in pr._strong_terms(cfg)]
+    a, _ = pr.inner_channel(code, [pr._frame(cfg, k) for k in range(s_r + 1)], phys)
+    assert a.shape == (s_r + 1, 2**code.n_p)
+    oracle = np.array([[_strong_oracle(code, k, p) for p in phys] for k in range(s_r + 1)])
+    for (k, j), cell in np.ndenumerate(a):
+        assert abs(cell - oracle[k, j]) < 1e-13, (k, phys[j])
+    rep = pr.effective_channel(cfg)
+    law = pr._survivor_law(s_r, (1 - 0.2) ** 2)
+    assert abs(rep.mixture.a - sum(t.probability * (law @ oracle[:, j])
+                                   for j, t in enumerate(rep.terms))) < 1e-13
+
+
+@pytest.mark.parametrize("s_r", [0, 6, 256])
+def test_strong_report_has_one_term_per_physical_pattern(s_r):
+    code, p_e = codes.five_qubit_code(), 0.1
+    cfg = pr.ProtocolConfig(2, "strong", code, p_e=p_e, s_r=s_r)
+    rep = pr.effective_channel(cfg)
+    phys = [p for k in range(6) for p in itertools.combinations(range(5), k)]
+    assert [t.label for t in rep.terms] == \
+        ["phys:" + ",".join(map(str, p)) if p else "no-phys-erasure" for p in phys]
+    # independent Bernoulli(p_e) erasure of each physical qudit
+    for t, p in zip(rep.terms, phys):
+        assert t.probability == pytest.approx(p_e ** len(p) * (1 - p_e) ** (5 - len(p)), rel=1e-15)
+    # the survivor law is the binomial law of intact copies
+    law = pr._survivor_law(s_r, (1 - p_e) ** 2)
+    binom = [math.comb(s_r, k) * (1 - p_e) ** (2 * k) * (1 - (1 - p_e) ** 2) ** (s_r - k)
+             for k in range(s_r + 1)]
+    assert np.max(np.abs(np.array(law) - binom)) < 1e-14
+    # each term's a is its column of the (k, P) table mixed over k
+    a, _ = pr.inner_channel(code, [pr._frame(cfg, k) for k in range(s_r + 1)], phys)
+    for t, column in zip(rep.terms, a.T):
+        assert abs(t.params.a - sum(w * x for w, x in zip(law, column))) <= 1e-15, t.label
 
 
 @pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
@@ -807,6 +837,19 @@ def test_mc_matches_quadrature_weak():
     code = codes.five_qubit_code()
     cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=8, pattern_dist="exact_ne",
                             mc_samples=40000, seed=13)
+    rep = pr.effective_channel(cfg)
+    est, err = pr.monte_carlo_epsilon(cfg)
+    assert abs(est - rep.mixture.a) < 3 * err
+    assert abs(est - rep.mixture.a) < 5 * err + 1e-12, "5 sigma divergence flags a fault"
+
+
+def test_mc_matches_quadrature_weak_erasure_free():
+    # n_e = 0: the erasure draw has zero width, so every shot erases nothing
+    # and keeps its one copy
+    code = codes.five_qubit_code()
+    cfg = pr.ProtocolConfig(2, "weak", code, n_e=0, m=8, mc_samples=40000, seed=13)
+    phys, survivors = pr._sample_patterns(cfg, np.random.default_rng(0), 1000)
+    assert not phys.any() and (survivors == 1).all()
     rep = pr.effective_channel(cfg)
     est, err = pr.monte_carlo_epsilon(cfg)
     assert abs(est - rep.mixture.a) < 3 * err

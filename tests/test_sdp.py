@@ -8,7 +8,7 @@ from covqec import codes
 from covqec import sdp
 
 from conftest import (assert_keeps_generic_start, assert_starts_at_optimum, assert_strictly_feasible,
-                      block_covariant_choi, block_unitary)
+                      block_covariant_choi, block_unitary, standard_program)
 
 RNG = np.random.default_rng(5)
 
@@ -25,12 +25,8 @@ def random_channel(rng, d, n_kraus=3):
 
 def test_solve_scalar_lower_bound():
     # min x subject to x >= 1, posed as x - s = 1 with a slack block s >= 0
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("s", 1)
-    inst.set_objective({"x": np.eye(1)})
-    inst.add_equality({"x": np.eye(1), "s": -np.eye(1)}, 1.0)
-    res = sdp.solve(inst)
+    one = np.eye(1)
+    res = sdp.solve(standard_program({"x": 1, "s": 1}, {"x": one}, [({"x": one, "s": -one}, 1.0)]))
     assert res.status == "optimal"
     assert res.value == pytest.approx(1.0, abs=1e-7)
     assert res.gap <= 1e-6
@@ -42,53 +38,37 @@ def test_solve_min_eigenvalue():
     for _ in range(5):
         a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         c = 0.5 * (a + a.conj().T)
-        inst = sdp.SdpInstance()
-        inst.add_block("X", 4)
-        inst.set_objective({"X": c})
-        inst.add_equality({"X": np.eye(4)}, 1.0)
-        res = sdp.solve(inst)
+        res = sdp.solve(standard_program({"X": 4}, {"X": c}, [({"X": np.eye(4)}, 1.0)]))
         assert res.status == "optimal"
         assert res.value == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
 
 
 def test_solve_two_block_toy_vs_grid():
     # min x + 2y s.t. x + y = 1, x, y >= 0; grid oracle over the segment
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("y", 1)
-    inst.set_objective({"x": np.eye(1), "y": 2 * np.eye(1)})
-    inst.add_equality({"x": np.eye(1), "y": np.eye(1)}, 1.0)
-    res = sdp.solve(inst)
+    one = np.eye(1)
+    res = sdp.solve(standard_program({"x": 1, "y": 1}, {"x": one, "y": 2 * one},
+                                     [({"x": one, "y": one}, 1.0)]))
     grid = min(x + 2 * (1 - x) for x in np.linspace(0, 1, 100001))
     assert res.value == pytest.approx(grid, abs=1e-6)
 
 
 def test_solve_max_sense():
     # max x s.t. x + s = 2 is minus the minimum of -x
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("s", 1)
-    inst.set_objective({"x": -np.eye(1)})
-    inst.add_equality({"x": np.eye(1), "s": np.eye(1)}, 2.0)
-    res = sdp.solve(inst)
+    one = np.eye(1)
+    res = sdp.solve(standard_program({"x": 1, "s": 1}, {"x": -one}, [({"x": one, "s": one}, 2.0)]))
     assert -res.value == pytest.approx(2.0, abs=1e-7)
 
 
 def test_size_cap():
-    inst = sdp.SdpInstance()
     with pytest.raises(sdp.SdpSizeError):
-        inst.add_block("big", sdp.DEFAULT_SIZE_CAP + 1)
+        sdp._zero_program({"big": sdp.DEFAULT_SIZE_CAP + 1}, 1)
 
 
 def test_duality_on_optimal_exit():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((3, 3))
     c = 0.5 * (a + a.T).astype(complex)
-    inst = sdp.SdpInstance()
-    inst.add_block("X", 3)
-    inst.set_objective({"X": c})
-    inst.add_equality({"X": np.eye(3)}, 1.0)
-    res = sdp.solve(inst, tol=1e-9)
+    res = sdp.solve(standard_program({"X": 3}, {"X": c}, [({"X": np.eye(3)}, 1.0)]), tol=1e-9)
     assert res.status == "optimal"
     assert res.gap <= 1e-8 * (1 + abs(res.value))
     w = np.linalg.eigvalsh(res.blocks["X"])
@@ -106,12 +86,8 @@ def test_solve_unequal_blocks():
         cs.append(0.5 * (a + a.conj().T))
     w = [np.linalg.eigvalsh(c) for c in cs]
     for sign, ref in ((1, min(w[0].min(), w[1].min())), (-1, -max(w[0].max(), w[1].max()))):
-        inst = sdp.SdpInstance()
-        inst.add_block("X1", 3)
-        inst.add_block("X2", 2)
-        inst.set_objective({"X1": sign * cs[0], "X2": sign * cs[1]})
-        inst.add_equality({"X1": np.eye(3), "X2": np.eye(2)}, 1.0)
-        res = sdp.solve(inst)
+        res = sdp.solve(standard_program({"X1": 3, "X2": 2}, {"X1": sign * cs[0], "X2": sign * cs[1]},
+                                         [({"X1": np.eye(3), "X2": np.eye(2)}, 1.0)]))
         assert res.status == "optimal"
         assert res.value == pytest.approx(ref, abs=1e-7)
         x1, x2 = res.blocks["X1"], res.blocks["X2"]
@@ -120,26 +96,11 @@ def test_solve_unequal_blocks():
         assert np.real(np.trace(x1) + np.trace(x2)) == pytest.approx(1.0, abs=1e-8)
 
 
-def test_unknown_block_name_raises():
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("s", 1)
-    with pytest.raises(ValueError, match="unknown block 'X'"):
-        inst.set_objective({"X": np.eye(1)})
-    with pytest.raises(ValueError, match="unknown block 'S'"):
-        inst.add_equality({"x": np.eye(1), "S": -np.eye(1)}, 1.0)
-    assert inst._constraints == []
-
-
 def test_primal_divergence_is_unbounded():
     # min -x s.t. x - y = 0 has no minimum; the primal iterate grows until
     # the divergence test stops it, before any overflow
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("y", 1)
-    inst.set_objective({"x": -np.eye(1)})
-    inst.add_equality({"x": np.eye(1), "y": -np.eye(1)}, 0.0)
-    res = sdp.solve(inst)
+    one = np.eye(1)
+    res = sdp.solve(standard_program({"x": 1, "y": 1}, {"x": -one}, [({"x": one, "y": -one}, 0.0)]))
     assert res.status == "unbounded"
     assert res.iterations == 5
     assert res.value < -1e12
@@ -147,12 +108,9 @@ def test_primal_divergence_is_unbounded():
 
 def test_dual_divergence_is_infeasible():
     # x + s = -1 has no solution with x, s >= 0
-    inst = sdp.SdpInstance()
-    inst.add_block("x", 1)
-    inst.add_block("s", 1)
-    inst.set_objective({"x": np.eye(1)})
-    inst.add_equality({"x": np.eye(1), "s": np.eye(1)}, -1.0)
-    assert sdp.solve(inst).status == "infeasible"
+    one = np.eye(1)
+    prog = standard_program({"x": 1, "s": 1}, {"x": one}, [({"x": one, "s": one}, -1.0)])
+    assert sdp.solve(prog).status == "infeasible"
 
 
 def test_repeated_row_singular_schur_matrix():
@@ -161,23 +119,9 @@ def test_repeated_row_singular_schur_matrix():
     rng = np.random.default_rng(19)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     c = 0.5 * (a + a.conj().T)
-    inst = sdp.SdpInstance()
-    inst.add_block("X", 3)
-    inst.set_objective({"X": c})
-    for _ in range(3):
-        inst.add_equality({"X": np.eye(3)}, 1.0)
-    res = sdp.solve(inst)
+    res = sdp.solve(standard_program({"X": 3}, {"X": c}, [({"X": np.eye(3)}, 1.0)] * 3))
     assert res.status == "optimal"
     assert res.value == pytest.approx(np.linalg.eigvalsh(c).min(), abs=1e-7)
-
-
-def test_wrong_coefficient_shape_raises():
-    inst = sdp.SdpInstance()
-    inst.add_block("X", 3)
-    with pytest.raises(ValueError, match="shape"):
-        inst.set_objective({"X": np.eye(2)})
-    with pytest.raises(ValueError, match="shape"):
-        inst.add_equality({"X": np.ones(3)}, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +283,7 @@ def test_sqrt_fwc_pin_iterations(monkeypatch):
 
 def test_diamond_of_covariant_channel_is_a():
     # a covariant channel's worst input is Phi+, so its diamond error is a:
-    # the program protocol._finish_report solves for eps_cov
+    # the program protocol.effective_channel solves for eps_cov
     ident = ch.identity_channel(2).choi()
     for a in (0.0, 1e-6, 1e-3, 0.2, 0.5, 0.75, 1.0):
         choi = ch.covariant_choi(ch.CovariantParams(2, a))
@@ -431,23 +375,18 @@ def _pick(n, r, c, imag=False):
     return a if r != c else 2 * a
 
 
-def _dict_diamond_instance(choi_a, choi_b):
-    """diamond_error's program, one add_equality per entry-picking row."""
+def _reference_diamond_program(choi_a, choi_b):
+    """diamond_error's program, one coefficient dict per entry-picking row."""
     din, dout = choi_a.dim_in, choi_a.dim_out
     D = din * dout
     ju = din * (choi_a.mat - choi_b.mat)
-    inst = sdp.SdpInstance()
-    inst.add_block("P", D)   # Y - J
-    inst.add_block("Q", D)   # Y + J
-    inst.add_block("T", din)  # mu I - Tr_out Y
-    inst.add_block("mu", 1)
-    inst.set_objective({"mu": np.eye(1, dtype=complex)})
+    rows = []
     # Q - P = 2 J
     for r in range(D):
         for c in range(r, D):
             for imag in (False, True) if c > r else (False,):
                 rhs = 2 * (np.imag(ju[r, c]) if imag else np.real(ju[r, c]))
-                inst.add_equality({"Q": _pick(D, r, c, imag), "P": -_pick(D, r, c, imag)}, rhs)
+                rows.append(({"Q": _pick(D, r, c, imag), "P": -_pick(D, r, c, imag)}, rhs))
     # T + Tr_out((P + Q)/2) - mu I = 0
     for i in range(din):
         for j in range(i, din):
@@ -458,36 +397,32 @@ def _dict_diamond_instance(choi_a, choi_b):
                 coeffs = {"T": _pick(din, i, j, imag), "P": trace_pick, "Q": trace_pick}
                 if i == j:
                     coeffs["mu"] = -np.eye(1, dtype=complex)
-                inst.add_equality(coeffs, 0.0)
-    return inst
+                rows.append((coeffs, 0.0))
+    # blocks P = Y - J, Q = Y + J, T = mu I - Tr_out Y and mu
+    return standard_program({"P": D, "Q": D, "T": din, "mu": 1}, {"mu": np.eye(1)}, rows)
 
 
-def _dict_fwc_instance(choi_a, choi_b):
-    """sqrt_fwc's program, one add_equality per entry-picking row."""
+def _reference_fwc_program(choi_a, choi_b):
+    """sqrt_fwc's program, one coefficient dict per entry-picking row."""
     din, dout = choi_a.dim_in, choi_a.dim_out
     w_a, v_a = sdp._support(choi_a.unnormalized())
     w_b, v_b = sdp._support(choi_b.unnormalized())
     r_a, r_b = len(w_a), len(w_b)
     n = r_a + r_b
-    inst = sdp.SdpInstance()
-    inst.add_block("S", n)
-    inst.add_block("rho", din)
-    inst.set_objective({"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))})
-    inst.add_equality({"rho": np.eye(din, dtype=complex)}, 1.0)
+    rows = [({"rho": np.eye(din)}, 1.0)]
     y = v_a.T.reshape(r_a, dout, din)
     x = v_b.T.reshape(r_b, dout, din)
     for p in range(r_a):
         for q in range(r_b):
             n_pq = x[q].T @ y[p].conj()
-            inst.add_equality({"S": _pick(n, p, r_a + q), "rho": n_pq}, 0.0)
-            inst.add_equality({"S": _pick(n, p, r_a + q, imag=True), "rho": -1j * n_pq}, 0.0)
-    return inst
+            rows.append(({"S": _pick(n, p, r_a + q), "rho": n_pq}, 0.0))
+            rows.append(({"S": _pick(n, p, r_a + q, imag=True), "rho": -1j * n_pq}, 0.0))
+    return standard_program({"S": n, "rho": din}, {"S": 0.5 * np.diag(np.concatenate([w_a, w_b]))}, rows)
 
 
-def _assert_same_program(inst, prog):
+def _assert_same_program(ref, prog):
     # bytes with -0.0 read as +0.0 (adding +0.0 changes no other bit): the
     # Hermitian part of the reference's -_pick(...) leaves signed zeros in P
-    ref = inst._program()
     for name in ("C", "A3", "b"):
         want, got = getattr(ref, name), getattr(prog, name)
         assert want.shape == got.shape and (want + 0.0).tobytes() == (got + 0.0).tobytes(), name
@@ -495,7 +430,7 @@ def _assert_same_program(inst, prog):
         {n: (s.start, s.stop) for n, s in prog.spans.items()}
     # and the solver, both sides started at its default point, runs the same
     # iterations on both
-    want, got = sdp.solve(inst), sdp.solve(prog._replace(start=None))
+    want, got = sdp.solve(ref), sdp.solve(prog._replace(start=None))
     assert (want.value, want.gap, want.status, want.iterations) == \
         (got.value, got.gap, got.status, got.iterations)
     assert all(want.blocks[n].tobytes() == got.blocks[n].tobytes() for n in ref.spans)
@@ -516,7 +451,7 @@ def test_diamond_program_equals_dict_builder(din, dout):
     rng = np.random.default_rng(31 + 4 * din + dout)
     ca, cb = (_random_kraus(rng, din, dout).choi() for _ in range(2))
     prog = sdp._diamond_program(ca, cb)
-    _assert_same_program(_dict_diamond_instance(ca, cb), prog)
+    _assert_same_program(_reference_diamond_program(ca, cb), prog)
     # C and A3 are built once per (d_in, d_out) and shared read-only
     again = sdp._diamond_program(cb, ca)
     assert again.C is prog.C and again.A3 is prog.A3
@@ -526,10 +461,10 @@ def test_diamond_program_equals_dict_builder(din, dout):
 def test_fwc_program_equals_dict_builder():
     rng = np.random.default_rng(37)
     ca, cb = (_random_kraus(rng, 2, 2).choi() for _ in range(2))
-    _assert_same_program(_dict_fwc_instance(ca, cb), sdp._fwc_program(ca, cb))
+    _assert_same_program(_reference_fwc_program(ca, cb), sdp._fwc_program(ca, cb))
     ident = ch.identity_channel(3).choi()
     choi = block_covariant_choi([1, 2], {0: 1 / 3, 1: 2 / 3})
-    _assert_same_program(_dict_fwc_instance(ident, choi), sdp._fwc_program(ident, choi))
+    _assert_same_program(_reference_fwc_program(ident, choi), sdp._fwc_program(ident, choi))
 
 
 @pytest.mark.parametrize("din,dout", [(2, 2), (3, 3), (2, 3), (3, 2)])
@@ -600,12 +535,7 @@ def test_rows_that_constrain_im_x_keep_the_complex_path():
     sx, sz = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
     for c, row, rhs, want in ((sz, _pick(2, 0, 1, imag=True), 0.3, -0.8),  # y = -0.6, min z
                               (sx, _pick(2, 0, 1) + _pick(2, 0, 1, imag=True), 0.0, -0.5 ** 0.5)):  # x = y, min x
-        inst = sdp.SdpInstance()
-        inst.add_block("X", 2)
-        inst.set_objective({"X": c})
-        inst.add_equality({"X": np.eye(2)}, 1.0)
-        inst.add_equality({"X": row}, rhs)
-        res = sdp.solve(inst)
+        res = sdp.solve(standard_program({"X": 2}, {"X": c}, [({"X": np.eye(2)}, 1.0), ({"X": row}, rhs)]))
         assert res.status == "optimal" and res.blocks["X"].dtype == np.complex128
         assert res.value == pytest.approx(want, abs=1e-7)
 
