@@ -72,7 +72,7 @@ class KrausChannel:
         if self.kraus.ndim != 3 or self.kraus.shape[1:] != (self.dim_out, self.dim_in):
             raise ValueError(f"Kraus stack shape {self.kraus.shape} != (K, {self.dim_out}, {self.dim_in})")
         flat = self.kraus.reshape(-1, self.dim_in)  # sum_k K^dag K = flat^dag flat
-        if np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) > _HERM_TOL:
+        if not np.max(np.abs(flat.conj().T @ flat - np.eye(self.dim_in))) <= _HERM_TOL:
             raise ValueError("Kraus operators are not trace preserving")
 
     def choi(self) -> "ChoiMatrix":
@@ -91,12 +91,13 @@ class ChoiMatrix:
         n = self.dim_in * self.dim_out
         if self.mat.shape != (n, n):
             raise ValueError("Choi matrix has wrong shape")
-        if np.max(np.abs(self.mat - self.mat.conj().T)) > _HERM_TOL:
+        # written as not <=, so that NaN fails each check
+        if not np.max(np.abs(self.mat - self.mat.conj().T)) <= _HERM_TOL:
             raise ValueError("Choi matrix is not Hermitian")
-        if np.linalg.eigvalsh(self.mat).min() < -_HERM_TOL:
+        if not np.linalg.eigvalsh(self.mat).min() >= -_HERM_TOL:
             raise ValueError("Choi matrix is not PSD")
         marg = _partial_trace_out(self.mat, self.dim_out, self.dim_in)
-        if np.max(np.abs(marg - np.eye(self.dim_in) / self.dim_in)) > _HERM_TOL:
+        if not np.max(np.abs(marg - np.eye(self.dim_in) / self.dim_in)) <= _HERM_TOL:
             raise ValueError("Choi matrix is not trace preserving")
 
     def unnormalized(self) -> np.ndarray:
@@ -132,7 +133,9 @@ def identity_channel(d: int) -> KrausChannel:
 
 def depolarizing_channel(p: float) -> KrausChannel:
     """The qubit channel rho -> (1-p) rho + p I/2: sqrt(1-p) I and the
-    sqrt(p/2) |i><j|."""
+    sqrt(p/2) |i><j|, for p in [0, 1]."""
+    if not 0 <= p <= 1:
+        raise ValueError("depolarizing probability must lie in [0, 1]")
     d = 2
     units = np.eye(d * d).reshape(d * d, d, d)  # |i><j| at index i d + j
     return KrausChannel(d, d, np.concatenate([[np.sqrt(1 - p) * np.eye(d)], np.sqrt(p / d) * units]))

@@ -10,7 +10,8 @@ channel of the erased-restriction map taken at the maximally mixed code
 input.  For patterns below the code distance this inverts the noise
 exactly; beyond the distance it degrades gracefully while staying trace
 preserving (off-support weight is dumped to the maximally mixed logical
-state).
+state).  Each pattern's completed recovery is built, checked and memoized
+once per process (`recovery_on_survivors`).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "five_qubit_code",
     "trivial_code",
     "recovery_on_survivors",
-    "recovery_parts",
     "erased_restriction_kraus",
     "corrected_channel",
     "code_error",
@@ -53,7 +53,7 @@ class CodeSpec:
         v = np.asarray(self.encoder, dtype=complex)
         if v.shape != (self.d**self.n_p, self.d):
             raise ValueError("encoder has the wrong shape")
-        if np.max(np.abs(v.conj().T @ v - np.eye(self.d))) > 1e-10:
+        if not np.max(np.abs(v.conj().T @ v - np.eye(self.d))) <= 1e-10:
             raise ValueError("encoder is not an isometry")
 
 
@@ -125,32 +125,22 @@ def _memo_put(memo: dict, cap: int, key, value):
     return value
 
 
-# recovery parts by code key and erased set, oldest first; the parts
-# depend on nothing else
+# completed recovery Kraus stacks by code key and erased set, oldest first;
+# a stack depends on nothing else
 _RECOVERY: dict = {}
 _RECOVERY_CAP = 256
 
 
-def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
+def _recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     """Data Kraus stack of the survivor-space recovery, and an orthonormal
-    basis (columns) of the survivor space off their support.
+    basis (columns) of the survivor space off their support, from one
+    eigendecomposition.
 
     The data Kraus are the transpose channel of the erased restriction at
     the maximally mixed logical input, R_b = M_b^dag rho_out^{-1/2}/sqrt(d)
     on the support of rho_out; the recovery is completed off the support by
     dumping to the maximally mixed logical state (see recovery_on_survivors).
-
-    The parts are memoized per process, so the exact channel's spectra,
-    the Monte Carlo scorer and `corrected_channel` share one
-    eigendecomposition per pattern: keyed on the encoder's bytes
-    (`_code_key`), in a module memo of at most `_RECOVERY_CAP` entries that
-    drops its oldest entry first.  The arrays returned are read-only and
-    shared between callers.
     """
-    key = _code_key(code) + (frozenset(int(i) for i in pattern),)
-    parts = _RECOVERY.get(key)
-    if parts is not None:
-        return parts
     d = code.d
     ms = erased_restriction_kraus(code, pattern)
     ms_dag = ms.conj().transpose(0, 2, 1)
@@ -158,28 +148,38 @@ def recovery_parts(code: CodeSpec, pattern) -> tuple[np.ndarray, np.ndarray]:
     w, u = np.linalg.eigh(rho_out)
     keep = w > 1e-12
     inv_half = (u[:, keep] / np.sqrt(w[keep])) @ u[:, keep].conj().T
-    parts = ((ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep])
-    for a in parts:
-        a.setflags(write=False)
-    return _memo_put(_RECOVERY, _RECOVERY_CAP, key, parts)
+    return (ms_dag @ inv_half) / np.sqrt(d), u[:, ~keep]
 
 
 def recovery_on_survivors(code: CodeSpec, pattern) -> np.ndarray:
     """Kraus stack of the recovery map (C^d)^(survivors) -> logical.
 
     Exact inverse of the erasure whenever |pattern| < distance; beyond
-    that a trace-preserving best effort.  The completion is |l><v| / sqrt(d)
-    for each off-support basis vector v and logical level l, at index
-    (v, l) after the data Kraus.
+    that a trace-preserving best effort.  The first d^|pattern| operators
+    are the data Kraus of `_recovery_parts`; the completion follows them,
+    |l><v| / sqrt(d) for each off-support basis vector v and logical level
+    l, at index (v, l).
+
+    The stack is memoized per process, so the exact channel's spectra,
+    the Monte Carlo scorer and `corrected_channel` share one recovery per
+    pattern: keyed on the encoder's bytes (`_code_key`), in a module memo
+    of at most `_RECOVERY_CAP` entries that drops its oldest entry first.
+    Its trace-preservation check runs once, when the stack is built.  The
+    array returned is read-only and shared between callers.
     """
+    key = _code_key(code) + (frozenset(int(i) for i in pattern),)
+    kraus = _RECOVERY.get(key)
+    if kraus is not None:
+        return kraus
     d = code.d
-    data, off = recovery_parts(code, pattern)
+    data, off = _recovery_parts(code, pattern)
     junk = np.eye(d)[None, :, :, None] * off.T.conj()[:, None, None, :] / np.sqrt(d)
     kraus = np.concatenate([data, junk.reshape(-1, d, len(off))])
     flat = kraus.reshape(-1, len(off))  # sum_k K^dag K = flat^dag flat
     if not np.max(np.abs(flat.conj().T @ flat - np.eye(len(off)))) < 1e-9:
         raise RuntimeError("survivor-space recovery is not trace preserving")
-    return kraus
+    kraus.setflags(write=False)
+    return _memo_put(_RECOVERY, _RECOVERY_CAP, key, kraus)
 
 
 def corrected_channel(code: CodeSpec, pattern) -> KrausChannel:

@@ -35,9 +35,9 @@ monte_carlo_epsilon runs the operational protocol instead, as an oracle
 that shares neither the spectrum nor the recovery's closed-form
 completion: it draws every shot's erasure pattern and relative rotation
 U' in bulk, then scores the shots of each erased-set size together on
-their explicit Kraus operators, with the recoveries that
-`codes.recovery_parts` memoized for the exact channel.  The encoding
-rotation U and a transversal gate V drop out of that score, as
+their explicit Kraus operators, with the recovery stacks that
+`codes.recovery_on_survivors` memoized for the exact channel.  The
+encoding rotation U and a transversal gate V drop out of that score, as
 (V U)^dag U^ = U'^dag for the outcome U^ = V U U'^dag (`_score_shots`),
 so neither is drawn.
 """
@@ -72,7 +72,6 @@ from .codes import (
     erased_restriction_kraus,
     five_qubit_code,
     recovery_on_survivors,
-    recovery_parts,
     trivial_code,
 )
 
@@ -261,7 +260,7 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
     d = code.d
     n_surv = code.n_p - len(set(erased_sets[0]))
     m_ops = np.stack([erased_restriction_kraus(code, e) for e in erased_sets])
-    data_kraus = np.stack([recovery_parts(code, e)[0] for e in erased_sets])
+    data_kraus = np.stack([recovery_on_survivors(code, e)[:d ** len(e)] for e in erased_sets])
     n_pat, n_b, dim_s = m_ops.shape[:3]
     # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
     # summed over the (alpha, gamma) plane
@@ -506,7 +505,7 @@ def _score_shots(code: CodeSpec, phys, u_rels) -> np.ndarray:
     a time for the whole chunk (`_kron_power_apply`), G_b = W_b U'^dag, and
     Tr(U'^dag R_r W_b) = sum_{s,x} R_r[x,s] G_b[s,x] by one matmul of each
     pattern's flattened R stack against its shots' G.  The recoveries come
-    from `recovery_on_survivors`, whose parts `recovery_parts` memoizes.
+    from `recovery_on_survivors`, which memoizes each pattern's stack.
     """
     d = code.d
     rels_t = np.ascontiguousarray(u_rels.transpose(1, 2, 0))  # np.take copies a strided source whole

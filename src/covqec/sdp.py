@@ -9,12 +9,11 @@ Hermitian blocks:
 
 with <A, X> = Re Tr(A X).  The blocks sit on the diagonal of one Hermitian
 matrix of size total = sum_j s_j, so the primal X and dual Z are one
-block-diagonal iterate each and the constraints one (m, total^2) matrix
-(complex, or real for real data; see below), whose row k is vec(A_k):
-the constraint map, its adjoint and the Schur complement are matrix
-products against it.  Each iterate pair is factored once, into the
-Nesterov-Todd frame F = Z^{-1/2} U D^{1/2} with Z^{1/2} X Z^{1/2} =
-U D^2 U^H, which maps X and Z both to the diagonal D:
+block-diagonal iterate each and the constraints one complex (m, total^2)
+matrix, whose row k is vec(A_k): the constraint map, its adjoint and the
+Schur complement are matrix products against it.  Each iterate pair is
+factored once, into the Nesterov-Todd frame F = Z^{-1/2} U D^{1/2} with
+Z^{1/2} X Z^{1/2} = U D^2 U^H, which maps X and Z both to the diagonal D:
 two eigendecompositions (Z, then Z^{1/2} X Z^{1/2}; X needs none) give the
 scaling point W = F F^H, Z^{-1} = F D^{-1} F^H and every step-length test.
 The corrector subtracts Mehrotra's second-order term, the product of the
@@ -65,17 +64,6 @@ Y = |J| the upper bound ||Tr_out |J|||_inf.  Where the
 two meet, as for every covariant channel against the identity and every
 Pauli channel, the start is that optimum, primal and dual nudged inside
 the cone, and the solve's first test certifies it after one iteration.
-
-A program with real data runs in real arithmetic: when C and the start's
-X are real, every A_k is real or purely imaginary, and every purely
-imaginary row has b_k = 0, `solve` drops the imaginary rows and runs the
-same loop on float64 arrays.  That is exact: Re X of a feasible X is
-feasible with the same objective (a real symmetric A_k sees only Re X,
-an imaginary one sees none of it, and Re X >= 0 with X), so the optimum
-is attained on real symmetric X, where the imaginary rows hold
-trivially.  The diamond program of two channels with real Choi matrices,
-such as the pipeline's Pauli-corrected and depolarizing channels, meets
-the condition, and at qubit size keeps 13 of its 20 rows.
 
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
@@ -180,18 +168,12 @@ def solve(instance: _Program, tol: float = 1e-8) -> SdpResult:
     channel-distance programs of this module do, runs from that strictly
     feasible point; one without starts at X = Z = scale I, y = 0.
 
-    A program whose C and start X are real, whose A_k are each real or
-    purely imaginary, and whose imaginary rows all have b_k = 0 is solved
-    in real arithmetic without those rows (see _real_form): Re X of any
-    feasible X is feasible with the same objective, so the optimum is the
-    same, and the returned blocks are then float64.
-
     Status "optimal", "infeasible" (the dual iterate diverged: no feasible
     X), "unbounded" (the primal iterate diverged: the objective is unbounded
     below) or "max_iterations" (also when a step cannot be computed or the
     Schur matrix cannot be factored even with a 1e6-fold jitter).
     """
-    C, A3, b, spans, start = _real_form(instance)
+    C, A3, b, spans, start = instance
     m, total = len(b), len(C)
     # row k of A is vec(A_k) of the block-diagonal constraint matrix; every
     # A_k is Hermitian, so <A_k, X> = Re(conj(A_k) @ vec X)
@@ -215,7 +197,7 @@ def solve(instance: _Program, tol: float = 1e-8) -> SdpResult:
     diverged = (1e12 * scale) ** 2
     # the primal and dual iterates, stepped and Hermitized as one stack
     if start is None:
-        XZ = np.array([np.eye(total, dtype=C.dtype) * scale] * 2)
+        XZ = np.array([np.eye(total, dtype=complex) * scale] * 2)
         y = np.zeros(m)
     else:
         X, y = start
@@ -326,35 +308,6 @@ def solve(instance: _Program, tol: float = 1e-8) -> SdpResult:
     value = 0.5 * (pobj + dobj) if status == "optimal" else pobj
     return SdpResult(value=float(value), blocks={n: X[sl, sl] for n, sl in spans.items()},
                      gap=float(abs(pobj - dobj)), status=status, iterations=iters)
-
-
-def _real_form(prog: _Program) -> _Program:
-    """The program in real arithmetic when that is exact, else `prog`.
-
-    If C and the start's X are real, every A_k is real or purely imaginary,
-    and every purely imaginary row has b_k = 0, then Re X of any feasible X
-    is feasible with the same objective: <A_k, X> = <A_k, Re X> on a real
-    row (a real symmetric A_k sees no antisymmetric Im X), <A_k, Re X> = 0
-    on an imaginary one, Re X >= 0 with X, and <C, X> = <C, Re X>.  So the
-    optimum is attained on real symmetric X, where the imaginary rows hold
-    trivially; they are dropped (with their start multipliers) and the
-    rest is handed over as float64 arrays.  The test runs on float maxima
-    and Python lists: boolean numpy kernels that nothing else in a solve
-    runs would map their code pages in on a first call (see _entry_picks)."""
-    C, A3, b, spans, start = prog
-    if np.abs(C.imag).max() or (start is not None and np.abs(start[0].imag).max()):
-        return prog
-    A = A3.reshape(len(b), -1)
-    keep = []
-    for k, (re, im, rhs) in enumerate(zip(np.abs(A.real).max(axis=1).tolist(),
-                                          np.abs(A.imag).max(axis=1).tolist(), b.tolist())):
-        if not im:
-            keep.append(k)
-        elif re or rhs:
-            return prog
-    if start is not None:
-        start = (start[0].real.copy(), start[1][keep])
-    return _Program(C.real.copy(), A3.real[keep], b[keep], spans, start)
 
 
 def _max_steps(mats: np.ndarray) -> tuple[float, ...]:
@@ -526,9 +479,8 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     # entry row's y_k is twice the entry) and -(1 - delta) I / d_in on T, so
     # Z_mu = delta.  eps = 2 delta low / (d_out + 1) offsets the primal's
     # excess against the dual's shortfall to first order; its floor, at the
-    # round-off of J, keeps X > 0 at J = 0.  A real J is decomposed as
-    # real, so a real start keeps the real path
-    lam, v = np.linalg.eigh(J if np.abs(J.imag).max() else J.real)
+    # round-off of J, keeps X > 0 at J = 0
+    lam, v = np.linalg.eigh(J)
     mag = np.abs(lam)
     abs_j = _hermitize((v * mag) @ v.conj().T)
     tr_out = lambda y: y.reshape(dout, din, dout, din).trace(axis1=0, axis2=2)

@@ -63,6 +63,19 @@ def test_compose_with_identity():
     assert np.allclose(c.choi().mat, n.choi().mat, atol=1e-12)
 
 
+def test_choi_rejects_nan():
+    mat = ch.identity_channel(2).choi().mat
+    mat[0, 0] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        ch.ChoiMatrix(2, 2, mat)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, np.nan])
+def test_depolarizing_rejects_p_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match="probability"):
+        ch.depolarizing_channel(p)
+
+
 def test_kraus_rejects_non_trace_preserving():
     n = random_channel(RNG, 2)
     kraus = [np.sqrt(0.5) * k for k in n.kraus] + [np.sqrt(0.6) * k for k in n.kraus]
@@ -108,7 +121,8 @@ def test_choi_matches_sum_of_outer_products(d_in, d_out, n_kraus):
     (np.eye(2).reshape(1, 1, 2, 2), "shape"),                           # a stack of stacks
     (np.zeros((0, 2, 2)), "trace preserving"),                          # empty stack
     (np.stack([np.eye(2), np.eye(2)]) / np.sqrt(1.9), "trace preserving"),
-], ids=["ragged", "2d", "4d", "empty", "non-tp"])
+    (np.full((1, 2, 2), np.nan), "trace preserving"),
+], ids=["ragged", "2d", "4d", "empty", "non-tp", "nan"])
 def test_kraus_stack_validation(kraus, message):
     with pytest.raises(ValueError, match=message):
         ch.KrausChannel(2, 2, kraus)

@@ -182,11 +182,13 @@ def test_five_qubit_corrects_double_erasures(pattern):
 
 @pytest.mark.parametrize("pattern", [(), (0,), (0, 1), (0, 1, 2)])
 def test_recovery_parts_off_support_basis(pattern):
-    # orthonormal columns that every data Kraus annihilates, completing the
+    # the completion's columns v (row l = 0 of |l><v| / sqrt(d)) are
+    # orthonormal, every data Kraus annihilates them, and they complete the
     # data support to the whole survivor space
     code = codes.five_qubit_code()
-    data, off = codes.recovery_parts(code, pattern)
-    dim_s = 2 ** (5 - len(pattern))
+    rec = codes.recovery_on_survivors(code, pattern)
+    n_data, dim_s = 2 ** len(pattern), 2 ** (5 - len(pattern))
+    data, off = rec[:n_data], np.sqrt(2) * rec[n_data::2, 0, :].conj().T
     assert off.shape[0] == dim_s
     assert np.allclose(off.conj().T @ off, np.eye(off.shape[1]), atol=1e-12)
     assert max(np.abs(r @ off).max(initial=0.0) for r in data) < 1e-12
@@ -194,26 +196,35 @@ def test_recovery_parts_off_support_basis(pattern):
     assert np.allclose(support + off @ off.conj().T, np.eye(dim_s), atol=1e-10)
 
 
-def _fresh_recovery_parts(code, pattern, monkeypatch):
+def _fresh_recovery(code, pattern, monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(codes, "_RECOVERY", {})
-        return codes.recovery_parts(code, pattern)
+        return codes.recovery_on_survivors(code, pattern)
 
 
 def test_recovery_parts_memo_is_read_only_and_bit_identical(monkeypatch):
-    # a hit returns the stored arrays, read-only, equal bit for bit to a
+    # a hit returns the stored stack, read-only, equal bit for bit to a
     # computation on an empty memo
     monkeypatch.setattr(codes, "_RECOVERY", {})
     code = codes.five_qubit_code()
     for pattern in [(), (0,), (1, 3), (0, 2, 4)]:
-        first = codes.recovery_parts(code, pattern)
-        again = codes.recovery_parts(codes.five_qubit_code(), tuple(reversed(pattern)))
-        assert all(a is b for a, b in zip(first, again))
-        for got, ref in zip(first, _fresh_recovery_parts(code, pattern, monkeypatch)):
-            assert not got.flags.writeable
-            assert np.array_equal(got, ref)
+        first = codes.recovery_on_survivors(code, pattern)
+        again = codes.recovery_on_survivors(codes.five_qubit_code(), tuple(reversed(pattern)))
+        assert again is first and not first.flags.writeable
+        assert np.array_equal(first, _fresh_recovery(code, pattern, monkeypatch))
         with pytest.raises(ValueError, match="read-only"):
-            first[0][...] = 0.0
+            first[...] = 0.0
+
+
+def test_recovery_is_built_and_checked_once_per_pattern(monkeypatch):
+    # a memo hit neither rebuilds the completion nor reruns its
+    # trace-preservation check: it returns the stored stack itself
+    monkeypatch.setattr(codes, "_RECOVERY", {})
+    code = codes.five_qubit_code()
+    first = codes.recovery_on_survivors(code, (0, 1, 2))
+    monkeypatch.setattr(codes, "_recovery_parts", lambda code, pattern: pytest.fail("rebuilt"))
+    again = codes.recovery_on_survivors(code, {2, 1, 0})
+    assert again is first and not again.flags.writeable
 
 
 def test_recovery_parts_memo_keys_on_the_encoder(monkeypatch):
@@ -223,10 +234,10 @@ def test_recovery_parts_memo_keys_on_the_encoder(monkeypatch):
     code, rotated = codes.five_qubit_code(), rotated_five_qubit_code()
     assert rotated == code
     for pattern in [(0,), (1, 2)]:
-        plain = codes.recovery_parts(code, pattern)[0]
-        got = codes.recovery_parts(rotated, pattern)[0]
+        plain = codes.recovery_on_survivors(code, pattern)
+        got = codes.recovery_on_survivors(rotated, pattern)
         assert not np.allclose(got, plain)
-        assert np.array_equal(got, _fresh_recovery_parts(rotated, pattern, monkeypatch)[0])
+        assert np.array_equal(got, _fresh_recovery(rotated, pattern, monkeypatch))
 
 
 def test_recovery_parts_memo_stays_within_its_cap(monkeypatch):
@@ -234,11 +245,11 @@ def test_recovery_parts_memo_stays_within_its_cap(monkeypatch):
     monkeypatch.setattr(codes, "_RECOVERY", {})
     monkeypatch.setattr(codes, "_RECOVERY_CAP", 3)
     code = codes.five_qubit_code()
-    first = codes.recovery_parts(code, (0,))
+    first = codes.recovery_on_survivors(code, (0,))
     for i in range(1, 5):
-        codes.recovery_parts(code, (i,))
+        codes.recovery_on_survivors(code, (i,))
         assert len(codes._RECOVERY) <= 3
-    assert codes.recovery_parts(code, (0,))[0] is not first[0]
+    assert codes.recovery_on_survivors(code, (0,)) is not first
     assert len(codes._RECOVERY) == 3
 
 
@@ -254,7 +265,7 @@ def test_recovery_stack_is_data_then_outer_product_completion(pattern):
     # the stack is the data Kraus followed by |l><v| / sqrt(d) for each
     # off-support column v (outer) and logical level l (inner), bit for bit
     code = codes.five_qubit_code()
-    data, off = codes.recovery_parts(code, pattern)
+    data, off = codes._recovery_parts(code, pattern)
     oracle = list(data) + [np.outer(level, v.conj()) / np.sqrt(code.d)
                            for v in off.T for level in np.eye(code.d)]
     rec = codes.recovery_on_survivors(code, pattern)
@@ -263,22 +274,30 @@ def test_recovery_stack_is_data_then_outer_product_completion(pattern):
 
 
 def test_recovery_stack_shapes():
+    # below the distance the data Kraus alone are trace preserving: no completion
     code = codes.five_qubit_code()
     ms = codes.erased_restriction_kraus(code, (1, 3))
     assert ms.shape == (4, 8, 2) and ms.flags.c_contiguous
     assert not np.shares_memory(codes.erased_restriction_kraus(code, ()), code.encoder)
-    data, off = codes.recovery_parts(code, (1, 3))
-    assert data.shape == (4, 2, 8) and off.shape == (8, 0)
+    assert codes.recovery_on_survivors(code, (1, 3)).shape == (4, 2, 8)
     assert len(codes.corrected_channel(code, (1, 3)).kraus) == 16
 
 
 def test_recovery_rejects_a_non_trace_preserving_completion(monkeypatch):
     # drop one data Kraus operator: the recovery check must fire, also under -O
-    parts = codes.recovery_parts
-    monkeypatch.setattr(codes, "recovery_parts", lambda code, pattern: (
+    parts = codes._recovery_parts
+    monkeypatch.setattr(codes, "_RECOVERY", {})
+    monkeypatch.setattr(codes, "_recovery_parts", lambda code, pattern: (
         parts(code, pattern)[0][1:], parts(code, pattern)[1]))
     with pytest.raises(RuntimeError, match="not trace preserving"):
         codes.recovery_on_survivors(codes.five_qubit_code(), (0,))
+
+
+def test_code_spec_rejects_a_nan_encoder():
+    encoder = codes.five_qubit_code().encoder.copy()
+    encoder[0, 0] = np.nan
+    with pytest.raises(ValueError, match="isometry"):
+        codes.CodeSpec(2, 5, encoder)
 
 
 def test_code_error_builds_each_choi_once(monkeypatch):
@@ -337,8 +356,7 @@ _BELL = _PAULIS.reshape(4, 4).T / np.sqrt(2)
 def test_corrected_channel_is_pauli_and_code_error_is_one_minus_p_identity(make):
     # on every pattern of at most three erasures the corrected channel is a
     # Pauli channel (Bell-diagonal Choi), so Phi+ is a worst input and its
-    # diamond error is 1 - p_I: a closed-form oracle for the SDP, whose
-    # programs here have real data and run in real arithmetic
+    # diamond error is 1 - p_I: a closed-form oracle for the SDP
     code = make()
     for k in range(min(3, code.n_p) + 1):
         for pattern in itertools.combinations(range(code.n_p), k):

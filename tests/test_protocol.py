@@ -42,7 +42,7 @@ def _phi_weight(code, erased, us):
     """
     d = code.d
     m_ops = codes.erased_restriction_kraus(code, erased)
-    data_kraus, _ = codes.recovery_parts(code, erased)
+    data_kraus = codes.recovery_on_survivors(code, erased)[:d ** len(erased)]
     dim_s = m_ops[0].shape[0]
     m_cat = np.stack(m_ops, axis=1).reshape(dim_s, -1)          # (dim_s, n_b*d)
     r_cat = np.stack(data_kraus, axis=0).reshape(-1, dim_s)     # (n_r*d, dim_s)
