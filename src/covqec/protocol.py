@@ -173,15 +173,10 @@ def _kron_power_batch(us: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-# the outcome density of a Haar guess: identically one
-_HAAR_GUESS = rf.RefFrameSpec(2, 0, {(): 1.0})
-
-
 def _frame(config: ProtocolConfig, k: int) -> rf.RefFrameSpec:
-    """The frame measured with k surviving copies: a Haar guess at k = 0,
-    else the weak model's per-copy spec or the Schur-Weyl spec of k pairs."""
-    if k == 0:
-        return _HAAR_GUESS
+    """The frame measured with k surviving copies: the weak model's per-copy
+    spec (k >= 1 always), or the Schur-Weyl spec of k pairs, which at k = 0
+    is a Haar guess."""
     if config.model == "weak":
         return rf.weak_spec(config.d, config.m)
     return rf.strong_combined_spec(config.d, k)

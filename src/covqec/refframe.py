@@ -148,9 +148,10 @@ def weak_spec(d: int, m: int) -> RefFrameSpec:
 
 
 def strong_combined_spec(d: int, s_survivors: int) -> RefFrameSpec:
-    """Joint spec of s' surviving maximally entangled pairs: Schur-Weyl weights."""
-    if s_survivors < 1:
-        raise ValueError("need at least one survivor")
+    """Joint spec of s' surviving maximally entangled pairs: Schur-Weyl
+    weights.  s' = 0 gives the trivial frame {(): 1}, a Haar guess."""
+    if s_survivors < 0:
+        raise ValueError("the survivor count must be non-negative")
     weights = {
         lam: float(young.schur_weyl_prob(lam, s_survivors, d))
         for lam in young.enumerate_diagrams(s_survivors, d)
@@ -388,7 +389,7 @@ def strong_fidelity_form(d: int, s_survivors: int, n_prime: int):
 
     Q_{mu mu'} = sum_nu T_mu(nu) T_mu'(nu) / (dim_mu dim_mu') with
     T_mu(nu) = sum_lam sqrt(p_lam) c^nu_{lam mu} and p the Schur-Weyl
-    weights of s' >= 1 survivors (`strong_combined_spec`).
+    weights of s' survivors (`strong_combined_spec`).
 
     T is built from the frame side: for each frame diagram lam, in the
     spec's order, and each cost diagram mu, sqrt(p_lam) c is added to the

@@ -56,14 +56,14 @@ program's C and A_k depend only on (d_in, d_out), so they are built once
 per pair of dimensions and shared read-only, and each call writes only
 b = 2 J and its start.  A program with no start runs from the infeasible
 X = Z = scale I; each channel-distance program attaches a strictly
-feasible primal-dual point in closed form (the diamond program's Y = c I
-with c > ||J||, the fidelity program's rho = I/d_in), so its solve spends
-no iterations on reaching feasibility.  The diamond program first tries
-its entanglement bracket: Phi+ gives the lower bound ||J||_1 / d_in and
-Y = |J| the upper bound ||Tr_out |J|||_inf.  Where the
-two meet, as for every covariant channel against the identity and every
-Pauli channel, the start is that optimum, primal and dual nudged inside
-the cone, and the solve's first test certifies it after one iteration.
+feasible primal-dual point in closed form, so its solve spends no
+iterations on reaching feasibility.  The fidelity program starts at
+rho = I/d_in; the diamond program at its entanglement bracket: Phi+ gives
+the lower bound ||J||_1 / d_in and Y = |J| the upper bound
+||Tr_out |J|||_inf, and the start is Y = |J| with the dual of Phi+, both
+nudged inside the cone.  Where the two bounds meet, as for every covariant
+channel against the identity and every Pauli channel, that start is the
+optimum and the solve's first test certifies it after one iteration.
 
 The restricted worst-case fidelity of a block-covariant channel needs no
 SDP: it is a convex quadratic on the probability simplex, minimized by one
@@ -79,7 +79,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import ChoiMatrix
+from .channels import ChoiMatrix, _partial_trace_out
 
 __all__ = [
     "SdpResult",
@@ -91,7 +91,7 @@ __all__ = [
 ]
 
 DEFAULT_SIZE_CAP = 256
-# the diamond program starts at its optimum when the entanglement bracket is
+# the diamond program's start is its optimum when the entanglement bracket is
 # narrower than this, 1e-4 of solve's default tol (see _diamond_program)
 _BRACKET_TOL = 1e-12
 
@@ -453,8 +453,8 @@ def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
 def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     """The standard form of min mu s.t. Y >= +-J, mu I >= Tr_out Y, with
     J = d_in (A - B): the shape of _diamond_shape, with b = 2 J on the
-    entry rows of Q - P and 0 on the rows of T, and a closed-form start, at
-    the optimum when the entanglement bracket closes, else at Y = c I."""
+    entry rows of Q - P and 0 on the rows of T, and a closed-form start at
+    the entanglement bracket, which is the optimum when the bracket closes."""
     if (choi_a.dim_in, choi_a.dim_out) != (choi_b.dim_in, choi_b.dim_out):
         raise ValueError("channels must share dimensions")
     din, dout = choi_a.dim_in, choi_a.dim_out
@@ -466,53 +466,38 @@ def _diamond_program(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> _Program:
     for (k, r, c), part in ((re, ju.real), (im, ju.imag)):
         b[k] = 2 * part[r, c]
 
-    J = _hermitize(ju)
-    X = np.zeros_like(C)
-    y0 = np.zeros(len(b))
-
-    # the entanglement bracket: Phi+ gives the lower bound low = ||J||_1 / d_in,
-    # and Y = |J| is feasible with value ||Tr_out |J|||_inf; Tr_out |J| has
-    # mean eigenvalue low, so the bracket closes when its spread does.  Then
-    # the start is Y = |J| + eps I, mu = its top eigenvalue + (d_out + 1) eps
-    # and T = mu I - Tr_out Y, and the dual of Phi+ shrunk by delta = 1e-12:
+    # the start, at the entanglement bracket: Phi+ gives the lower bound
+    # low = ||J||_1 / d_in and Y = |J| the upper bound ||Tr_out |J|||_inf;
+    # Tr_out |J| has mean eigenvalue low, so the bracket closes when its
+    # spread does.  The primal is Y = |J| + eps I, mu = lambda_max(Tr_out Y)
+    # + eps and T = mu I - Tr_out Y; the dual is that of Phi+ shrunk by delta:
     # (1 - delta)^2 sign(J) / (2 d_in) on the Q - P rows (an off-diagonal
-    # entry row's y_k is twice the entry) and -(1 - delta) I / d_in on T, so
-    # Z_mu = delta.  eps = 2 delta low / (d_out + 1) offsets the primal's
-    # excess against the dual's shortfall to first order; its floor, at the
-    # round-off of J, keeps X > 0 at J = 0
+    # entry row's y_k is twice the entry) and -(1 - delta) I / d_in on T.  So
+    # Z_P, Z_Q = (1 - delta) / (2 d_in) (I +- (1 - delta) sign(J)) and
+    # Z_mu = delta, strictly feasible for every J.  delta = 1e-12 on a closed
+    # bracket, certified after one iteration; 0.5 on an open one, where a Z
+    # of order delta overflows the Schur matrix.  eps = 2 delta low /
+    # (d_out + 1) offsets the primal's excess against the dual's shortfall to
+    # first order; its floor, at the round-off of J, keeps X > 0 at J = 0
+    J = _hermitize(ju)
     lam, v = np.linalg.eigh(J)
     mag = np.abs(lam)
     abs_j = _hermitize((v * mag) @ v.conj().T)
-    tr_out = lambda y: y.reshape(dout, din, dout, din).trace(axis1=0, axis2=2)
-    hi = np.linalg.eigvalsh(tr_out(abs_j))
-    if hi[-1] - hi[0] <= _BRACKET_TOL:
-        delta, tiny = 1e-12, np.finfo(float).eps
-        eps = 2 * delta * mag.sum() / din / (dout + 1) + tiny * (mag.max() + tiny)
-        Y = abs_j + eps * np.eye(D)
-        X[:D, :D], X[D:t0, D:t0] = Y - J, Y + J
-        X[mu, mu] = hi[-1] + (dout + 1) * eps
-        X[t0:mu, t0:mu] = X[mu, mu] * np.eye(din) - tr_out(Y)
-        sign = _hermitize((v * np.sign(lam)) @ v.conj().T)
-        w = (1 - delta) ** 2 / din * (sign - 0.5 * np.diag(sign.diagonal()))
-        for (k, r, c), part in ((re, w.real), (im, w.imag)):
-            y0[k] = part[r, c]
-        y0[diag_rows] = -(1 - delta) / din
-        return _Program(C, A3, b, spans, (X, y0))
-
-    # else a strictly feasible start: Y = c I with c = ||J||_F + 1 > ||J||, so
-    # P = Y - J > 0 and Q = Y + J > 0, T = I and mu = c d_out + 1;
-    # y = -sigma / d_in on the diagonal rows of T (0 < sigma < 1) leaves
-    # Z = sigma / (2 d_in) I on P and Q, sigma / d_in I on T and 1 - sigma on
-    # mu.  sigma = 0.5: at 0.9 fewer iterations ran, but eps_cov at
-    # a ~ 4.6e-3 landed 1e-7 relative from a, outside the 5e-8 the
-    # pipeline's tests hold it to
-    c = np.linalg.norm(J) + 1.0
-    X[:D, :D] = -J
-    X[D:t0, D:t0] = J
-    X[:t0, :t0] += c * np.eye(t0)
-    X[t0:mu, t0:mu] = np.eye(din)
-    X[mu, mu] = c * dout + 1.0
-    y0[diag_rows] = -0.5 / din
+    hi = np.linalg.eigvalsh(_partial_trace_out(abs_j, dout, din))
+    delta = 1e-12 if hi[-1] - hi[0] <= _BRACKET_TOL else 0.5
+    tiny = np.finfo(float).eps
+    eps = 2 * delta * mag.sum() / din / (dout + 1) + tiny * (mag.max() + tiny)
+    Y = abs_j + eps * np.eye(D)
+    X = np.zeros_like(C)
+    X[:D, :D], X[D:t0, D:t0] = Y - J, Y + J
+    X[mu, mu] = hi[-1] + (dout + 1) * eps
+    X[t0:mu, t0:mu] = X[mu, mu] * np.eye(din) - _partial_trace_out(Y, dout, din)
+    sign = _hermitize((v * np.sign(lam)) @ v.conj().T)
+    w = (1 - delta) ** 2 / din * (sign - 0.5 * np.diag(sign.diagonal()))
+    y0 = np.zeros(len(b))
+    for (k, r, c), part in ((re, w.real), (im, w.imag)):
+        y0[k] = part[r, c]
+    y0[diag_rows] = -(1 - delta) / din
     return _Program(C, A3, b, spans, (X, y0))
 
 
@@ -581,7 +566,7 @@ def restricted_fwc(
     if symmetry_samples:
         for v in symmetry_samples:
             k = np.kron(v, v.conj())
-            if np.max(np.abs(k @ j_u @ k.conj().T - j_u)) > 1e-8 * n:
+            if not np.max(np.abs(k @ j_u @ k.conj().T - j_u)) <= 1e-8 * n:
                 raise ValueError("channel is not covariant for the supplied symmetry samples")
 
     # J[(x,x),(y,y)] = <x|N(|x><y|)|y>, of which w real sees only the real

@@ -1,7 +1,6 @@
 """Shared builders for channel-level tests, and the slow outcome-density oracle."""
 
 import numpy as np
-import pytest
 
 from covqec import channels as ch
 from covqec import codes
@@ -118,40 +117,34 @@ def assert_strictly_feasible(prog):
             assert np.linalg.eigvalsh(mat[sl, sl]).min() > 0
 
 
-def generic_diamond_program(choi_a, choi_b):
-    """sdp._diamond_program with its entanglement bracket never closing, so
-    it starts at Y = c I, as every program whose bracket stays open."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sdp, "_BRACKET_TOL", -1.0)
-        return sdp._diamond_program(choi_a, choi_b)
-
-
 def assert_starts_at_optimum(choi_a, choi_b, value):
     """The diamond program of (A, B) starts strictly feasible (see
     assert_strictly_feasible) at its optimum, with |A(X) - b| <= 1e-13, and
     its solve certifies it after one iteration: the diamond error is within
-    1e-12 of `value` and within 1e-8 of the same program solved from the
-    generic start."""
+    1e-12 of `value` and within 1e-8 of the same program solved with no
+    start, from solve's infeasible scale I."""
     prog = sdp._diamond_program(choi_a, choi_b)
     assert_strictly_feasible(prog)
     A = prog.A3.reshape(len(prog.b), -1)
     assert np.abs(prog.b - (A.conj() @ prog.start[0].reshape(-1)).real).max() <= 1e-13
     res = sdp.solve(prog)
     assert (res.status, res.iterations) == ("optimal", 1)
-    generic = sdp.solve(generic_diamond_program(choi_a, choi_b))
-    assert generic.status == "optimal" and generic.iterations > 1
-    assert abs(res.value - generic.value) / 2 <= 1e-8
+    cold = sdp.solve(prog._replace(start=None))
+    assert cold.status == "optimal" and cold.iterations > 1
+    assert abs(res.value - cold.value) / 2 <= 1e-8
     assert abs(res.value / 2 - value) <= 1e-12
 
 
-def assert_keeps_generic_start(choi_a, choi_b):
-    """An open bracket: the diamond program of (A, B), its start included,
-    and its solve are bit for bit those of the generic start."""
-    prog, generic = sdp._diamond_program(choi_a, choi_b), generic_diamond_program(choi_a, choi_b)
-    assert prog.b.tobytes() == generic.b.tobytes()
-    assert all(x.tobytes() == g.tobytes() for x, g in zip(prog.start, generic.start))
-    want, got = sdp.solve(generic), sdp.solve(prog)
-    assert (want.value, want.gap, want.status, want.iterations) == \
-        (got.value, got.gap, got.status, got.iterations)
-    assert got.iterations > 1
-    assert all(want.blocks[n].tobytes() == got.blocks[n].tobytes() for n in want.blocks)
+def assert_starts_at_open_bracket(choi_a, choi_b):
+    """An open bracket: the diamond program of (A, B) starts strictly
+    feasible with the dual shrunk by delta = 1/2 (Z_mu = 1/2), and its
+    solve ends optimal after more than one iteration, within 1e-8 of the
+    same program solved with no start."""
+    prog = sdp._diamond_program(choi_a, choi_b)
+    assert_strictly_feasible(prog)
+    mu = prog.spans["mu"].start
+    z_mu = prog.C[mu, mu] - prog.start[1] @ prog.A3[:, mu, mu].real
+    assert abs(z_mu - 0.5) <= 1e-15
+    res, cold = sdp.solve(prog), sdp.solve(prog._replace(start=None))
+    assert res.status == cold.status == "optimal" and res.iterations > 1
+    assert abs(res.value - cold.value) / 2 <= 1e-8

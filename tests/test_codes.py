@@ -6,7 +6,7 @@ import pytest
 from covqec import channels as ch
 from covqec import codes
 
-from conftest import assert_keeps_generic_start, assert_starts_at_optimum, rotated_five_qubit_code
+from conftest import assert_starts_at_open_bracket, assert_starts_at_optimum, rotated_five_qubit_code
 
 
 def apply(chan, rho):
@@ -394,7 +394,7 @@ def test_random_isometry_brackets():
     # corrected channel unital.  A random qubit isometry's is not Pauli, yet
     # its bracket against the identity closes at the Phi+ value, as for
     # every unital qubit channel; a random qutrit isometry's stays open, and
-    # its program and solve are bit for bit those of the generic start
+    # its solve leaves the start for the optimum
     code = _random_code(2, 5, 59)
     ident = ch.identity_channel(2).choi()
     for pattern in [(0,), (0, 1), (0, 1, 2)]:
@@ -405,7 +405,7 @@ def test_random_isometry_brackets():
     code = _random_code(3, 3, 61)
     ident = ch.identity_channel(3).choi()
     for pattern in [(0,), (0, 1)]:
-        assert_keeps_generic_start(codes.corrected_channel(code, pattern).choi(), ident)
+        assert_starts_at_open_bracket(codes.corrected_channel(code, pattern).choi(), ident)
 
 
 def test_erase_qutrit():

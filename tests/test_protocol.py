@@ -973,6 +973,49 @@ def test_eps_cov_slope_on_the_criterion_6_grid():
     assert sum(r.upper_bound < 1 for r in rows) == 1
 
 
+def _mixed_spectrum(code, law):
+    """S-bar_j = sum_P p_P c_{2j}(P), j = 0..n_p + 1: the character spectra
+    of the physical patterns P of `law`, pairs (p_P, P), mixed."""
+    out = np.zeros(code.n_p + 2)
+    for prob, phys in law:
+        quad = ch.haar_quadrature_su2(pr._spectrum_order(code.n_p - len(phys)))
+        c = pr._phi_spectrum(code, [phys], quad)[0]
+        out[:len(c)] += prob * c
+    return out
+
+
+def _weak_series_constants(s_bar):
+    """kappa_w = (pi^2 / 6) sum_j S_j (2j + 1) j (j + 1) and
+    c_1 = (pi^2 / 6) sum_j S_j j (j + 1) (j (j + 1) + 1), the first two terms
+    of a (M + 1)^2 = kappa_w - c_1 / (M + 1) + O(M^-2) when every pattern
+    corrects."""
+    j = np.arange(len(s_bar))
+    jj = j * (j + 1)
+    return math.pi ** 2 / 6 * (s_bar @ ((2 * j + 1) * jj)), math.pi ** 2 / 6 * (s_bar @ (jj * (jj + 1)))
+
+
+def test_weak_kappa_of_the_erasure_free_five_qubit_code():
+    # measured 1.7e-13 from 57 pi^2 / 48
+    code = codes.five_qubit_code()
+    kappa, c1 = _weak_series_constants(_mixed_spectrum(code, [(1.0, frozenset())]))
+    assert abs(kappa - 57 * math.pi ** 2 / 48) <= 1e-12
+    assert c1 == pytest.approx(26.99300, abs=1e-5)
+
+
+def test_weak_a_follows_its_series_to_second_order():
+    # the pipeline's weak a against kappa_w(n) - c_1(n) / (M + 1): the
+    # remainder times (M + 1)^2 measured -117.9, -118.6, -118.9 and -118.8
+    code = codes.five_qubit_code()
+    for m in (1024, 2048, 4096, 8192):
+        cfg = pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="exact_ne")
+        law = [(prob, phys) for _, prob, phys in pr._weak_terms(cfg)]
+        kappa, c1 = _weak_series_constants(_mixed_spectrum(code, law))
+        rep = pr.effective_channel(cfg)
+        n1 = rf._weak_lattice(2, m)[0] + 1
+        remainder = (rep.mixture.a * n1 ** 2 - kappa + c1 / n1) * n1 ** 2
+        assert -125 <= remainder <= -110, (m, remainder)
+
+
 def test_weak_sandwich_where_theorem1_bites():
     # from n = 1161 on, theorem1_bound drops below 1 (0.689 and 0.173 here),
     # so the exact eps_cov is held between both analytic bounds
@@ -1026,7 +1069,7 @@ def test_eps_cov_is_a_to_solver_accuracy():
 def test_eps_cov_is_a_to_round_off():
     # the mixture's diamond program starts at its certified optimum, so
     # eps_cov stays at a to 1e-9 relative down to a ~ 6e-6 (weak m = 4096),
-    # where a solve from the generic start read 4.9e-6
+    # where a solve from a Y = c I start read 4.9e-6
     code = codes.five_qubit_code()
     cfgs = [pr.ProtocolConfig(2, "weak", code, n_e=1, m=m, pattern_dist="exact_ne")
             for m in (4, 16, 64, 256, 1024, 4096)]
