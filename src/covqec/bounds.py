@@ -65,8 +65,8 @@ class BoundReport:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.value < 0:
-            raise ValueError("bounds are non-negative")
+        if not self.value >= 0:  # NaN fails too
+            raise ValueError(f"a bound must be non-negative, not {self.value}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +78,7 @@ def lemma1_assemble(d: int, terms) -> BoundReport:
     eps_j = max(eps_code_j, 1 - F_wc_j) if F_wc_j >= 3/4 else 1."""
     terms = list(terms)
     total_p = sum(p for p, _, _ in terms)
-    if abs(total_p - 1.0) > 1e-12:
+    if not abs(total_p - 1.0) <= 1e-12:
         raise ValueError(f"pattern probabilities sum to {total_p}")
     acc = 0.0
     for p, eps_code, f_wc in terms:
@@ -103,8 +103,8 @@ def theorem1_bound(d: int, n_e: int, n_p: int, n_r: int) -> BoundReport:
 
     with the O(n_r^-3) remainder dropped and flagged.
     """
-    if n_r <= 0 or n_r % 2:
-        raise ValueError("n_r must be a positive even integer")
+    if n_e < 0 or n_r <= 0 or n_r % 2:
+        raise ValueError("n_r must be a positive even integer, and n_e non-negative")
     val = 81 * pi**2 * d**4 * (d - 1) ** 2 * (n_e + 1) ** 2 * (n_p + d - 1) ** 2 / (2 * n_r**2)
     return BoundReport(
         value=val,
@@ -127,7 +127,7 @@ def theorem2_bound(d: int, p_e: float, n: int, alpha: float) -> BoundReport:
         raise ValueError("p_e must lie in (0, 1/2)")
     if n < 1:
         raise ValueError("n must be positive")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     denom = (2 - 4 * p_e) * np.prod([factorial(j - 1) for j in range(1, d + 1)])
     coeff = 9 * (d * d - d + 32) * d ** ((d * d - d + 2) / 2) / denom
@@ -189,6 +189,8 @@ def lemma4_lower(delta_h: float, i_fisher_upper: float) -> BoundReport:
 
 def fisher_upper_weak(n: int, n_e: int, h: Hamiltonian) -> BoundReport:
     """I_Fisher <= 4 n^2 (1 + 1/n_e) ||H||_inf^2 for the uniform weak model."""
+    if n < 1 or n_e < 1:
+        raise ValueError("n and n_e must be positive")
     val = 4 * n * n * (1 + 1 / n_e) * h.sup_norm**2
     return BoundReport(
         value=val,

@@ -14,6 +14,7 @@ eigenvalues clipped at -1e-12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -304,25 +305,30 @@ def _kron_power_apply(us: np.ndarray, k: int, m: np.ndarray) -> np.ndarray:
 
 @dataclass
 class HaarQuadrature:
-    """Product rule for Haar integration over SU(2).
-
-    Gauss-Legendre in cos(beta) (`order` nodes, from `_gauss_legendre`) and
-    uniform grids in alpha over [0, 2pi) and gamma over [0, 4pi) (2 * order
-    nodes each; the 4pi range covers both sheets of SU(2), so half-integer-
-    spin harmonics cancel exactly).  Weights sum to one.  Integrates any
-    product of matrix coefficients with per-axis frequency at most order - 1
-    exactly, in particular every chi_lam chi_mu* with |lam|, |mu| <= order - 1.
+    """Product rule for Haar integration over SU(2), held as its factors:
+    Gauss-Legendre in cos(beta) (`order` nodes `betas` from `_gauss_legendre`,
+    `beta_weights` summing to one) times uniform grids in alpha over [0, 2pi)
+    and gamma over [0, 4pi) (2 * order nodes each; the 4pi range covers both
+    sheets of SU(2), so half-integer-spin harmonics cancel exactly).  Exact for
+    per-axis frequencies up to order - 1, so for every chi_lam chi_mu* with
+    |lam|, |mu| <= order - 1.  The 4 order^3 nodes, axes (alpha, beta, gamma)
+    raveled, are formed on first use: `weights` (sum one) and `matrices()`.
     """
     order: int
-    euler: np.ndarray = field(repr=False)  # (n_nodes, 3)
-    weights: np.ndarray = field(repr=False)
+    betas: np.ndarray = field(repr=False)
+    beta_weights: np.ndarray = field(repr=False)
 
-    _matrices: np.ndarray | None = field(default=None, repr=False)
+    @cached_property
+    def weights(self) -> np.ndarray:
+        n_phase = 2 * self.order
+        return np.tile(np.repeat(self.beta_weights / n_phase**2, n_phase), n_phase)
+
+    @cached_property
+    def _matrices(self) -> np.ndarray:
+        alphas = np.pi * np.arange(2 * self.order) / self.order
+        return su2_from_euler(alphas[:, None, None], self.betas[:, None], 2 * alphas).reshape(-1, 2, 2)
 
     def matrices(self) -> np.ndarray:
-        if self._matrices is None:
-            a, b, g = self.euler.T
-            self._matrices = su2_from_euler(a, b, g)
         return self._matrices
 
     def integrate(self, values: np.ndarray) -> complex:
@@ -356,15 +362,8 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def haar_quadrature_su2(order: int) -> HaarQuadrature:
+    """The Haar rule of `order`; only its Gauss-Legendre factor is computed."""
     if order < 2:
         raise ValueError("order must be at least 2")
-    n_phase = 2 * order
-    alphas = 2 * np.pi * np.arange(n_phase) / n_phase
-    gammas = 4 * np.pi * np.arange(n_phase) / n_phase
     t, gl_w = _gauss_legendre(order)
-    betas = np.arccos(t)
-    a, b, g = np.meshgrid(alphas, betas, gammas, indexing="ij")
-    euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
-    w = np.ones((n_phase, order, n_phase)) * (gl_w / 2.0)[None, :, None]
-    weights = (w / n_phase**2).ravel()
-    return HaarQuadrature(order, euler, weights)
+    return HaarQuadrature(order, np.arccos(t), gl_w / 2.0)

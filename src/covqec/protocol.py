@@ -212,12 +212,12 @@ def _wigner_diagonals(betas: np.ndarray, j_max: int) -> np.ndarray:
     return np.where((m <= j)[..., None], table, 0.0).transpose(2, 0, 1)
 
 
-def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
+def _phi_spectrum(code: CodeSpec, erased_sets) -> np.ndarray:
     """Character spectra c_g = int dU' F(U') chi_g(U') of the Phi+ weight
     F(U') = F_ent(M_{U'}, I), one row per erased set of `erased_sets` (all
-    of one size), exact on the Euler quadrature `quad` of order
-    `_spectrum_order(n_surv)`, of which only the `order` Gauss-Legendre beta
-    nodes are used: alpha and gamma are integrated in closed form.
+    of one size), exact on the `haar_quadrature_su2` rule of order
+    `_spectrum_order(n_surv)`, of which only the beta factor (`betas`,
+    `beta_weights`) is read: alpha and gamma are integrated in closed form.
 
     Only even g <= 2 (n_surv + 1) occur; entry j of a row holds c_{2j}.  The
     sets share the beta nodes, Ry^{(x) n_surv}, the z-weights and the Wigner
@@ -257,11 +257,8 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
     m_ops = np.stack([erased_restriction_kraus(code, e) for e in erased_sets])
     data_kraus = np.stack([recovery_on_survivors(code, e)[:d ** len(e)] for e in erased_sets])
     n_pat, n_b, dim_s = m_ops.shape[:3]
-    # the beta nodes of the grid (axes alpha, beta, gamma), and their weights
-    # summed over the (alpha, gamma) plane
-    w_grid = quad.weights.reshape(2 * quad.order, quad.order, 2 * quad.order)
-    betas = quad.euler[:, 1].reshape(w_grid.shape)[0, :, 0]
-    ry = su2_from_euler(0.0, betas, 0.0).real
+    quad = haar_quadrature_su2(_spectrum_order(n_surv))
+    ry = su2_from_euler(0.0, quad.betas, 0.0).real
     sigma = np.array([1, -1])
     s_z = sigma[np.indices((d,) * n_surv).reshape(n_surv, dim_s)].sum(axis=0)  # S_i of basis state i
     fs = np.arange(-n_surv - 1, n_surv + 2, 2)
@@ -272,7 +269,7 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
     ry_s = _kron_power_batch(ry, n_surv).transpose(1, 0, 2).reshape(dim_s, -1)
     x = ((r_f.reshape(n_pat, -1, dim_s) @ ry_s).reshape(n_pat, -1, dim_s)
          @ m_k.transpose(0, 2, 1, 3).reshape(n_pat, dim_s, -1))
-    x = x.reshape(n_pat, len(fs), n_b, d, len(betas), len(ks), n_b, d)
+    x = x.reshape(n_pat, len(fs), n_b, d, len(quad.betas), len(ks), n_b, d)
     # Ry^dag[y, x] X[x, y] on axes (pattern, f, r, beta, k, b, y); kappa = k - sigma_y
     t = sum(x[:, :, :, i] * ry[:, i, None, None, :] for i in range(d))
     tau = np.zeros(t.shape[:4] + (len(ks) + 1, n_b), dtype=complex)
@@ -280,7 +277,7 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
     tau[..., 1:, :] += t[..., 1]
     # G_m d^2 - delta_{m0}: Re sum v[f, k] conj v[f - 2m, k + 2m] over every axis
     # but pattern and beta, by the real views (Re z conj w = re.re + im.im)
-    g = np.zeros((n_pat, len(betas), len(fs)))
+    g = np.zeros((n_pat, len(quad.betas), len(fs)))
     for m in range(len(fs)):
         g[..., m] = (np.einsum("pfrnkb,pfrnkb->pn", tau[:, m:, ..., :len(ks) + 1 - m, :].view(float),
                                tau[:, :len(fs) - m, ..., m:, :].view(float))
@@ -288,8 +285,8 @@ def _phi_spectrum(code: CodeSpec, erased_sets, quad) -> np.ndarray:
                                  x[:, :len(fs) - m, ..., m:, :, :].view(float)) / d)
     g[..., 0] += 1.0
     g[..., 1:] *= 2.0  # G_m + G_{-m}
-    table = _wigner_diagonals(betas, n_surv + 1)
-    return np.einsum("n,njm,pnm->pj", w_grid.sum(axis=(0, 2)), table, g) / d**2
+    table = _wigner_diagonals(quad.betas, n_surv + 1)
+    return np.einsum("n,njm,pnm->pj", quad.beta_weights, table, g) / d**2
 
 
 # Phi+ spectra by code key (`codes._code_key`) and erased set, oldest
@@ -306,10 +303,10 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     pattern's character spectrum S_j (`_phi_spectrum`, zero-padded to the
     n_p + 2 entries of the erasure-free pattern) and the frame's even
     class coefficients C_i = (C_0, C_2, ..., C_{2 n_p + 2}), exact for every
-    pattern.  The patterns of one survivor count share one
-    `haar_quadrature_su2` of their spectrum order, whose Gauss-Legendre beta
-    nodes and weights carry the spectra, and one `_phi_spectrum` call.  The
-    diagnostics are the largest spectrum order ("quad_order"), the frame
+    pattern.  The patterns of one survivor count share one `_phi_spectrum`
+    call, which integrates on the Gauss-Legendre beta factor of one
+    `haar_quadrature_su2` of their spectrum order and forms no Euler node.
+    The diagnostics are the largest spectrum order ("quad_order"), the frame
     mass C_0 = sum q farthest from one ("normalization") and the number of
     spectra this call integrated ("spectra_computed").
 
@@ -325,12 +322,11 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
     n_p = code.n_p
     code_key = _code_key(code)
     keys = [code_key + (frozenset(p),) for p in patterns]
-    orders = {key: _spectrum_order(n_p - len(key[-1])) for key in keys}
     found = {key: _SPECTRA.get(key) for key in keys}
     missing = [key for key, c in found.items() if c is None]
-    for order in sorted({orders[key] for key in missing}):
-        group = [key for key in missing if orders[key] == order]
-        batch = _phi_spectrum(code, [key[-1] for key in group], haar_quadrature_su2(order))
+    for size in sorted({len(key[-1]) for key in missing}, reverse=True):
+        group = [key for key in missing if len(key[-1]) == size]
+        batch = _phi_spectrum(code, [key[-1] for key in group])
         batch.setflags(write=False)
         for key, c in zip(group, batch):
             found[key] = _memo_put(_SPECTRA, _SPECTRA_CAP, key, c)
@@ -339,7 +335,7 @@ def inner_channel(code: CodeSpec, specs, patterns) -> tuple[np.ndarray, dict]:
         spectra[j, :len(found[key])] = found[key]
     coeffs = np.array([rf.class_coefficients(spec, 2 * n_p + 2)[::2] for spec in specs])
     a = np.clip(1.0 - coeffs @ spectra.T / coeffs[:, :1], 0.0, 1.0)
-    diag = {"quad_order": max(orders.values()),
+    diag = {"quad_order": _spectrum_order(n_p - min(len(key[-1]) for key in keys)),
             "normalization": float(max(coeffs[:, 0], key=lambda c0: abs(c0 - 1.0))),
             "spectra_computed": len(missing)}
     return a, diag

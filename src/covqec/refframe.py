@@ -69,12 +69,12 @@ class RefFrameSpec:
     def __post_init__(self) -> None:
         total = 0.0
         for lam, q in self.weights.items():
-            if q < -1e-15:
-                raise ValueError("negative weight")
+            if not q >= -1e-15:
+                raise ValueError(f"weight {q} of {lam} is negative or NaN")
             if not young.is_diagram(lam, self.d) or young.boxes(lam) != self.m:
                 raise ValueError(f"diagram {lam} is not a valid label for m={self.m}, d={self.d}")
             total += q
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"weights sum to {total}, not 1")
 
     def support(self) -> list[tuple[int, ...]]:
@@ -319,8 +319,10 @@ def min_overlap(spec: RefFrameSpec, n_prime: int) -> float:
     Weights of shifted diagrams outside the support (or outside the
     partition cone) are zero.
     """
+    if n_prime < 0:
+        raise ValueError("n' must be non-negative")
     interior = interior_set(spec, n_prime)
-    best = None
+    best = np.inf
     for delta in _shifts(spec.d, n_prime):
         total = 0.0
         for lam in interior:
@@ -331,8 +333,8 @@ def min_overlap(spec: RefFrameSpec, n_prime: int) -> float:
             q2 = spec.weights.get(young.normalize(shifted), 0.0)
             if q2 > 0.0:
                 total += np.sqrt(spec.weights[lam] * q2)
-        best = total if best is None else min(best, total)
-    return float(best if best is not None else 0.0)
+        best = min(best, total)
+    return float(best)
 
 
 def appendix_e_sum(big_m: int, delta: int, n_lo: int) -> float:

@@ -559,6 +559,8 @@ def restricted_fwc(
     symmetry family used to verify covariance: (V (x) V*) J (V (x) V*)^dag
     must equal J within 1e-8.
     """
+    if not all(isinstance(b, (int, np.integer)) and b >= 1 for b in block_dims):
+        raise ValueError(f"block sizes {block_dims} must be positive integers")
     n = sum(block_dims)
     if choi.dim_in != n or choi.dim_out != n:
         raise ValueError("Choi matrix does not match the block dimensions")

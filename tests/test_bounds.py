@@ -40,6 +40,18 @@ def test_lemma1_rejects_unnormalized():
         bounds.lemma1_assemble(2, [(0.5, 0.0, 1.0)])
 
 
+def test_bound_reports_reject_nan():
+    # NaN fails every comparison, so a bound must be checked as not value >= 0
+    with pytest.raises(ValueError, match="non-negative"):
+        bounds.lemma1_assemble(2, [(1.0, float("nan"), 0.9)])
+    with pytest.raises(ValueError, match="sum to nan"):
+        bounds.lemma1_assemble(2, [(float("nan"), 0.0, 0.9)])
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        bounds.theorem2_bound(2, 0.1, 10, float("nan"))
+    with pytest.raises(ValueError, match="non-negative"):
+        bounds.BoundReport(float("nan"), "upper", False, True)
+
+
 # ---------------------------------------------------------------------------
 # theorem and proposition evaluators
 # ---------------------------------------------------------------------------
@@ -106,6 +118,18 @@ def test_fisher_weak_value():
     h = bounds.Hamiltonian.balanced_qubit()
     assert bounds.fisher_upper_weak(10, 1, h).value == pytest.approx(800.0)
     assert bounds.fisher_upper_weak(10, 10, h).value == pytest.approx(4 * 100 * 1.1)
+
+
+def test_weak_bounds_reject_counts_out_of_range():
+    # n_e = 0 divides by zero in 1 + 1/n_e, and n_e = -1 zeroes theorem 1's
+    # (n_e + 1)^2; there n_e = 0 is the erasure-free case and stays valid
+    h = bounds.Hamiltonian.balanced_qubit()
+    for n, n_e in ((10, 0), (0, 1), (10, -1)):
+        with pytest.raises(ValueError, match="must be positive"):
+            bounds.fisher_upper_weak(n, n_e, h)
+    with pytest.raises(ValueError, match="n_e non-negative"):
+        bounds.theorem1_bound(2, -1, 5, 100)
+    assert bounds.theorem1_bound(2, 0, 5, 100).value == pytest.approx(81 * pi**2 * 16 * 36 / (2 * 100**2))
 
 
 def test_fisher_strong_value():

@@ -295,6 +295,34 @@ def test_quadrature_integrates_constant():
     assert quad.weights.sum() == pytest.approx(1.0, abs=1e-13)
 
 
+def _meshgrid_rule(order):
+    """The (alpha, beta, gamma) Euler grid of the Haar rule, built eagerly by
+    meshgrid: its nodes as an (n, 3) array and their weights."""
+    n_phase = 2 * order
+    alphas = 2 * np.pi * np.arange(n_phase) / n_phase
+    gammas = 4 * np.pi * np.arange(n_phase) / n_phase
+    t, gl_w = ch._gauss_legendre(order)
+    betas = np.arccos(t)
+    a, b, g = np.meshgrid(alphas, betas, gammas, indexing="ij")
+    euler = np.stack([a.ravel(), b.ravel(), g.ravel()], axis=1)
+    w = np.ones((n_phase, order, n_phase)) * (gl_w / 2.0)[None, :, None]
+    return euler, (w / n_phase**2).ravel()
+
+
+@pytest.mark.parametrize("order", range(2, 17))
+def test_factored_rule_equals_meshgrid_grid(order):
+    # the rule holds only its beta factor; the grid it forms on first use is
+    # the eagerly built one, bit for bit
+    quad = ch.haar_quadrature_su2(order)
+    assert set(vars(quad)) == {"order", "betas", "beta_weights"}
+    euler, weights = _meshgrid_rule(order)
+    assert np.array_equal(quad.betas, euler[:order * 2 * order:2 * order, 1])
+    assert quad.beta_weights.sum() == pytest.approx(1.0, abs=1e-14)
+    assert np.array_equal(quad.weights, weights)
+    assert np.array_equal(quad.matrices(), ch.su2_from_euler(*euler.T))
+    assert quad.matrices() is quad.matrices()
+
+
 def test_gauss_legendre_matches_numpy_leggauss():
     # the same arithmetic as numpy's rule, so equal to within 2 ulp (bitwise
     # with numpy 2.4 on x86-64)

@@ -340,8 +340,7 @@ def test_haar_guess_matches_quadrature(pattern):
 
 
 def _phi_spectrum(code, pattern):
-    order = pr._spectrum_order(code.n_p - len(set(pattern)))
-    return pr._phi_spectrum(code, [pattern], ch.haar_quadrature_su2(order))[0]
+    return pr._phi_spectrum(code, [pattern])[0]
 
 
 _CODES = {"five_qubit": codes.five_qubit_code, "trivial": lambda: codes.trivial_code(2),
@@ -370,11 +369,10 @@ def test_batched_spectrum_equals_per_pattern_calls():
     code = codes.five_qubit_code()
     for k in range(code.n_p + 1):
         patterns = list(itertools.combinations(range(code.n_p), k))
-        quad = ch.haar_quadrature_su2(pr._spectrum_order(code.n_p - k))
-        batch = pr._phi_spectrum(code, patterns, quad)
+        batch = pr._phi_spectrum(code, patterns)
         assert batch.shape == (len(patterns), code.n_p - k + 2)
         for row, pattern in zip(batch, patterns):
-            assert np.array_equal(row, pr._phi_spectrum(code, [pattern], quad)[0]), pattern
+            assert np.array_equal(row, pr._phi_spectrum(code, [pattern])[0]), pattern
 
 
 _CONVERGED = [("five_qubit", ()), ("five_qubit", (0,)), ("five_qubit", (0, 1, 2)),
@@ -443,6 +441,26 @@ def test_inner_channel_builds_one_quadrature_per_order(monkeypatch):
     _, diag = pr.inner_channel(code, [rf.strong_combined_spec(2, 2)], patterns)
     assert built == [] and integrated == [] and diag["spectra_computed"] == 0
     assert diag["quad_order"] == pr._spectrum_order(5)
+
+
+def test_cold_inner_channel_forms_no_euler_node(monkeypatch):
+    # the kernel reads only the rule's beta factor: no quadrature it builds
+    # gains its per-node weights or matrices
+    built = []
+    real_quad = pr.haar_quadrature_su2
+
+    def recorded_quad(order):
+        built.append(real_quad(order))
+        return built[-1]
+
+    monkeypatch.setattr(pr, "_SPECTRA", {})
+    monkeypatch.setattr(pr, "haar_quadrature_su2", recorded_quad)
+    code = codes.five_qubit_code()
+    patterns = [frozenset(p) for k in range(6) for p in itertools.combinations(range(5), k)]
+    pr.inner_channel(code, [FLAT], patterns)
+    assert [q.order for q in built] == [pr._spectrum_order(s) for s in range(6)]
+    for q in built:
+        assert set(vars(q)) == {"order", "betas", "beta_weights"}, q.order
 
 
 def test_weak_channel_leaves_numpy_polynomial_unimported():
@@ -978,8 +996,7 @@ def _mixed_spectrum(code, law):
     of the physical patterns P of `law`, pairs (p_P, P), mixed."""
     out = np.zeros(code.n_p + 2)
     for prob, phys in law:
-        quad = ch.haar_quadrature_su2(pr._spectrum_order(code.n_p - len(phys)))
-        c = pr._phi_spectrum(code, [phys], quad)[0]
+        c = pr._phi_spectrum(code, [phys])[0]
         out[:len(c)] += prob * c
     return out
 

@@ -36,6 +36,17 @@ def test_g_weight_range_error():
         rf.g_weight(-1, 2)
 
 
+def test_spec_rejects_nan_weights():
+    # NaN fails every comparison, so each weight and the total are checked
+    # as not >= and not <=
+    with pytest.raises(ValueError, match="negative or NaN"):
+        rf.RefFrameSpec(2, 2, {(2,): np.nan, (1, 1): 1.0})
+    with pytest.raises(ValueError, match="negative or NaN"):
+        rf.RefFrameSpec(2, 2, {(2,): 1.0, (1, 1): np.nan})
+    with pytest.raises(ValueError, match="sum to"):
+        rf.RefFrameSpec(2, 2, {(2,): 0.5, (1, 1): 0.25})
+
+
 # ---------------------------------------------------------------------------
 # weak-model spec
 # ---------------------------------------------------------------------------
@@ -484,6 +495,13 @@ def test_interior_weak_spec_gap_rule():
 def test_min_overlap_single_diagram_interior():
     spec = rf.RefFrameSpec(2, 10, {(10,): 1.0})
     assert rf.min_overlap(spec, 1) == 0.0
+
+
+def test_min_overlap_rejects_negative_n_prime():
+    # n' = -1 has no shift to minimize over; n' = 0 has only the zero shift
+    with pytest.raises(ValueError, match="non-negative"):
+        rf.min_overlap(rf.weak_spec(2, 40), -1)
+    assert rf.min_overlap(rf.weak_spec(2, 40), 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_min_overlap_at_most_interior_mass():

@@ -592,6 +592,15 @@ def test_restricted_rejects_noncovariant():
         sdp.restricted_fwc([1, 2], n.choi(), symmetry_samples=vs)
 
 
+@pytest.mark.parametrize("blocks", [[0, 3], [1.5, 1.5], [-1, 4], [3.0]])
+def test_restricted_rejects_malformed_block_sizes(blocks):
+    # each would otherwise fail inside numpy or LAPACK: a zero block divides
+    # by zero, a fractional one indexes out of range, a negative one breaks
+    # np.repeat
+    with pytest.raises(ValueError, match="positive integers"):
+        sdp.restricted_fwc(blocks, ch.identity_channel(3).choi())
+
+
 def test_restricted_rejects_a_nan_symmetry_sample():
     # a NaN residual fails every comparison, so the check must not pass it
     nan = np.full((3, 3), np.nan, dtype=complex)
