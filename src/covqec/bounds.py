@@ -9,7 +9,7 @@ estimated.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from math import ceil, comb, factorial, log, pi
 
@@ -58,10 +58,8 @@ class Hamiltonian:
 @dataclass(frozen=True)
 class BoundReport:
     value: float
-    kind: str  # "upper" | "lower"
     asymptotic_terms_dropped: bool
     preconditions_met: bool
-    inputs: dict = field(default_factory=dict, compare=False)
     note: str = ""
 
     def __post_init__(self) -> None:
@@ -76,23 +74,16 @@ class BoundReport:
 def lemma1_assemble(d: int, terms) -> BoundReport:
     """eps_cov <= 9 d sum_j p_j eps_j with
     eps_j = max(eps_code_j, 1 - F_wc_j) if F_wc_j >= 3/4 else 1."""
-    terms = list(terms)
-    total_p = sum(p for p, _, _ in terms)
+    total_p = acc = 0.0
+    for p, eps_code, f_wc in terms:
+        total_p += p
+        acc += p * (max(eps_code, 1.0 - f_wc) if f_wc >= 0.75 else 1.0)
     if not abs(total_p - 1.0) <= 1e-12:
         raise ValueError(f"pattern probabilities sum to {total_p}")
-    acc = 0.0
-    for p, eps_code, f_wc in terms:
-        if f_wc >= 0.75:
-            eps_j = max(eps_code, 1.0 - f_wc)
-        else:
-            eps_j = 1.0
-        acc += p * eps_j
     return BoundReport(
         value=9 * d * acc,
-        kind="upper",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"d": d, "n_terms": len(terms)},
     )
 
 
@@ -108,10 +99,8 @@ def theorem1_bound(d: int, n_e: int, n_p: int, n_r: int) -> BoundReport:
     val = 81 * pi**2 * d**4 * (d - 1) ** 2 * (n_e + 1) ** 2 * (n_p + d - 1) ** 2 / (2 * n_r**2)
     return BoundReport(
         value=val,
-        kind="upper",
         asymptotic_terms_dropped=True,
         preconditions_met=True,
-        inputs={"d": d, "n_e": n_e, "n_p": n_p, "n_r": n_r},
         note="O(n_r^-3) remainder dropped",
     )
 
@@ -133,10 +122,8 @@ def theorem2_bound(d: int, p_e: float, n: int, alpha: float) -> BoundReport:
     coeff = 9 * (d * d - d + 32) * d ** ((d * d - d + 2) / 2) / denom
     return BoundReport(
         value=float(coeff * (1.0 / n) ** (1 - alpha)),
-        kind="upper",
         asymptotic_terms_dropped=True,
         preconditions_met=False,
-        inputs={"d": d, "p_e": p_e, "n": n, "alpha": alpha},
         note="requires n >= n_alpha with n_alpha existential (not certified)",
     )
 
@@ -147,10 +134,8 @@ def prop1_lower(n: int, n_e: int) -> BoundReport:
         raise ValueError("n and n_e must be positive")
     return BoundReport(
         value=1.0 / (16 * n * n * (1 + 1 / n_e)),
-        kind="lower",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"n": n, "n_e": n_e},
         note="uniform erasure of exactly n_e qudits, p_0 = 0",
     )
 
@@ -163,10 +148,8 @@ def prop2_lower(n: int, p_e: float) -> BoundReport:
         raise ValueError("n must be positive")
     return BoundReport(
         value=p_e / (64 * n * (1 - p_e)),
-        kind="lower",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"n": n, "p_e": p_e},
     )
 
 
@@ -175,15 +158,13 @@ def lemma4_lower(delta_h: float, i_fisher_upper: float) -> BoundReport:
     if delta_h < 0:
         raise ValueError("Delta H must be non-negative")
     if np.isinf(i_fisher_upper):
-        return BoundReport(0.0, "lower", False, True, {"delta_h": delta_h}, note="trivial: I = inf")
+        return BoundReport(0.0, False, True, note="trivial: I = inf")
     if i_fisher_upper <= 0:
         raise ValueError("the Fisher information upper bound must be positive")
     return BoundReport(
         value=delta_h**2 / (16 * i_fisher_upper),
-        kind="lower",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"delta_h": delta_h, "i_fisher": i_fisher_upper},
     )
 
 
@@ -194,10 +175,8 @@ def fisher_upper_weak(n: int, n_e: int, h: Hamiltonian) -> BoundReport:
     val = 4 * n * n * (1 + 1 / n_e) * h.sup_norm**2
     return BoundReport(
         value=val,
-        kind="upper",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"n": n, "n_e": n_e, "h_norm": h.sup_norm},
         note="uniform p_s over size-n_e subsets, p_0 = 0",
     )
 
@@ -210,10 +189,8 @@ def fisher_upper_strong(n: int, delta_h: float, p_e: float) -> BoundReport:
         raise ValueError("n must be positive")
     return BoundReport(
         value=4 * n * delta_h**2 * (1 - p_e) / p_e,
-        kind="upper",
         asymptotic_terms_dropped=False,
         preconditions_met=True,
-        inputs={"n": n, "delta_h": delta_h, "p_e": p_e},
     )
 
 

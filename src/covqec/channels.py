@@ -7,8 +7,9 @@ matrices are state-normalized throughout, J = (N (x) I)(Phi+), indexed
 (out, in) against (out, in); the unnormalized convention needed by the
 fidelity SDP is produced at that call site only.
 
-Matrix square roots go through Hermitian eigendecompositions with negative
-eigenvalues clipped at -1e-12.
+Matrix square roots go through Hermitian eigendecompositions: an eigenvalue
+below -1e-8 raises ValueError, and the negative ones above it are clipped
+to 0.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ __all__ = [
     "ChoiMatrix",
     "CovariantParams",
     "HaarQuadrature",
-    "CovarianceViolationError",
     "identity_channel",
     "depolarizing_channel",
     "compose",
@@ -44,15 +44,6 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-10
-
-
-class CovarianceViolationError(ValueError):
-    """Raised when a Choi matrix is not covariant to the requested tolerance."""
-
-    def __init__(self, residual: float, tol: float):
-        self.residual = residual
-        self.tol = tol
-        super().__init__(f"channel is not covariant: reconstruction residual {residual:.3e} > {tol:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +209,7 @@ def covariant_params(choi: ChoiMatrix, tol: float = 1e-8) -> CovariantParams:
     params = CovariantParams(d, a)
     residual = float(np.max(np.abs(choi.mat - covariant_choi(params).mat)))
     if residual > tol:
-        raise CovarianceViolationError(residual, tol)
+        raise ValueError(f"channel is not covariant: reconstruction residual {residual:.3e} > {tol:.3e}")
     return params
 
 
@@ -235,8 +226,9 @@ def cov_fidelity_and_errors(pa: CovariantParams, pb: CovariantParams) -> tuple[f
 def lemma5_bound(pa: CovariantParams, f_ent_ab: float, d: int) -> float:
     """Upper bound 9d * max{eps_ent(A, I), 1 - F_ent(A, B)} on eps_wc(B, I).
 
-    Valid only when eps_ent(A, B) <= 1/2; callers check the precondition and
-    a trivial bound of 1 is returned when it fails.
+    Valid only when eps_ent(A, B) <= 1/2, which this function cannot see: it
+    is given a and F_ent(A, B) alone, so the caller must check it.  The
+    value is capped at 9d.
     """
     if not 0.0 <= f_ent_ab <= 1.0 + 1e-12:
         raise ValueError("F_ent out of range")

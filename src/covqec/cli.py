@@ -232,7 +232,8 @@ def cmd_simulate(args) -> int:
     print(f"eps_cov   = {rep.eps_cov:.10g}  (diamond-sdp)")
     if mc is not None:
         est, err = mc
-        sig = abs(est - rep.mixture.a) / err if err > 0 else 0.0
+        # the error is floored at 1e-12, as in verify: round-off is no signal
+        sig = abs(est - rep.mixture.a) / max(err, 1e-12)
         print(f"monte carlo 1-F_ent = {est:.6g} +- {err:.2g}  ({sig:.2f} sigma from the exact channel)")
         if sig > 5:
             print("WARNING: Monte Carlo diverges from the exact channel by more than 5 sigma", file=sys.stderr)

@@ -38,7 +38,6 @@ from .channels import haar_su2
 
 __all__ = [
     "RefFrameSpec",
-    "ConfigurationError",
     "g_weight",
     "weak_spec",
     "strong_combined_spec",
@@ -52,10 +51,6 @@ __all__ = [
     "f_strong",
     "cost_set",
 ]
-
-
-class ConfigurationError(ValueError):
-    """Raised for physically inconsistent reference-frame parameters."""
 
 
 @dataclass(frozen=True)
@@ -107,11 +102,11 @@ def _weak_lattice(d: int, m: int) -> tuple[int, int]:
     """M = floor((2m/(d(d-1)) - 1)/3) and m0 = m - d(d-1)(3M+1)/2 >= 0 of
     the weak-model frame on 2m qudits."""
     if d < 2:
-        raise ConfigurationError("the weak model needs d >= 2")
+        raise ValueError("the weak model needs d >= 2")
     big_m = (2 * m - d * (d - 1)) // (3 * d * (d - 1))
     if big_m < 1:
         m_min = 2 * d * (d - 1)
-        raise ConfigurationError(
+        raise ValueError(
             f"m={m} is too small for the weak model at d={d}; need m >= {m_min} (M >= 1)"
         )
     return big_m, m - d * (d - 1) * (3 * big_m + 1) // 2

@@ -83,7 +83,6 @@ from .channels import ChoiMatrix, _partial_trace_out
 
 __all__ = [
     "SdpResult",
-    "SdpSizeError",
     "solve",
     "sqrt_fwc",
     "diamond_error",
@@ -94,10 +93,6 @@ DEFAULT_SIZE_CAP = 256
 # the diamond program's start is its optimum when the entanglement bracket is
 # narrower than this, 1e-4 of solve's default tol (see _diamond_program)
 _BRACKET_TOL = 1e-12
-
-
-class SdpSizeError(ValueError):
-    """Problem exceeds the configured dense-solver size cap."""
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +135,7 @@ def _zero_program(sizes: dict[str, int], m: int) -> _Program:
     """All-zero C, A3 and b for `m` rows over blocks of the given sizes."""
     total = sum(sizes.values())
     if total > DEFAULT_SIZE_CAP:
-        raise SdpSizeError(f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}")
+        raise ValueError(f"total variable dimension would exceed the cap of {DEFAULT_SIZE_CAP}")
     ends = np.cumsum(list(sizes.values()))
     spans = {n: slice(e - s, e) for (n, s), e in zip(sizes.items(), ends)}
     return _Program(np.zeros((total, total), dtype=complex),
@@ -442,7 +437,13 @@ def _support(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def diamond_error(choi_a: ChoiMatrix, choi_b: ChoiMatrix) -> float:
-    """eps_wc(A, B) = 1/2 ||A - B||_diamond from state-normalized Chois."""
+    """eps_wc(A, B) = 1/2 ||A - B||_diamond from state-normalized Chois.
+
+    On a closed entanglement bracket (every covariant or Pauli channel
+    against the identity) the solve starts at the optimum, certified at
+    1e-12, so the value is exact to round-off.  On an open one it is good
+    only to `solve`'s default tol of 1e-8; a tighter tol does not help, as
+    most random qubit pairs end "max_iterations" at 1e-10."""
     res = solve(_diamond_program(choi_a, choi_b))
     if res.status != "optimal":
         raise RuntimeError(f"diamond SDP did not converge: status {res.status}")

@@ -13,7 +13,6 @@ from covqec import bounds
 def test_lemma1_perfect_term():
     rep = bounds.lemma1_assemble(2, [(1.0, 0.0, 1.0)])
     assert rep.value == 0.0
-    assert rep.kind == "upper"
 
 
 def test_lemma1_threshold_branch():
@@ -32,7 +31,6 @@ def test_lemma1_accepts_iterator():
     from_iter = bounds.lemma1_assemble(2, iter(terms))
     assert from_list.value == pytest.approx(18 * (0.5 * 0.01 + 0.5 * 0.02))
     assert from_iter.value == from_list.value
-    assert from_iter.inputs["n_terms"] == from_list.inputs["n_terms"] == 2
 
 
 def test_lemma1_rejects_unnormalized():
@@ -49,7 +47,7 @@ def test_bound_reports_reject_nan():
     with pytest.raises(ValueError, match="alpha must be positive"):
         bounds.theorem2_bound(2, 0.1, 10, float("nan"))
     with pytest.raises(ValueError, match="non-negative"):
-        bounds.BoundReport(float("nan"), "upper", False, True)
+        bounds.BoundReport(float("nan"), False, True)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,35 @@ def test_simulate_mc_value_error_exits_2(monkeypatch, capsys):
     assert "eps_cov" not in captured.out
 
 
+@pytest.mark.parametrize("args,code", [
+    # an exactly covariant channel: a and the estimate differ, and the
+    # estimate's error is, at round-off
+    (["--model", "weak", "--ne", "0", "--m", "8", "--np", "1"], 0),
+    # two shots that agree: a zero error against a = 0.075
+    (["--model", "strong", "--pe", "0.1", "--sr", "2", "--np", "1", "--mc-samples", "2"], 1),
+], ids=["covariant", "zero-error"])
+def test_simulate_mc_gate_floors_the_error(capsys, args, code):
+    assert cli.main(["simulate", *args, "--mc"]) == code
+    captured = capsys.readouterr()
+    assert "sigma from the exact channel" in captured.out
+    assert ("WARNING" in captured.err) == bool(code)
+
+
+@pytest.mark.parametrize("offset,code", [(4, 0), (10, 1)])
+def test_simulate_mc_gate_at_five_sigma(monkeypatch, capsys, offset, code):
+    from covqec import protocol as pr
+
+    def off(cfg):
+        return pr.effective_channel(cfg).mixture.a + offset * 1e-3, 1e-3
+
+    monkeypatch.setattr(pr, "monte_carlo_epsilon", off)
+    args = ["simulate", "--model", "strong", "--pe", "0.1", "--sr", "2", "--np", "1", "--mc"]
+    assert cli.main(args) == code
+    captured = capsys.readouterr()
+    assert f"({offset}.00 sigma from the exact channel)" in captured.out
+    assert ("WARNING: Monte Carlo diverges from the exact channel by more than 5 sigma" in captured.err) == bool(code)
+
+
 def test_verify_only_rep():
     res = run_cli(["verify", "--only", "rep"])
     assert res.returncode == 0

@@ -78,8 +78,10 @@ def test_weak_spec_m4():
 
 
 def test_weak_spec_too_small():
-    with pytest.raises(rf.ConfigurationError):
+    with pytest.raises(ValueError, match=r"m=1 is too small for the weak model at d=2; need m >= 4 \(M >= 1\)"):
         rf.weak_spec(2, 1)
+    with pytest.raises(ValueError, match="the weak model needs d >= 2"):
+        rf.weak_spec(1, 10)
 
 
 @pytest.mark.parametrize("d,m", [(2, 4), (2, 10), (2, 22), (2, 49), (3, 30), (3, 100)])

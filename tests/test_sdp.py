@@ -60,7 +60,7 @@ def test_solve_max_sense():
 
 
 def test_size_cap():
-    with pytest.raises(sdp.SdpSizeError):
+    with pytest.raises(ValueError, match="would exceed the cap of 256"):
         sdp._zero_program({"big": sdp.DEFAULT_SIZE_CAP + 1}, 1)
 
 
